@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-from scipy import optimize
 
 from . import exact, fock, gaussian, grid
 from .system import Coherent, NumberState, OscillatorSystem, Superposition, UnboundGaussian
@@ -290,6 +289,8 @@ def criterion_10_covariance_pipeline():
 
 def criterion_11_disentanglement_point():
     """A mass fraction exists where the theta = pi/6 mixture is separable."""
+    from scipy import optimize  # slow to import, and needed only here
+
     theta = math.pi / 6
     state = Superposition.two_mode_mix(theta)
 

@@ -287,6 +287,8 @@ def _sweep_values(args) -> np.ndarray:
         raise _UsageError(f"bad --range {args.range!r}; expected START:STOP:COUNT") from exc
     if count < 2:
         raise _UsageError("sweep needs at least 2 points")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise _UsageError(f"sweep endpoints must be finite, got {args.range!r}")
     if args.scale == "log":
         if start <= 0 or stop <= 0:
             raise _UsageError("log scale needs positive endpoints")

@@ -24,7 +24,8 @@ The untrapped pair reuses the machinery with a complex, time-dependent A
 whose center-of-mass width follows the spreading packet; the resulting
 purities are real up to roundoff, which is asserted.
 
-Evaluation cost grows combinatorially with the quantum numbers, so the
+The coefficient box has prod(t_i + 1) cells over the eight slots, so its
+time and memory grow as the eighth power of the quantum numbers; the
 operations carry configurable caps and raise ResourceCapError beyond them.
 All functions are pure; superposition sums iterate in a fixed order so
 results are bit-stable.
@@ -39,6 +40,9 @@ from itertools import product
 
 import numpy as np
 
+# boxes are built through the module attribute, so a rebinding of
+# taylor.exp_taylor_box (for tracing, say) sees every one
+from . import taylor
 from .errors import DomainError, NumericalConsistencyError, ResourceCapError
 from .gaussian import purity_coherent
 from .system import OscillatorSystem, Superposition
@@ -224,7 +228,7 @@ def build_M(sys: OscillatorSystem) -> QuadraticGenerator:
         [t, -s, -t,  s,  v,  u,  w, -u],
     ])
     det = np.linalg.det(M)
-    if abs(det - _DET_M_TARGET) > _DET_M_TOL:
+    if not abs(det - _DET_M_TARGET) <= _DET_M_TOL:
         raise NumericalConsistencyError(
             f"generator determinant {det!r} deviates from 1/256"
         )
@@ -259,7 +263,7 @@ def build_M_from_A(gdata: GaussianIntegralData) -> QuadraticGenerator:
     M = 0.25 * gdata.Lmap.T @ AinvL + gdata.Cquad
     M = 0.5 * (M + M.T)  # symmetrize away roundoff
     detA = np.linalg.det(A)
-    if abs(detA.imag if np.iscomplexobj(A) else 0.0) > _IMAG_TOL * abs(detA):
+    if not abs(detA.imag if np.iscomplexobj(A) else 0.0) <= _IMAG_TOL * abs(detA):
         raise NumericalConsistencyError(f"det A acquired an imaginary part: {detA!r}")
     detA = detA.real if np.iscomplexobj(A) else detA
     if not detA > 0:
@@ -314,11 +318,29 @@ def purity_number_unbound(sys: OscillatorSystem, m: int, tau: float,
     fac = float(math.factorial(m))
     value = gen.prefactor * fac * fac * coeff
     value = complex(value)
-    if abs(value.imag) > _IMAG_TOL:
+    if not abs(value.imag) <= _IMAG_TOL:
         raise NumericalConsistencyError(
             f"unbound purity has imaginary residue {value.imag!r}"
         )
     return float(value.real)
+
+
+def _cross_orders(quad, cap: int) -> tuple:
+    """Box index (m_1..m_4, n_1..n_4) of a quadruple; raises beyond ``cap``."""
+    total = sum(m + n for (m, n) in quad)
+    if total > cap:
+        raise ResourceCapError(
+            f"total order {total} exceeds the cross-term cap {cap}"
+        )
+    return tuple(m for (m, _) in quad) + tuple(n for (_, n) in quad)
+
+
+def _cross_value(gen: QuadraticGenerator, box: np.ndarray, orders) -> float:
+    """Cross term at ``orders`` read from a box that covers them."""
+    if sum(orders) % 2 == 1:
+        return 0.0
+    fac = math.prod(math.factorial(t) for t in orders)
+    return float(gen.prefactor * math.sqrt(fac) * box[orders])
 
 
 def purity_cross(sys: OscillatorSystem, quadruple,
@@ -336,20 +358,11 @@ def purity_cross(sys: OscillatorSystem, quadruple,
         raise DomainError("quadruple must contain exactly four (m, n) pairs")
     if any(m < 0 or n < 0 for (m, n) in quad):
         raise DomainError("quantum numbers must be nonnegative")
-    total = sum(m + n for (m, n) in quad)
-    if total > cap:
-        raise ResourceCapError(
-            f"total order {total} exceeds the cross-term cap {cap}"
-        )
-    if total % 2 == 1:
+    orders = _cross_orders(quad, cap)
+    if sum(orders) % 2 == 1:
         return 0.0
     gen = build_M(sys)
-    orders = tuple(m for (m, _) in quad) + tuple(n for (_, n) in quad)
-    coeff = taylor_coefficient(gen.Mmat, orders)
-    fac = 1.0
-    for (m, n) in quad:
-        fac *= math.factorial(m) * math.factorial(n)
-    return float(gen.prefactor * math.sqrt(fac) * coeff)
+    return _cross_value(gen, taylor.exp_taylor_box(gen.Mmat, orders), orders)
 
 
 def purity_superposition(sys: OscillatorSystem, state,
@@ -357,42 +370,28 @@ def purity_superposition(sys: OscillatorSystem, state,
     """Exact purity of a finite normalized superposition of number states.
 
     Sums c_1 c_2* c_3 c_4* P({m_i, n_i}) over all index quadruples drawn
-    from the support, in a fixed iteration order.  Accepts a
+    from the support, in a fixed iteration order.  Every cross term is read
+    from one box whose per-slot caps are the largest orders any even-total
+    quadruple with nonzero weight needs.  Accepts a
     :class:`~oscillent.system.Superposition` or a raw (m, n, coefficient)
     term list, which is validated.
     """
     if not isinstance(state, Superposition):
         state = Superposition(tuple(state))
-    terms = state.terms
     gen = build_M(sys)
-    cross_cache: dict[tuple, float] = {}
-
-    def cross(quad) -> float:
-        total = sum(m + n for (m, n) in quad)
-        if total > cap:
-            raise ResourceCapError(
-                f"total order {total} exceeds the cross-term cap {cap}"
-            )
-        if total % 2 == 1:
-            return 0.0
-        orders = tuple(m for (m, _) in quad) + tuple(n for (_, n) in quad)
-        hit = cross_cache.get(orders)
-        if hit is None:
-            fac = 1.0
-            for (m, n) in quad:
-                fac *= math.factorial(m) * math.factorial(n)
-            hit = float(gen.prefactor * math.sqrt(fac)
-                        * taylor_coefficient(gen.Mmat, orders))
-            cross_cache[orders] = hit
-        return hit
-
-    total = 0j
-    for (m1, n1, c1), (m2, n2, c2), (m3, n3, c3), (m4, n4, c4) in product(terms, repeat=4):
+    read = []
+    for (m1, n1, c1), (m2, n2, c2), (m3, n3, c3), (m4, n4, c4) in product(state.terms, repeat=4):
         weight = c1 * c2.conjugate() * c3 * c4.conjugate()
         if weight == 0:
             continue
-        total += weight * cross(((m1, n1), (m2, n2), (m3, n3), (m4, n4)))
-    if abs(total.imag) > 1e-10:
+        read.append((weight, _cross_orders(((m1, n1), (m2, n2), (m3, n3), (m4, n4)), cap)))
+    even = [orders for (_, orders) in read if sum(orders) % 2 == 0]
+    box = taylor.exp_taylor_box(gen.Mmat, np.max(even, axis=0)) if even else None
+
+    total = 0j
+    for weight, orders in read:
+        total += weight * _cross_value(gen, box, orders)
+    if not abs(total.imag) <= 1e-10:
         raise NumericalConsistencyError(
             f"superposition purity has imaginary residue {total.imag!r}"
         )

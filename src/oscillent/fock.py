@@ -29,8 +29,8 @@ basis matches the symplectic scales of the coherent-state standard form,
 (sqrt(gamma Gamma) s, sqrt(gamma Gamma) / s), which is exact for
 single-excitation states whenever the two oscillator frequencies coincide.
 
-Coefficient tables fill from a single generating-function expansion and are
-immutable afterwards.
+Coefficient tables fill from a single generating-function box and are
+immutable afterwards; a superposition reads all its terms from one box.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class BasisParams:
     kmax: int
 
     def __post_init__(self):
-        if not (self.gamma1 > 0 and self.gamma2 > 0):
-            raise DomainError("basis scales gamma1, gamma2 must be positive")
+        if not (0 < self.gamma1 < math.inf and 0 < self.gamma2 < math.inf):
+            raise DomainError("basis scales gamma1, gamma2 must be positive and finite")
         if self.jmax < 0 or self.kmax < 0:
             raise DomainError("truncation bounds must be nonnegative")
 
@@ -151,22 +151,45 @@ class CoeffTable:
         return abs(1.0 - float(np.sum(self.values ** 2)))
 
 
+def _sqrt_factorials(top: int) -> np.ndarray:
+    """sqrt(i!) for i = 0..top.
+
+    Raises ResourceCapError when top! is not representable as a float
+    (top > 170), before any box is allocated.
+    """
+    try:
+        return np.sqrt([float(math.factorial(i)) for i in range(top + 1)])
+    except OverflowError:
+        raise ResourceCapError(
+            f"index {top} needs {top}! as a float, which overflows above 170; "
+            "lower the truncation"
+        ) from None
+
+
+def _planes(sys: OscillatorSystem, basis: BasisParams, labels) -> list[np.ndarray]:
+    """Weighted (j, k) planes {j, k | m, n> for each (m, n) in ``labels``,
+    all read from one (jmax, kmax, max m, max n) box."""
+    mmax = max(m for (m, _) in labels)
+    nmax = max(n for (_, n) in labels)
+    jw = _sqrt_factorials(basis.jmax)
+    kw = _sqrt_factorials(basis.kmax)
+    mw = _sqrt_factorials(mmax)
+    nw = _sqrt_factorials(nmax)
+    G, pref = _generator(sys, basis.gamma1, basis.gamma2)
+    box = exp_taylor_box(G, (basis.jmax, basis.kmax, mmax, nmax))
+    outer = np.outer(jw, kw)
+    return [pref * mw[m] * nw[n] * box[:, :, m, n] * outer for (m, n) in labels]
+
+
 def coefficient_table(sys: OscillatorSystem, basis: BasisParams,
                       m: int, n: int) -> CoeffTable:
     """All coefficients {j, k | m, n> up to the basis truncation.
 
-    One dense generating-function expansion fills the whole table.
+    One generating-function box fills the whole table.
     """
     if m < 0 or n < 0:
         raise DomainError("quantum numbers must be nonnegative")
-    G, pref = _generator(sys, basis.gamma1, basis.gamma2)
-    box = exp_taylor_box(G, (basis.jmax, basis.kmax, m, n))
-    coeffs = box[:, :, m, n]
-    jw = np.sqrt([float(math.factorial(j)) for j in range(basis.jmax + 1)])
-    kw = np.sqrt([float(math.factorial(k)) for k in range(basis.kmax + 1)])
-    weight = pref * math.sqrt(math.factorial(m) * math.factorial(n))
-    values = weight * coeffs * np.outer(jw, kw)
-    return CoeffTable(basis=basis, m=m, n=n, values=values)
+    return CoeffTable(basis=basis, m=m, n=n, values=_planes(sys, basis, [(m, n)])[0])
 
 
 def _state_coefficients(sys: OscillatorSystem, state, basis: BasisParams) -> np.ndarray:
@@ -174,9 +197,10 @@ def _state_coefficients(sys: OscillatorSystem, state, basis: BasisParams) -> np.
     if isinstance(state, NumberState):
         return coefficient_table(sys, basis, state.m, state.n).values.astype(complex)
     if isinstance(state, Superposition):
+        planes = _planes(sys, basis, [(m, n) for (m, n, _) in state.terms])
         C = np.zeros((basis.jmax + 1, basis.kmax + 1), dtype=complex)
-        for (m, n, cf) in state.terms:
-            C += cf * coefficient_table(sys, basis, m, n).values
+        for (_, _, cf), plane in zip(state.terms, planes):
+            C += cf * plane
         return C
     raise UnsupportedStateError(
         f"truncated-basis methods support number states and superpositions, not {type(state).__name__}"

@@ -61,8 +61,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n_points < 16:
             raise DomainError(f"n_points must be at least 16, got {self.n_points}")
-        if self.extent_sigmas < 4:
-            raise DomainError(f"extent_sigmas must be at least 4, got {self.extent_sigmas}")
+        if not 4 <= self.extent_sigmas < math.inf:
+            raise DomainError(
+                f"extent_sigmas must be finite and at least 4, got {self.extent_sigmas}")
 
 
 @dataclass(frozen=True)

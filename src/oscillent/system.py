@@ -23,8 +23,8 @@ threads without coordination.
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -72,6 +72,9 @@ class OscillatorSystem:
     Gamma: float = field(default=0.0)
 
     def __post_init__(self):
+        for name in ("m1", "m2", "omega", "Omega", "hbar", "Gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("m1", "m2", "omega", "hbar"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
@@ -117,8 +120,8 @@ class OscillatorSystem:
         Every purity of a trapped state depends only on (g, mu1), so this
         gauge loses nothing.
         """
-        if not g > 0:
-            raise DomainError(f"g must be positive, got {g}")
+        if not (g > 0 and math.isfinite(g)):
+            raise DomainError(f"g must be positive and finite, got {g}")
         if not 0 < mu1 < 1:
             raise DomainError(f"mu1 must lie strictly in (0, 1), got {mu1}")
         # M = 1 and Gamma = 1 force Omega = 1, hence omega = g.
@@ -210,6 +213,14 @@ class Coherent:
         object.__setattr__(self, "beta", complex(self.beta))
 
 
+def _quantum_number(value) -> int:
+    """Any integral value (int, numpy integer, ...) as a Python int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"quantum numbers must be integers, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class NumberState:
     """Joint eigenstate |m, n> of the relative (m) and center-of-mass (n)
@@ -219,10 +230,11 @@ class NumberState:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
-            raise DomainError("quantum numbers must be integers")
-        if self.m < 0 or self.n < 0:
-            raise DomainError(f"quantum numbers must be nonnegative, got ({self.m}, {self.n})")
+        m, n = _quantum_number(self.m), _quantum_number(self.n)
+        if m < 0 or n < 0:
+            raise DomainError(f"quantum numbers must be nonnegative, got ({m}, {n})")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
 
 @dataclass(frozen=True)
@@ -267,10 +279,12 @@ class UnboundGaussian:
     tau: float
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 0:
-            raise DomainError(f"vibrational index must be a nonnegative integer, got {self.m}")
-        if cmath.isnan(self.tau) or cmath.isinf(self.tau):
+        m = _quantum_number(self.m)
+        if m < 0:
+            raise DomainError(f"vibrational index must be a nonnegative integer, got {m}")
+        if not math.isfinite(self.tau):
             raise DomainError("tau must be finite")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "tau", float(self.tau))
 
 

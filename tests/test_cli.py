@@ -66,6 +66,25 @@ class TestPurityCommand:
         assert cli.run(["purity", "--g", "2", "--mu1", "0.5",
                         "--state", "number:9,9"]) == 3
 
+    def test_fock_truncation_beyond_float_factorials_exits_three(self, capsys):
+        assert cli.run(["purity", "--g", "2", "--mu1", "0.5", "--state", "number:1,1",
+                        "--method", "fock", "--jmax", "180"]) == 3
+        assert "lower the truncation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_parameter_exits_one(self, capsys, value):
+        assert cli.run(["purity", "--g", value, "--mu1", "0.3",
+                        "--state", "number:0,1"]) == 1
+        assert cli.run(["purity", "--g", "2", "--mu1", "0.3", "--state", "number:0,1",
+                        "--method", "fock", "--gamma1", value, "--gamma2", "1"]) == 1
+        assert cli.run(["purity", "--m1", "1", "--m2", "2", "--omega", "3",
+                        "--Omega", value, "--state", "number:0,1"]) == 1
+        assert cli.run(["purity", "--g", "2", "--mu1", "0.3", "--state", "number:0,1",
+                        "--method", "oracle", "--extent", value]) == 1
+        assert cli.run(["sweep", "--g", "2", "--mu1", "0.3", "--param", "theta",
+                        "--range", f"0:{value}:3"]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_usage_errors_exit_one(self):
         assert cli.run(["purity", "--g", "1", "--state", "number:0,1"]) == 1
         assert cli.run(["purity", "--g", "1", "--mu1", "0.5",

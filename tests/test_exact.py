@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -308,6 +309,35 @@ class TestPuritySuperposition:
                 float(10 ** rng.uniform(-0.5, 0.8)), float(rng.uniform(0.2, 0.8)))
             assert purity_superposition(sys, st) == pytest.approx(
                 schmidt_analyze(sys, st).purity, abs=1e-6)
+
+    def test_equals_sum_of_cross_terms(self):
+        # one box at the per-slot maximum caps gives the same terms as one
+        # box per quadruple
+        rng = np.random.default_rng(7)
+        labels = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 3)]
+        for _ in range(3):
+            idx = rng.choice(len(labels), size=3, replace=False)
+            cs = rng.normal(size=3) + 1j * rng.normal(size=3)
+            cs /= np.linalg.norm(cs)
+            terms = tuple((labels[i][0], labels[i][1], complex(c)) for i, c in zip(idx, cs))
+            sys = OscillatorSystem.from_dimensionless(
+                float(10 ** rng.uniform(-0.5, 0.8)), float(rng.uniform(0.2, 0.8)))
+            expect = sum(
+                c1 * c2.conjugate() * c3 * c4.conjugate()
+                * purity_cross(sys, [(m1, n1), (m2, n2), (m3, n3), (m4, n4)])
+                for (m1, n1, c1), (m2, n2, c2), (m3, n3, c3), (m4, n4, c4)
+                in itertools.product(terms, repeat=4))
+            assert purity_superposition(sys, Superposition(terms)) == pytest.approx(
+                expect.real, rel=1e-13)
+
+    def test_cap_counts_only_weighted_quadruples(self):
+        sys = OscillatorSystem.from_dimensionless(2.0, 0.4)
+        # |0,3> x 4 reaches total 12 > 11
+        with pytest.raises(ResourceCapError, match="total order 12"):
+            purity_superposition(sys, [(0, 0, 0.6), (0, 3, 0.8)], cap=11)
+        # a zero coefficient weights every quadruple that holds it by 0
+        assert purity_superposition(sys, [(0, 1, 1.0), (0, 3, 0.0)], cap=4) == pytest.approx(
+            purity_number(sys, 0, 1), rel=1e-13)
 
     def test_range(self):
         sys = OscillatorSystem.from_dimensionless(3.0, 0.4)

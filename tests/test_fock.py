@@ -89,6 +89,14 @@ class TestTransformCoefficients:
         with pytest.raises(ResourceCapError):
             transform_coefficient(sys, basis, 40, 40, 0, 0, cap=64)
 
+    def test_unrepresentable_factorial_weight_hits_cap(self):
+        # 171! overflows a float; the check fires before any box is built
+        sys = OscillatorSystem.from_dimensionless(2.0, 0.3)
+        with pytest.raises(ResourceCapError, match="171"):
+            coefficient_table(sys, BasisParams(1.0, 1.0, 171, 2), 0, 1)
+        with pytest.raises(ResourceCapError):
+            coefficient_table(sys, BasisParams(1.0, 1.0, 2, 2), 0, 200)
+
 
 class TestReducedDensity:
     def test_separable_ground_state_is_rank_one(self):
@@ -116,6 +124,14 @@ class TestReducedDensity:
         assert np.min(evals) > -1e-10
         assert np.max(evals) <= 1.0 + 1e-10
         assert np.sum(evals) <= 1.0 + 1e-10
+
+    def test_superposition_reads_one_box(self):
+        sys = OscillatorSystem.from_dimensionless(3.0, 0.35)
+        basis = default_basis(sys, jmax=9, kmax=7)
+        terms = ((0, 1, 0.6), (2, 0, 0.48j), (1, 3, 0.64))
+        rho = reduced_density_truncated(sys, Superposition(terms), basis)
+        C = sum(cf * coefficient_table(sys, basis, m, n).values for (m, n, cf) in terms)
+        assert np.max(np.abs(rho - C @ C.conj().T)) < 1e-15
 
     def test_unsupported_state(self):
         sys = OscillatorSystem.from_dimensionless(4.0, 0.4)

@@ -55,6 +55,14 @@ class TestFromPhysical:
         with pytest.raises(DomainError):
             OscillatorSystem.from_physical(**bad)
 
+    @pytest.mark.parametrize("name", ["m1", "m2", "omega", "Omega", "hbar", "Gamma"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, name, value):
+        params = dict(m1=1.0, m2=2.0, omega=3.0, Omega=1.0, hbar=1.0, Gamma=1.5)
+        params[name] = value
+        with pytest.raises(DomainError, match=name):
+            OscillatorSystem(**params)
+
 
 class TestFromDimensionless:
     @pytest.mark.parametrize("g,mu1,gamma", [
@@ -70,7 +78,8 @@ class TestFromDimensionless:
         assert sys.M_total == 1.0
 
     @pytest.mark.parametrize("g,mu1", [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0),
-                                       (1.0, 1.0), (1.0, 1.5)])
+                                       (1.0, 1.0), (1.0, 1.5), (math.inf, 0.5),
+                                       (math.nan, 0.5), (1.0, math.nan)])
     def test_domain_errors(self, g, mu1):
         with pytest.raises(DomainError):
             OscillatorSystem.from_dimensionless(g, mu1)
@@ -160,6 +169,17 @@ class TestStateSpecs:
     def test_two_mode_mix_is_normalized(self):
         st = Superposition.two_mode_mix(0.71)
         assert sum(abs(c) ** 2 for (_, _, c) in st.terms) == pytest.approx(1.0, abs=1e-15)
+
+    def test_numpy_integers_accepted(self):
+        st = NumberState(np.int64(1), np.uint8(2))
+        assert st == NumberState(1, 2)
+        assert type(st.m) is int and type(st.n) is int
+        ub = UnboundGaussian(np.int32(3), 0.5)
+        assert ub.m == 3 and type(ub.m) is int
+        with pytest.raises(DomainError):
+            NumberState(1.0, 0)
+        with pytest.raises(DomainError):
+            UnboundGaussian(np.float64(2.0), 0.5)
 
     def test_unbound_validation(self):
         UnboundGaussian(0, -3.0)

@@ -1,0 +1,117 @@
+"""Randomized checks of the Taylor kernel against an independent expansion."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oscillent.taylor import exp_taylor_box, taylor_coefficient
+
+# largest per-axis cap drawn for each number of variables, keeping the
+# reference expansion below a few hundred thousand cell updates
+_MAX_CAP = {1: 12, 4: 5, 8: 2}
+
+
+def reference_box(M, caps):
+    """exp(z^T M z) expanded order by order: sum_K (z^T M z)^K / K!, each
+    power formed by multiplying the previous one by every monomial
+    M_ab z_a z_b and dropping exponents beyond ``caps``."""
+    dim = len(caps)
+    shape = tuple(c + 1 for c in caps)
+    term = np.zeros(shape, complex if np.iscomplexobj(M) else float)
+    term[(0,) * dim] = 1.0
+    total = term.copy()
+    for K in range(1, sum(caps) // 2 + 1):
+        new = np.zeros_like(term)
+        for a in range(dim):
+            for b in range(dim):
+                deg = [0] * dim
+                deg[a] += 1
+                deg[b] += 1
+                if any(deg[i] > caps[i] for i in range(dim)):
+                    continue
+                src = tuple(slice(0, shape[i] - deg[i]) for i in range(dim))
+                dst = tuple(slice(deg[i], shape[i]) for i in range(dim))
+                new[dst] += M[a, b] * term[src]
+        term = new / K
+        total += term
+    return total
+
+
+def random_symmetric(rng, dim, complex_):
+    A = rng.normal(size=(dim, dim))
+    if complex_:
+        A = A + 1j * rng.normal(size=(dim, dim))
+    return 0.3 * (A + A.T)
+
+
+def odd_mask(shape):
+    return np.add.reduce(np.indices(shape), axis=0) % 2 == 1
+
+
+@st.composite
+def kernel_cases(draw):
+    dim = draw(st.sampled_from([1, 4, 8]))
+    caps = tuple(draw(st.lists(st.integers(0, _MAX_CAP[dim]), min_size=dim, max_size=dim)))
+    return dim, caps, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kernel_cases())
+def test_box_matches_reference_expansion(case):
+    dim, caps, complex_, seed = case
+    M = random_symmetric(np.random.default_rng(seed), dim, complex_)
+    box = exp_taylor_box(M, caps)
+    ref = reference_box(M, caps)
+    assert box.shape == tuple(c + 1 for c in caps)
+    assert box.dtype == (complex if complex_ else float)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(box - ref)) <= 1e-13 * scale
+    assert np.all(box[odd_mask(box.shape)] == 0)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("caps", [(0,), (0, 0, 0, 0), (3, 0, 2, 0),
+                                  (0, 0, 0, 0, 2, 2, 2, 2), (2, 0, 1, 0, 0, 1, 0, 2)])
+def test_zero_caps(caps, complex_):
+    rng = np.random.default_rng(len(caps) + sum(caps))
+    M = random_symmetric(rng, len(caps), complex_)
+    box = exp_taylor_box(M, caps)
+    ref = reference_box(M, caps)
+    assert box[(0,) * len(caps)] == 1.0
+    assert np.max(np.abs(box - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.all(box[odd_mask(box.shape)] == 0)
+
+
+def test_coefficient_independent_of_box():
+    # every cell is computed by the same operations whatever the caps, so a
+    # coefficient read from a larger box is the same number
+    rng = np.random.default_rng(3)
+    M = random_symmetric(rng, 8, False)
+    big = exp_taylor_box(M, (3, 2, 3, 2, 1, 2, 0, 3))
+    for orders in [(1, 1, 1, 1, 0, 0, 0, 0), (3, 0, 1, 2, 1, 1, 0, 2),
+                   (0, 0, 0, 0, 0, 0, 0, 0), (2, 2, 2, 2, 0, 0, 0, 0)]:
+        assert taylor_coefficient(M, orders) == big[orders]
+
+
+def test_rejects_bad_caps():
+    M = np.eye(2)
+    with pytest.raises(ValueError):
+        exp_taylor_box(M, (1, -1))
+    with pytest.raises(ValueError):
+        exp_taylor_box(M, (1, 1, 1))
+
+
+def test_diagonal_form_factorizes():
+    # exp(sum_a d_a z_a^2) = prod_a exp(d_a z_a^2)
+    d = np.array([0.4, -0.7, 1.1, 0.25])
+    box = exp_taylor_box(np.diag(d), (4, 4, 4, 4))
+    for t in itertools.product(range(5), repeat=4):
+        expect = 0.0
+        if all(ti % 2 == 0 for ti in t):
+            expect = math.prod(d[a] ** (t[a] // 2) / math.factorial(t[a] // 2)
+                               for a in range(4))
+        assert box[t] == pytest.approx(expect, rel=1e-14, abs=1e-300)
