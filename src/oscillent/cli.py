@@ -22,6 +22,7 @@ flag; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -198,8 +199,9 @@ def compute_purity(sys: OscillatorSystem, state, method: str, args) -> dict:
             basis = fock.BasisParams(args.gamma1, args.gamma2, args.jmax, args.kmax)
         else:
             basis = fock.default_basis(sys, jmax=args.jmax, kmax=args.kmax)
-        record["purity"] = fock.purity_truncated(sys, state, basis)
-        record["entropy"] = fock.entropy_truncated(sys, state, basis)
+        rho = fock.reduced_density_truncated(sys, state, basis)
+        record["purity"] = fock.purity_from_density(rho)
+        record["entropy"] = fock.entropy_from_density(rho)
         record["basis"] = {"gamma1": basis.gamma1, "gamma2": basis.gamma2,
                            "jmax": basis.jmax, "kmax": basis.kmax}
     elif method == "oracle":
@@ -471,7 +473,10 @@ def _cmd_selftest(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     parser = _Parser(prog="oscillent",
                      description="Interparticle entanglement of two coupled oscillators.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -495,11 +500,9 @@ def _build_parser() -> _Parser:
     common(p)
     method_opts(p)
     p.add_argument("--state", required=True, help="state literal, e.g. number:0,1")
-    p.set_defaults(func=_cmd_purity)
 
     p = sub.add_parser("covariance", help="coherent-state covariance pipeline")
     common(p)
-    p.set_defaults(func=_cmd_covariance)
 
     p = sub.add_parser("sweep", help="one-parameter sweep to CSV")
     common(p)
@@ -508,7 +511,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--range", required=True, help="START:STOP:COUNT")
     p.add_argument("--scale", choices=["linear", "log"], default="linear")
     p.add_argument("--state", default="coherent:", help="state literal")
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("figure", help="emit a reference figure dataset")
     p.add_argument("which", choices=[f"fig{i}" for i in range(1, 8)])
@@ -518,18 +520,15 @@ def _build_parser() -> _Parser:
                    default="Gamma-over-gamma",
                    help="meaning of the fig4 curve parameter c")
     p.add_argument("--config", help="JSON file supplying defaults for any flag")
-    p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("oracle-compare", help="method-vs-oracle residual table")
     p.add_argument("--config", help="JSON file supplying defaults for any flag")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
     p.add_argument("--n-points", type=int, default=512)
     p.add_argument("--extent", type=float, default=8.0)
-    p.set_defaults(func=_cmd_oracle_compare)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--criteria", help="comma-separated criterion numbers (default: all)")
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 
@@ -555,10 +554,13 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # looked up per call, so a rebinding of a _cmd_* function (for
+        # tracing, say) takes effect although the parser is built only once
+        command = globals()["_cmd_" + args.command.replace("-", "_")]
         _apply_config(args, argv)
         if getattr(args, "kmax", None) is None and hasattr(args, "jmax"):
             args.kmax = args.jmax
-        return args.func(args)
+        return command(args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3

@@ -53,6 +53,8 @@ __all__ = [
     "transform_coefficient",
     "coefficient_table",
     "reduced_density_truncated",
+    "purity_from_density",
+    "entropy_from_density",
     "purity_truncated",
     "entropy_truncated",
     "convergence_run",
@@ -218,29 +220,38 @@ def reduced_density_truncated(sys: OscillatorSystem, state, basis: BasisParams) 
     return rho
 
 
-def purity_truncated(sys: OscillatorSystem, state, basis: BasisParams) -> float:
-    """tr(rho^2) of the truncated reduced density matrix.
-
-    Converges to the exact purity as (jmax, kmax) grow, independently of the
-    basis scales.
-    """
-    rho = reduced_density_truncated(sys, state, basis)
+def purity_from_density(rho: np.ndarray) -> float:
+    """tr(rho^2) of a Hermitian density matrix, as sum |rho_ij|^2."""
     return float(np.sum(np.abs(rho) ** 2))
 
 
-def entropy_truncated(sys: OscillatorSystem, state, basis: BasisParams) -> float:
-    """Entanglement entropy -sum p ln p of the truncated reduced state.
+def entropy_from_density(rho: np.ndarray) -> float:
+    """Entropy -sum p ln p of a Hermitian density matrix.
 
-    Eigenvalues are renormalized by the trace to compensate the truncation;
+    Eigenvalues are renormalized by the trace to compensate a truncation;
     values below 1e-14 are dropped before the logarithm.
     """
-    rho = reduced_density_truncated(sys, state, basis)
     evals = np.linalg.eigvalsh(rho)
     evals = evals[evals > _ENTROPY_FLOOR]
     if evals.size == 0:
         raise DomainError("truncated density matrix has no usable eigenvalues")
     p = evals / evals.sum()
     return float(-np.sum(p * np.log(p)))
+
+
+def purity_truncated(sys: OscillatorSystem, state, basis: BasisParams) -> float:
+    """tr(rho^2) of the truncated reduced density matrix.
+
+    Converges to the exact purity as (jmax, kmax) grow, independently of the
+    basis scales.
+    """
+    return purity_from_density(reduced_density_truncated(sys, state, basis))
+
+
+def entropy_truncated(sys: OscillatorSystem, state, basis: BasisParams) -> float:
+    """Entanglement entropy of the truncated reduced state
+    (see :func:`entropy_from_density`)."""
+    return entropy_from_density(reduced_density_truncated(sys, state, basis))
 
 
 def convergence_run(sys: OscillatorSystem, state, basis_list, max_truncation: int,
@@ -270,8 +281,7 @@ def convergence_run(sys: OscillatorSystem, state, basis_list, max_truncation: in
         C = _state_coefficients(sys, state, basis)
         for tr in range(max_truncation + 1):
             block = C[: tr + 1, : tr + 1]
-            rho = block @ block.conj().T
-            purity = float(np.sum(np.abs(rho) ** 2))
+            purity = purity_from_density(block @ block.conj().T)
             rows.append((g1, g2, tr, tr, purity, abs(purity - exact)))
     return rows
 

@@ -1,23 +1,29 @@
 """Brute-force verification path: sample the two-particle wavefunction on a
-position grid and read the entanglement off its singular values.
+position grid and read the entanglement off the spectrum of its discretized
+reduced density matrix.
 
 For a pure state the matrix of samples W[i, j] = psi(x1_i, x2_j) is a
-discretized Schmidt decomposition: with p_k the squared singular values
-normalized to unit sum, purity = sum p_k^2 and entropy = -sum p_k ln p_k.
-Those normalized formulas make the result exactly invariant under scaling W,
-so no grid measure needs to enter.  This path shares no formulas with the
-closed-form and generating-function modules, which is the point.
+discretized wavefunction, and its Gram matrix G = W^H W (or W W^H, whichever
+is smaller) is, up to the grid measure, the reduced density matrix of one
+particle.  Purity is ||G||_F^2 / tr(G)^2 and needs no decomposition at all;
+the entropy -sum p_k ln p_k takes the eigenvalues w_k of G, which are the
+squared singular values of W, with p_k = w_k / tr(G).  Those normalized
+formulas make the result exactly invariant under scaling W, so no grid
+measure needs to enter.  This path shares no formulas with the closed-form,
+generating-function and truncated-basis modules, which is the point.
 
 Wavefunctions are evaluated in particle coordinates via the substitution
 psi(x1, x2) = Phi(x1 - x2, mu1 x1 + mu2 x2).  Hermite factors use the
 orthonormal three-term recurrence with the Gaussian weight folded in at
-every step, which stays bounded far beyond quantum numbers of 50.
+every step, which stays bounded far beyond quantum numbers of 50.  Number
+states and superpositions with real coefficients are sampled in float64,
+coherent states and spreading packets in complex128.  Sampling is capped by
+a predicted peak memory and raises ResourceCapError before allocating.
 
 A small direct quadrature of the quadruple purity integral is included as a
-secondary self-test of the singular-value route.
+secondary self-test of the Gram route.
 
-Sampling is row-parallelizable and every call is independent; nothing here
-mutates shared state.
+Every call is independent; nothing here mutates shared state.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedStateError
+from .errors import DomainError, ResourceCapError, UnsupportedStateError
 from .system import (Coherent, NumberState, OscillatorSystem, Superposition,
                      UnboundGaussian)
 
@@ -48,6 +54,8 @@ __all__ = [
 ]
 
 _NORM_WARN = 1e-3
+# predicted peak bytes of one sampling; 1024^2 on |4,4> needs about 1/10 of it
+_SAMPLE_BYTES_CAP = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -68,11 +76,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SchmidtResult:
-    """Singular-value spectrum of the sampled wavefunction with derived
+    """Schmidt spectrum of the sampled wavefunction with derived
     entanglement quantities.
 
-    ``norm_defect`` is the deviation of the discrete normalization integral
-    from 1 and flags a too-small window.
+    ``singular_values`` are the singular values of the sample matrix W,
+    descending, taken as square roots of the eigenvalues of its Gram matrix
+    (negative roundoff clipped to zero).  ``norm_defect`` is the deviation
+    of the discrete normalization integral from 1 and flags a too-small
+    window.
     """
 
     singular_values: np.ndarray
@@ -138,8 +149,10 @@ def _coherent_mode(x: np.ndarray, disp: complex, scale: float, hbar: float) -> n
 def eval_wavefunction(sys: OscillatorSystem, state, x1, x2) -> np.ndarray:
     """Two-particle wavefunction psi(x1, x2) for any supported state.
 
-    Broadcasts over array inputs.  Returns a complex array (real-valued
-    states simply carry zero imaginary part).
+    Broadcasts over array inputs.  Number states and superpositions whose
+    coefficients are all real give a float64 array; coherent states,
+    spreading packets and superpositions with a complex coefficient give a
+    complex128 array.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -148,7 +161,7 @@ def eval_wavefunction(sys: OscillatorSystem, state, x1, x2) -> np.ndarray:
     if isinstance(state, NumberState):
         rel = _mode_function(state.m, r, sys.gamma)
         com = _mode_function(state.n, X, sys.Gamma)
-        return (rel * com).astype(complex)
+        return rel * com
     if isinstance(state, Coherent):
         rel = _coherent_mode(r, state.alpha, sys.gamma, sys.hbar)
         com = _coherent_mode(X, state.beta, sys.Gamma, sys.hbar)
@@ -164,11 +177,35 @@ def eval_wavefunction(sys: OscillatorSystem, state, x1, x2) -> np.ndarray:
         h_rel = hermite_functions(sys.gamma * r, mmax)
         h_com = hermite_functions(sys.Gamma * X, nmax)
         amp = math.sqrt(sys.gamma * sys.Gamma)
-        out = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
+        real = _is_real(state)
+        out = np.zeros(np.broadcast(x1, x2).shape, dtype=float if real else complex)
         for (m, n, cf) in state.terms:
-            out += cf * amp * h_rel[m] * h_com[n]
+            out += (cf.real if real else cf) * amp * h_rel[m] * h_com[n]
         return out
     raise UnsupportedStateError(f"cannot evaluate state kind {type(state).__name__}")
+
+
+def _is_real(state) -> bool:
+    """Whether the state's wavefunction is real-valued (sampled in float64)."""
+    if isinstance(state, NumberState):
+        return True
+    if isinstance(state, Superposition):
+        return all(cf.imag == 0 for (_, _, cf) in state.terms)
+    return False
+
+
+def _max_orders(state) -> tuple[int, int]:
+    """Largest relative and center-of-mass oscillator orders of a state."""
+    if isinstance(state, NumberState):
+        return state.m, state.n
+    if isinstance(state, Coherent):
+        return 0, 0
+    if isinstance(state, UnboundGaussian):
+        return state.m, 0
+    if isinstance(state, Superposition):
+        return (max(m for (m, _, _) in state.terms),
+                max(n for (_, n, _) in state.terms))
+    raise UnsupportedStateError(f"cannot size a grid for state kind {type(state).__name__}")
 
 
 def _window(sys: OscillatorSystem, state, extent_sigmas: float):
@@ -176,26 +213,17 @@ def _window(sys: OscillatorSystem, state, extent_sigmas: float):
     gam2 = sys.gamma ** 2
     Gam2 = sys.Gamma ** 2
     mu1, mu2 = sys.mu1, sys.mu2
+    m_eff, n_eff = _max_orders(state)
     c1 = c2 = 0.0
-    if isinstance(state, NumberState):
-        m_eff, n_eff = state.m, state.n
-        var_X = (2 * n_eff + 1) / (2 * Gam2)
-    elif isinstance(state, Coherent):
-        m_eff = n_eff = 0
-        var_X = 1.0 / (2 * Gam2)
+    spread_X = 2 * n_eff + 1
+    if isinstance(state, Coherent):
         r0 = math.sqrt(2.0) * state.alpha.real / sys.gamma
         X0 = math.sqrt(2.0) * state.beta.real / sys.Gamma
         c1 = X0 + mu2 * r0
         c2 = X0 - mu1 * r0
     elif isinstance(state, UnboundGaussian):
-        m_eff, n_eff = state.m, 0
-        var_X = (1.0 + state.tau ** 2) / (2 * Gam2)
-    elif isinstance(state, Superposition):
-        m_eff = max(m for (m, _, _) in state.terms)
-        n_eff = max(n for (_, n, _) in state.terms)
-        var_X = (2 * n_eff + 1) / (2 * Gam2)
-    else:
-        raise UnsupportedStateError(f"cannot size a grid for state kind {type(state).__name__}")
+        spread_X = 1.0 + state.tau ** 2
+    var_X = spread_X / (2 * Gam2)
     var_r = (2 * m_eff + 1) / (2 * gam2)
     sigma1 = math.sqrt(var_X + mu2 ** 2 * var_r)
     sigma2 = math.sqrt(var_X + mu1 ** 2 * var_r)
@@ -203,7 +231,28 @@ def _window(sys: OscillatorSystem, state, extent_sigmas: float):
     return c1, c2, half
 
 
+def _check_sample_cap(state, n_points: int):
+    """Raise ResourceCapError when sampling ``state`` on an n_points^2 grid
+    is predicted to need more than the byte budget.
+
+    The estimate counts n_points^2 cells for each Hermite row of both stacks
+    (orders 0..m and 0..n), the coordinate arrays and temporaries around
+    them (four float64 cells), and three cells of the sample dtype (the
+    samples, their Gram matrix and one temporary).
+    """
+    m_eff, n_eff = _max_orders(state)
+    itemsize = 8 if _is_real(state) else 16
+    cells = n_points * n_points
+    need = cells * (8 * (m_eff + n_eff + 2 + 4) + 3 * itemsize)
+    if need > _SAMPLE_BYTES_CAP:
+        raise ResourceCapError(
+            f"a {n_points}^2 grid for this state needs about {need / 2 ** 20:.0f} MiB, "
+            f"above the {_SAMPLE_BYTES_CAP / 2 ** 20:.0f} MiB budget; lower the grid points"
+        )
+
+
 def _sample(sys: OscillatorSystem, state, grid: GridSpec):
+    _check_sample_cap(state, grid.n_points)
     c1, c2, half = _window(sys, state, grid.extent_sigmas)
     x1 = np.linspace(c1 - half, c1 + half, grid.n_points)
     x2 = np.linspace(c2 - half, c2 + half, grid.n_points)
@@ -214,25 +263,32 @@ def _sample(sys: OscillatorSystem, state, grid: GridSpec):
 
 
 def schmidt_from_samples(W: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Singular values, purity and entropy of a sample matrix.
+    """Singular values, purity and entropy of a sample matrix, real or complex.
 
-    Scale invariant by construction: purity = sum s^4 / (sum s^2)^2 and the
-    entropy weights are p_k = s_k^2 / sum s^2.
+    Works on the Gram matrix G = W^H W, or W W^H when W has fewer rows, so G
+    has min(W.shape) rows.  Purity = ||G||_F^2 / tr(G)^2.  The eigenvalues
+    w_k of G (negative roundoff clipped to 0, sorted descending) are the
+    squared singular values; the entropy weights are p_k = w_k / tr(G).
+    Scale invariant by construction.
     """
-    s = np.linalg.svd(W, compute_uv=False)
-    total = float(np.sum(s ** 2))
-    if total == 0.0:
+    Wh = W.conj().T
+    G = Wh @ W if W.shape[0] >= W.shape[1] else W @ Wh
+    total = float(np.trace(G).real)
+    if not total > 0.0:
         raise DomainError("sample matrix is identically zero")
-    p = s ** 2 / total
-    purity = float(np.sum(p ** 2))
+    # np.sum adds pairwise; a BLAS dot over the n^2 entries (np.vdot) lost up
+    # to 3e-14 of the purity at 1024^2
+    purity = float(np.sum(np.abs(G) ** 2)) / (total * total)
+    w = np.clip(np.linalg.eigvalsh(G), 0.0, None)[::-1]
+    p = w / total
     pos = p[p > 1e-300]
     entropy = float(-np.sum(pos * np.log(pos)))
-    return s, purity, entropy
+    return np.sqrt(w), purity, entropy
 
 
 def schmidt_analyze(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -> SchmidtResult:
-    """Sample the wavefunction and extract purity and entropy from its
-    singular values.
+    """Sample the wavefunction and extract purity and entropy from the Gram
+    matrix of the samples.
 
     Warns when the discrete normalization deviates from 1 by more than 1e-3,
     which signals a window too small for the state.
@@ -260,7 +316,7 @@ def purity_quadrature(sys: OscillatorSystem, state, n_points: int = 32,
                       extent_sigmas: float = 8.0) -> float:
     """Direct quadrature of the quadruple purity integral.
 
-    O(n^4) and only meant as a small-n self-test of the singular-value
+    O(n^4) and only meant as a small-n self-test of the Gram
     route, with which it agrees in the continuum limit.
     """
     if n_points > 64:

@@ -15,7 +15,8 @@ block, built the same way, and slab k + 1 is 2 / (k + 1) times M_00 times
 slab k - 1 plus one shifted copy of slab k per coupling M_0b.  Each cell
 costs at most d multiply-adds, so a box costs O(d * prod(c_i + 1)) time and
 one box of memory, ``prod(c_i + 1)`` coefficients of 8 bytes (16 for a
-complex M), plus two slabs of scratch.
+complex M), plus two slabs of scratch.  A box above 128 MiB raises
+ResourceCapError before anything is allocated.
 
 Because the form is purely quadratic the series has only even total degrees;
 the coefficient of any odd-degree monomial is exactly zero.  Each cell is
@@ -26,9 +27,15 @@ from.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import ResourceCapError
+
 __all__ = ["exp_taylor_box", "taylor_coefficient"]
+
+_BOX_BYTES_CAP = 2 ** 27  # 128 MiB: 16.7M real or 8.4M complex coefficients
 
 
 def _prepend_axis(inner: np.ndarray, row: np.ndarray, cap: int) -> np.ndarray:
@@ -69,6 +76,11 @@ def exp_taylor_box(M: np.ndarray, caps) -> np.ndarray:
     -------
     ndarray of shape (caps[0]+1, ..., caps[d-1]+1)
         ``out[t]`` is the coefficient of ``prod z_i ** t_i``.
+
+    Raises
+    ------
+    ResourceCapError
+        When the box would exceed 128 MiB.
     """
     caps = tuple(int(c) for c in caps)
     if any(c < 0 for c in caps):
@@ -77,8 +89,15 @@ def exp_taylor_box(M: np.ndarray, caps) -> np.ndarray:
     dim = M.shape[0]
     if M.shape != (dim, dim) or dim != len(caps):
         raise ValueError(f"matrix shape {M.shape} does not match caps {caps}")
+    dtype = np.dtype(complex if np.iscomplexobj(M) else float)
+    nbytes = math.prod(c + 1 for c in caps) * dtype.itemsize
+    if nbytes > _BOX_BYTES_CAP:
+        raise ResourceCapError(
+            f"coefficient box at caps {caps} needs {nbytes / 2 ** 20:.0f} MiB, above the "
+            f"{_BOX_BYTES_CAP / 2 ** 20:.0f} MiB budget; lower the quantum numbers or truncation"
+        )
 
-    box = np.ones((), complex if np.iscomplexobj(M) else float)
+    box = np.ones((), dtype)
     for a in range(dim - 1, -1, -1):
         box = _prepend_axis(box, M[a, a:], caps[a])
     return box

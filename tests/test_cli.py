@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oscillent import cli
+from oscillent import NumberState, OscillatorSystem, cli, fock
 from oscillent.errors import NumericalConsistencyError
 
 
@@ -70,6 +71,40 @@ class TestPurityCommand:
         assert cli.run(["purity", "--g", "2", "--mu1", "0.5", "--state", "number:1,1",
                         "--method", "fock", "--jmax", "180"]) == 3
         assert "lower the truncation" in capsys.readouterr().err
+
+    def test_fock_record_from_one_density_matrix(self, capsys, monkeypatch):
+        sys_ = OscillatorSystem.from_dimensionless(3.0, 0.3)
+        basis = fock.default_basis(sys_, jmax=12)
+        state = NumberState(1, 2)
+        purity = fock.purity_truncated(sys_, state, basis)
+        entropy = fock.entropy_truncated(sys_, state, basis)
+        calls = []
+        real_table = fock.coefficient_table
+
+        def counted_table(*args):
+            calls.append(args)
+            return real_table(*args)
+
+        monkeypatch.setattr(fock, "coefficient_table", counted_table)
+        code, rec = run_json(capsys, ["purity", "--g", "3", "--mu1", "0.3",
+                                      "--state", "number:1,2", "--method", "fock"])
+        assert code == 0
+        assert len(calls) == 1
+        assert rec["purity"] == purity
+        assert rec["entropy"] == entropy
+
+    def test_oversized_oracle_grid_exits_three_before_allocating(self, capsys, tmp_path):
+        tracemalloc.start()
+        try:
+            assert cli.run(["purity", "--g", "2", "--mu1", "0.5", "--state", "number:1,1",
+                            "--method", "oracle", "--n-points", "100000"]) == 3
+            assert cli.run(["figure", "fig1", "--points", "100000",
+                            "--outdir", str(tmp_path)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert capsys.readouterr().err.count("lower the grid points") == 2
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_parameter_exits_one(self, capsys, value):
@@ -264,6 +299,30 @@ class TestSelftest:
         assert cli.run(["selftest", "--criteria", "1,6"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 2
+
+
+class TestParser:
+    def test_one_parser_per_process_gives_fresh_results(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g": 4.0, "mu1": 0.5, "method": "analytic"}))
+        commands = [
+            ["sweep", "--g", "2", "--mu1", "0.3", "--param", "theta", "--range", "0:1:3"],
+            ["purity", "--g", "1", "--state", "number:0,1"],
+            ["purity", "--config", str(cfg), "--state", "coherent:"],
+        ]
+        fresh = []
+        for argv in commands:
+            cli._build_parser.cache_clear()
+            fresh.append((cli.run(argv), capsys.readouterr()))
+        assert [code for code, _ in fresh] == [0, 1, 0]
+        cli._build_parser.cache_clear()
+        assert [(cli.run(argv), capsys.readouterr()) for argv in commands] == fresh
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_rebound_command_runs_with_a_built_parser(self, monkeypatch):
+        cli._build_parser()
+        monkeypatch.setattr(cli, "_cmd_selftest", lambda args: 7)
+        assert cli.run(["selftest"]) == 7
 
 
 class TestConfigFile:

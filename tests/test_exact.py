@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,20 @@ class TestPuritySuperposition:
         # a zero coefficient weights every quadruple that holds it by 0
         assert purity_superposition(sys, [(0, 1, 1.0), (0, 3, 0.0)], cap=4) == pytest.approx(
             purity_number(sys, 0, 1), rel=1e-13)
+
+    def test_box_memory_cap(self):
+        # a raised order cap lets |8,0> + |0,8> through, but its one box at
+        # caps (8,) * 8 would hold 9^8 = 43M cells (344 MB): refused unbuilt
+        sys = OscillatorSystem.from_dimensionless(2.0, 0.4)
+        terms = [(8, 0, math.sqrt(0.5)), (0, 8, math.sqrt(0.5))]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="MiB budget"):
+                purity_superposition(sys, terms, cap=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_range(self):
         sys = OscillatorSystem.from_dimensionless(3.0, 0.4)

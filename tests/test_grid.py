@@ -1,14 +1,50 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillent import (Coherent, DomainError, GridSpec, NumberState,
                        OscillatorSystem, Superposition, UnboundGaussian,
                        density_grid, eval_wavefunction, purity_coherent,
                        purity_quadrature, schmidt_analyze)
+from oscillent.errors import ResourceCapError
 from oscillent.grid import hermite_functions, schmidt_from_samples
 import oscillent.grid as grid_mod
+
+
+def svd_reference(W):
+    """Singular values, purity and entropy from the SVD of W: purity =
+    sum s^4 / (sum s^2)^2, entropy weights p_k = s_k^2 / sum s^2."""
+    s = np.linalg.svd(W, compute_uv=False)
+    p = s ** 2 / np.sum(s ** 2)
+    pos = p[p > 1e-300]
+    return s, float(np.sum(p ** 2)), float(-np.sum(pos * np.log(pos)))
+
+
+@st.composite
+def sample_matrices(draw):
+    """Random real or complex W of full rank, rank 1, or a rank below both
+    dimensions, at scales from 1e-3 to 1e3."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 12))
+    complex_ = draw(st.booleans())
+    kind = draw(st.sampled_from(["full", "rank1", "deficient"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gauss(shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if complex_ else x
+
+    if kind == "full":
+        W = gauss((rows, cols))
+    else:
+        top = min(rows, cols) - 1
+        rank = 1 if kind == "rank1" or top < 1 else draw(st.integers(1, top))
+        W = gauss((rows, rank)) @ gauss((rank, cols))
+    return W * 10.0 ** draw(st.integers(-3, 3))
 
 
 class TestHermiteFunctions:
@@ -73,10 +109,71 @@ class TestEvalWavefunction:
         norm = np.sum(np.abs(W) ** 2) * (x[1] - x[0]) ** 2
         assert norm == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("state, dtype", [
+        (NumberState(0, 0), np.float64),
+        (NumberState(2, 3), np.float64),
+        (Superposition.two_mode_mix(0.9), np.float64),
+        (Superposition(((0, 1, 0.6), (1, 0, 0.8j))), np.complex128),
+        (Coherent(0.5 + 0.2j, -0.4 + 1.0j), np.complex128),
+        (Coherent(0.3, 0.0), np.complex128),
+    ])
+    def test_dtype_follows_the_state(self, state, dtype):
+        sys = OscillatorSystem.from_dimensionless(4.0, 0.3)
+        x = np.linspace(-2, 2, 5)
+        assert eval_wavefunction(sys, state, x[:, None], x[None, :]).dtype == dtype
+
     def test_unbound_needs_untrapped_system(self):
         sys = OscillatorSystem.from_dimensionless(1.0, 0.5)
         with pytest.raises(DomainError):
             eval_wavefunction(sys, UnboundGaussian(0, 1.0), 0.0, 0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sample_matrices())
+def test_gram_route_matches_svd(W):
+    s, purity, entropy = schmidt_from_samples(W)
+    s_ref, purity_ref, entropy_ref = svd_reference(W)
+    assert abs(purity - purity_ref) <= 1e-14
+    assert abs(entropy - entropy_ref) <= 1e-10
+    assert s.shape == s_ref.shape
+    assert np.all(s >= 0) and np.all(np.diff(s) <= 0)
+    assert np.max(np.abs(s - s_ref)) <= 1e-6 * s_ref[0]
+
+
+@pytest.mark.parametrize("W", [
+    np.zeros((3, 3)),
+    np.zeros((2, 5), complex),
+    np.full((4, 2), np.nan),
+], ids=["real", "complex-rectangular", "nan"])
+def test_zero_or_nan_samples_rejected(W):
+    with pytest.raises(DomainError):
+        schmidt_from_samples(W)
+
+
+class TestSampleCap:
+    def test_oversized_grid_raises_before_allocating(self):
+        sys = OscillatorSystem.from_dimensionless(2.0, 0.3)
+        tracemalloc.start()
+        try:
+            for call in (schmidt_analyze, density_grid):
+                with pytest.raises(ResourceCapError, match="grid points"):
+                    call(sys, NumberState(0, 0), GridSpec(100000, 8.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("state", [
+        NumberState(4, 4), Coherent(0.5 + 0.2j, -0.4 + 1.0j),
+        Superposition(((0, 4, 0.6), (4, 0, 0.8j))), UnboundGaussian(4, 3.0),
+    ])
+    def test_largest_grid_in_use_passes(self, state):
+        grid_mod._check_sample_cap(state, 1024)
+
+    def test_cap_grows_with_the_hermite_order(self):
+        grid_mod._check_sample_cap(NumberState(0, 0), 2048)
+        with pytest.raises(ResourceCapError):
+            grid_mod._check_sample_cap(NumberState(60, 60), 2048)
 
 
 class TestSchmidtAnalyze:

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscillent.errors import ResourceCapError
 from oscillent.taylor import exp_taylor_box, taylor_coefficient
 
 # largest per-axis cap drawn for each number of variables, keeping the
@@ -103,6 +105,23 @@ def test_rejects_bad_caps():
         exp_taylor_box(M, (1, -1))
     with pytest.raises(ValueError):
         exp_taylor_box(M, (1, 1, 1))
+
+
+@pytest.mark.parametrize("complex_, caps", [
+    (False, (8,) * 8),                 # 9^8 = 43M cells, 344 MB
+    (True, (3,) * 12),                 # 4^12 = 16.8M cells, 268 MB complex
+    (False, (4096, 4095, 0, 0)),       # 2^24 + 2^12 cells, just over 128 MiB
+])
+def test_box_above_memory_budget_raises_before_allocating(complex_, caps):
+    M = 0.1 * np.eye(len(caps)) * (1j if complex_ else 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="MiB budget"):
+            exp_taylor_box(M, caps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_diagonal_form_factorizes():
