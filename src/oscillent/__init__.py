@@ -27,7 +27,7 @@ from .gaussian import (CovariancePack, classical_covariance,
                        purity_coherent, purity_unbound_gaussian,
                        sample_classical_covariance)
 from .grid import (DensityGrid, GridSpec, SchmidtResult, density_grid,
-                   eval_wavefunction, purity_quadrature, schmidt_analyze)
+                   eval_wavefunction, schmidt_analyze)
 from .system import (Coherent, NumberState, OscillatorSystem, StateSpec,
                      Superposition, UnboundGaussian)
 
@@ -45,7 +45,7 @@ __all__ = [
     "reduced_density_truncated", "purity_truncated", "entropy_truncated",
     "convergence_run",
     "GridSpec", "SchmidtResult", "DensityGrid", "eval_wavefunction",
-    "schmidt_analyze", "density_grid", "purity_quadrature",
+    "schmidt_analyze", "density_grid",
     "OscillentError", "DomainError", "UnsupportedStateError",
     "ResourceCapError", "NumericalConsistencyError",
     "__version__",

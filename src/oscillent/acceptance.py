@@ -17,7 +17,7 @@ import numpy as np
 from . import exact, fock, gaussian, grid
 from .system import Coherent, NumberState, OscillatorSystem, Superposition, UnboundGaussian
 
-__all__ = ["CRITERIA", "run_all", "oracle_cases", "method_purity"]
+__all__ = ["CRITERIA", "run_all", "print_line", "oracle_cases", "method_purity"]
 
 
 # ----------------------------------------------------------------------
@@ -366,8 +366,14 @@ CRITERIA = [
 ]
 
 
-def run_all(selection=None, report=print) -> bool:
-    """Run the criteria, emitting one pass/fail line each; True if all pass."""
+def print_line(num: int, title: str, ok: bool, seconds: float, detail: str):
+    """One criterion's result as a pass/fail line on stdout."""
+    print(f"[{'PASS' if ok else 'FAIL'}] criterion {num:2d} ({seconds:6.2f} s): {title} -- {detail}")
+
+
+def run_all(selection=None, report=print_line) -> bool:
+    """Run the criteria, passing each one's number, title, verdict, wall
+    seconds and detail to ``report``; True if all pass."""
     wanted = set(selection) if selection else None
     all_ok = True
     for (num, title, func) in CRITERIA:
@@ -377,5 +383,5 @@ def run_all(selection=None, report=print) -> bool:
         ok, detail = func()
         dt = time.perf_counter() - t0
         all_ok &= ok
-        report(f"[{'PASS' if ok else 'FAIL'}] criterion {num:2d} ({dt:6.2f} s): {title} -- {detail}")
+        report(num, title, ok, dt, detail)
     return all_ok

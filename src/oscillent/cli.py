@@ -16,7 +16,9 @@ Every emitted file is deterministic byte for byte for identical inputs.
 Sweeps fan out over a thread pool capped by the OSCILLENT_THREADS
 environment variable; results are written in input order regardless of
 completion order.  A JSON file passed as --config supplies defaults for any
-flag; explicit flags win.
+flag; explicit flags win.  Config values go through the flag's own type and
+choices, null stands for the flag's default, and an unknown key is a usage
+error.  The oracle grid is sized from the state unless --n-points is given.
 """
 
 from __future__ import annotations
@@ -207,9 +209,15 @@ def compute_purity(sys: OscillatorSystem, state, method: str, args) -> dict:
     elif method == "oracle":
         res = grid.schmidt_analyze(sys, state,
                                    grid.GridSpec(args.n_points, args.extent))
-        if res.norm_defect > 1e-3:
+        if not res.norm_defect <= 1e-3:
             raise NumericalConsistencyError(
-                f"grid norm defect {res.norm_defect:.3e} exceeds 1e-3; enlarge --extent")
+                f"grid norm defect {res.norm_defect:.3e} exceeds 1e-3; enlarge --extent "
+                f"if the window is too narrow or raise --n-points if the grid is too coarse")
+        if not res.grid_defect <= 1e-6:
+            raise NumericalConsistencyError(
+                f"grid defect {res.grid_defect:.3e} (purity at {res.n_points} points against "
+                f"every second point) exceeds 1e-6; raise --n-points, or leave it unset "
+                f"to size the grid from the state")
         record["purity"] = res.purity
         record["entropy"] = res.entropy
         record["norm_defect"] = res.norm_defect
@@ -458,11 +466,17 @@ def _cmd_oracle_compare(args) -> int:
     return 0
 
 
+def _print_criterion_json(num, title, ok, seconds, detail):
+    print(json.dumps({"number": num, "title": title, "ok": ok, "seconds": seconds,
+                      "detail": detail}, sort_keys=True))
+
+
 def _cmd_selftest(args) -> int:
     selection = None
     if args.criteria:
         selection = [int(tok) for tok in args.criteria.split(",")]
-    ok = acceptance.run_all(selection)
+    report = _print_criterion_json if args.json else acceptance.print_line
+    ok = acceptance.run_all(selection, report)
     if not ok:
         return 2
     return 0
@@ -480,6 +494,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="oscillent",
                      description="Interparticle entanglement of two coupled oscillators.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # command name -> its parser, whose flags --config values are checked against
+    parser.commands = sub.choices
 
     def common(p):
         _add_system_args(p)
@@ -493,7 +509,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--kmax", type=int, default=None, help="fock truncation (default jmax)")
         p.add_argument("--gamma1", type=float, help="fock basis scale for particle 1")
         p.add_argument("--gamma2", type=float, help="fock basis scale for particle 2")
-        p.add_argument("--n-points", type=int, default=512, help="oracle grid points per axis")
+        p.add_argument("--n-points", type=int, default=None,
+                       help="oracle grid points per axis (default: sized from the state)")
         p.add_argument("--extent", type=float, default=8.0, help="oracle half-width in sigmas")
 
     p = sub.add_parser("purity", help="single purity evaluation")
@@ -524,29 +541,62 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle-compare", help="method-vs-oracle residual table")
     p.add_argument("--config", help="JSON file supplying defaults for any flag")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
-    p.add_argument("--n-points", type=int, default=512)
+    p.add_argument("--n-points", type=int, default=None,
+                   help="oracle grid points per axis (default: sized from the state)")
     p.add_argument("--extent", type=float, default=8.0)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--criteria", help="comma-separated criterion numbers (default: all)")
+    p.add_argument("--json", action="store_true",
+                   help="one JSON object per criterion: number, title, ok, seconds, detail")
 
     return parser
 
 
-def _apply_config(args, argv):
+def _config_value(action: argparse.Action, key: str, val):
+    """A --config value converted and checked as the flag's own argument would
+    be; null stands for the flag's default."""
+    if val is None:
+        return action.default
+    wants_text = action.type is None
+    if isinstance(val, bool) or not isinstance(val, str if wants_text else (int, float)):
+        kind = "a string" if wants_text else "a number"
+        raise _UsageError(f"--config key {key!r} needs {kind}, got {val!r}")
+    if not wants_text:
+        try:
+            val = action.type(str(val))
+        except ValueError:
+            raise _UsageError(f"--config key {key!r}: invalid {action.type.__name__} "
+                              f"value {val!r}") from None
+    if action.choices is not None and val not in action.choices:
+        raise _UsageError(f"--config key {key!r}: {val!r} is not one of "
+                          f"{', '.join(map(str, action.choices))}")
+    return val
+
+
+def _apply_config(args, argv, command_parser: argparse.ArgumentParser):
+    """Fill every flag the command line left out from the --config file.
+
+    Each value goes through the flag's own type and choices; a key that names
+    no flag of the command is a usage error.
+    """
     if getattr(args, "config", None) is None:
         return
     with open(args.config) as fh:
         values = json.load(fh)
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
+    if not isinstance(values, dict):
+        raise _UsageError(f"--config {args.config!r} must hold a JSON object")
+    flags = {a.dest: a for a in command_parser._actions
+             if a.option_strings and a.nargs != 0 and a.dest != "config"}
+    by_option = {opt: a.dest for a in flags.values() for opt in a.option_strings}
+    explicit = {by_option.get(tok.split("=", 1)[0]) for tok in argv}
     for key, val in values.items():
         dest = key.replace("-", "_")
-        if dest in explicit or not hasattr(args, dest):
-            continue
-        setattr(args, dest, val)
+        if dest not in flags:
+            raise _UsageError(f"unknown --config key {key!r} for {args.command}")
+        val = _config_value(flags[dest], key, val)
+        if dest not in explicit:
+            setattr(args, dest, val)
 
 
 def run(argv=None) -> int:
@@ -557,7 +607,7 @@ def run(argv=None) -> int:
         # looked up per call, so a rebinding of a _cmd_* function (for
         # tracing, say) takes effect although the parser is built only once
         command = globals()["_cmd_" + args.command.replace("-", "_")]
-        _apply_config(args, argv)
+        _apply_config(args, argv, parser.commands[args.command])
         if getattr(args, "kmax", None) is None and hasattr(args, "jmax"):
             args.kmax = args.jmax
         return command(args)

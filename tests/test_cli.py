@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oscillent import NumberState, OscillatorSystem, cli, fock
+from oscillent import NumberState, OscillatorSystem, acceptance, cli, fock
 from oscillent.errors import NumericalConsistencyError
 
 
@@ -294,11 +294,93 @@ class TestOracleCompare:
             assert float(ln.rsplit(",", 1)[1]) <= 1e-6
 
 
+class TestOracleSizing:
+    @pytest.mark.parametrize("g, mu1, state", [
+        ("0.2", "0.01", "number:2,2"),
+        ("0.2", "0.01", "number:3,1"),
+        ("0.3", "0.01", "number:3,1"),
+        ("0.2", "0.01", "sup:pi/3"),
+        ("0.05", "0.001", "number:2,2"),
+    ])
+    def test_small_g_with_a_light_particle(self, capsys, g, mu1, state):
+        code, rec = run_json(capsys, ["purity", "--g", g, "--mu1", mu1, "--state", state,
+                                      "--method", "oracle"])
+        assert code == 0
+        ref = acceptance.method_purity(OscillatorSystem.from_dimensionless(float(g), float(mu1)),
+                                       cli.parse_state(state))
+        assert abs(rec["purity"] - ref) <= 1e-12
+
+    def test_coarse_explicit_grid_exits_two_through_the_grid_defect(self, capsys):
+        assert cli.run(["purity", "--g", "5", "--mu1", "0.3", "--state", "number:2,2",
+                        "--method", "oracle", "--n-points", "48"]) == 2
+        err = capsys.readouterr().err
+        assert "grid defect" in err and "norm defect" not in err
+
+    def test_norm_defect_names_both_remedies(self, capsys):
+        with pytest.warns(RuntimeWarning, match="norm"):
+            code = cli.run(["purity", "--g", "5", "--mu1", "0.3", "--state", "number:2,2",
+                            "--method", "oracle", "--n-points", "32"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "norm defect" in err and "--extent" in err and "--n-points" in err
+
+    def test_sized_grid_above_the_cap_exits_three_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            assert cli.run(["purity", "--g", "1e6", "--mu1", "0.5", "--state", "number:4,4",
+                            "--method", "oracle"]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert "lower the grid points" in capsys.readouterr().err
+
+    def test_unresolvable_width_exits_three(self, capsys):
+        # gamma overflows to inf, so no finite grid resolves the relative coordinate
+        assert cli.run(["purity", "--m1", "1", "--m2", "1", "--omega", "1e300", "--Omega", "1",
+                        "--hbar", "1e-300", "--state", "number:0,0", "--method", "oracle"]) == 3
+        assert "unboundedly many points" in capsys.readouterr().err
+
+    def test_oracle_compare_at_the_sized_grid(self, capsys):
+        assert cli.run(["oracle-compare"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert json.loads(lines[0][len("# params: "):]) == {"extent": 8.0, "n_points": None}
+        assert len(lines) == 2 + len(acceptance.oracle_cases())
+        for ln in lines[2:]:
+            assert float(ln.rsplit(",", 1)[1]) <= 1e-12
+
+
 class TestSelftest:
     def test_single_criterion(self, capsys):
         assert cli.run(["selftest", "--criteria", "1,6"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 2
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("[PASS] criterion  1 (")
+        assert lines[0].split(" s): ", 1)[1].startswith(
+            "g = 1 coherent purity equals 1 -- max |P-1| = ")
+
+    def test_json_lines(self, capsys):
+        assert cli.run(["selftest", "--criteria", "1,6", "--json"]) == 0
+        records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+        assert [r["number"] for r in records] == [1, 6]
+        for r, (num, title, _) in zip(records, [acceptance.CRITERIA[0], acceptance.CRITERIA[5]]):
+            assert set(r) == {"number", "title", "ok", "seconds", "detail"}
+            assert r["title"] == title and r["ok"] is True
+            assert r["seconds"] >= 0.0 and r["detail"]
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_failure_exits_two(self, monkeypatch, capsys, flags):
+        monkeypatch.setattr(acceptance, "CRITERIA",
+                            [(1, "always fails", lambda: (False, "synthetic"))])
+        assert cli.run(["selftest"] + flags) == 2
+        out = capsys.readouterr().out
+        assert "synthetic" in out
+        if flags:
+            assert json.loads(out)["ok"] is False
+        else:
+            assert out.startswith("[FAIL] criterion  1 (")
 
 
 class TestParser:
@@ -351,3 +433,45 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"g": "4.0", "mu1": 0.5}))
         assert cli.run(["purity", "--config", str(cfg),
                         "--state", "number:0,1"]) == 1
+
+    @pytest.mark.parametrize("values, word", [
+        ({"jmax": "abc"}, "jmax"),
+        ({"bogus": 1}, "bogus"),
+        ({"n_points": 100.5}, "n_points"),
+        ({"n-points": True}, "n-points"),
+        ({"method": "svd"}, "method"),
+        ({"g": [1, 2]}, "'g'"),
+        ([{"g": 2}], "JSON object"),
+    ])
+    def test_config_values_go_through_the_parser(self, tmp_path, capsys, values, word):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert cli.run(["purity", "--config", str(cfg), "--g", "2", "--mu1", "0.3",
+                        "--state", "number:1,1", "--method", "fock"]) == 1
+        err = capsys.readouterr().err
+        assert word in err
+        assert "not supported between" not in err and "cannot be interpreted" not in err
+
+    def test_config_null_points_size_the_grid(self, tmp_path, capsys):
+        argv = ["purity", "--g", "2", "--mu1", "0.3", "--state", "number:1,1",
+                "--method", "oracle"]
+        assert cli.run(argv) == 0
+        sized = capsys.readouterr().out
+        cfg = tmp_path / "cfg.json"
+        for value, expect in ((None, sized), (96, None)):
+            cfg.write_text(json.dumps({"n_points": value}))
+            assert cli.run(argv + ["--config", str(cfg)]) == 0
+            out = capsys.readouterr().out
+            if expect is None:
+                assert cli.run(argv + ["--n-points", "96"]) == 0
+                expect = capsys.readouterr().out
+                assert expect != sized
+            assert out == expect
+
+    def test_short_flag_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": str(tmp_path / "from_config.json")}))
+        out = tmp_path / "explicit.json"
+        assert cli.run(["purity", "--config", str(cfg), "-o", str(out), "--g", "1",
+                        "--mu1", "0.5", "--state", "number:0,1"]) == 0
+        assert out.exists() and not (tmp_path / "from_config.json").exists()

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from oscillent import (Coherent, DomainError, GridSpec, NumberState,
                        OscillatorSystem, Superposition, UnboundGaussian,
-                       density_grid, eval_wavefunction, purity_coherent,
-                       purity_quadrature, schmidt_analyze)
+                       density_grid, eval_wavefunction, purity_number,
+                       schmidt_analyze)
+from oscillent.acceptance import method_purity
 from oscillent.errors import ResourceCapError
 from oscillent.grid import hermite_functions, schmidt_from_samples
 import oscillent.grid as grid_mod
@@ -91,10 +92,10 @@ class TestEvalWavefunction:
     ])
     def test_discrete_norm(self, state):
         sys = OscillatorSystem.from_dimensionless(4.0, 0.3)
-        spec = GridSpec()
-        c1, c2, half = grid_mod._window(sys, state, spec.extent_sigmas)
-        x1 = np.linspace(c1 - half, c1 + half, spec.n_points)
-        x2 = np.linspace(c2 - half, c2 + half, spec.n_points)
+        spec = GridSpec(512, 8.0)
+        c1, c2, half1, half2 = grid_mod._window(sys, state, spec.extent_sigmas)
+        x1 = np.linspace(c1 - half1, c1 + half1, spec.n_points)
+        x2 = np.linspace(c2 - half2, c2 + half2, spec.n_points)
         W = eval_wavefunction(sys, state, x1[:, None], x2[None, :])
         norm = np.sum(np.abs(W) ** 2) * (x1[1] - x1[0]) * (x2[1] - x2[0])
         assert norm == pytest.approx(1.0, abs=1e-6)
@@ -102,11 +103,12 @@ class TestEvalWavefunction:
     def test_unbound_norm(self):
         sys = OscillatorSystem.from_untrapped(0.5, c=3.0)
         state = UnboundGaussian(1, 4.0)
-        spec = GridSpec()
-        c1, c2, half = grid_mod._window(sys, state, spec.extent_sigmas)
-        x = np.linspace(-half, half, spec.n_points)
-        W = eval_wavefunction(sys, state, x[:, None], x[None, :])
-        norm = np.sum(np.abs(W) ** 2) * (x[1] - x[0]) ** 2
+        spec = GridSpec(512, 8.0)
+        _, _, half1, half2 = grid_mod._window(sys, state, spec.extent_sigmas)
+        x1 = np.linspace(-half1, half1, spec.n_points)
+        x2 = np.linspace(-half2, half2, spec.n_points)
+        W = eval_wavefunction(sys, state, x1[:, None], x2[None, :])
+        norm = np.sum(np.abs(W) ** 2) * (x1[1] - x1[0]) * (x2[1] - x2[0])
         assert norm == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("state, dtype", [
@@ -226,8 +228,8 @@ class TestSchmidtAnalyze:
         real_window = grid_mod._window
 
         def tiny_window(sys_, state_, extent):
-            c1, c2, half = real_window(sys_, state_, extent)
-            return c1, c2, half / 10.0
+            c1, c2, half1, half2 = real_window(sys_, state_, extent)
+            return c1, c2, half1 / 10.0, half2 / 10.0
 
         monkeypatch.setattr(grid_mod, "_window", tiny_window)
         with pytest.warns(RuntimeWarning, match="norm"):
@@ -237,6 +239,9 @@ class TestSchmidtAnalyze:
     def test_grid_spec_validation(self):
         with pytest.raises(DomainError):
             GridSpec(n_points=8)
+        with pytest.raises(DomainError, match="integer"):
+            GridSpec(n_points=100.5)
+        assert GridSpec(n_points=np.int64(64)).n_points == 64
         with pytest.raises(DomainError):
             GridSpec(extent_sigmas=2.0)
 
@@ -266,8 +271,7 @@ class TestDensityGrid:
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_serializers(self, tmp_path):
-        import json
-        from oscillent.grid import save_density_binary, save_density_csv
+        from oscillent.grid import save_density_csv
         sys = OscillatorSystem.from_dimensionless(3.0, 0.3)
         dg = density_grid(sys, NumberState(0, 0), GridSpec(16, 8.0))
         csv_path = tmp_path / "density.csv"
@@ -276,12 +280,6 @@ class TestDensityGrid:
         assert lines[0] == '# params: {"g": 3}'
         assert lines[1] == "x1,x2,density"
         assert len(lines) == 2 + 16 * 16
-        save_density_binary(dg, tmp_path / "density")
-        header = json.loads((tmp_path / "density.json").read_text())
-        assert header["n"] == 16
-        data = np.fromfile(tmp_path / "density.bin")
-        assert data.shape == (16 * 16,)
-        assert np.allclose(data.reshape(16, 16), dg.density)
 
     def test_csv_axes_in_inverse_Gamma_units(self, tmp_path):
         from oscillent import OscillatorSystem as OS, UnboundGaussian
@@ -299,23 +297,97 @@ class TestDensityGrid:
         assert np.sum(vals) * du * du == pytest.approx(1.0, abs=1e-3)
 
 
-class TestQuadratureSelfTest:
-    def test_agrees_with_svd_route(self):
-        cases = [
-            (OscillatorSystem.from_dimensionless(4.0, 0.5), Coherent()),
-            (OscillatorSystem.from_dimensionless(1.0, 0.5), NumberState(1, 1)),
-        ]
-        for sys, state in cases:
-            quad = purity_quadrature(sys, state, n_points=32)
-            svd = schmidt_analyze(sys, state, GridSpec(32, 8.0)).purity
-            assert quad == pytest.approx(svd, abs=1e-6)
+@st.composite
+def oracle_inputs(draw):
+    """g log-uniform in [0.05, 20], mu1 in [0.001, 0.999], and a number state
+    with m + n <= 6, the one-excitation mix, or a two-term superposition
+    with a complex coefficient, within the exact route's cross-term cap."""
+    g = math.exp(draw(st.floats(math.log(0.05), math.log(20.0))))
+    mu1 = draw(st.floats(0.001, 0.999))
+    kind = draw(st.sampled_from(["number", "mix", "superposition"]))
+    if kind == "number":
+        m = draw(st.integers(0, 6))
+        state = NumberState(m, draw(st.integers(0, 6 - m)))
+    elif kind == "mix":
+        state = Superposition.two_mode_mix(draw(st.floats(0.0, math.pi)))
+    else:
+        (m1, n1), (m2, n2) = draw(st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=2, max_size=2,
+            unique=True))
+        phase = draw(st.floats(0.0, 2 * math.pi))
+        state = Superposition(((m1, n1, 0.6), (m2, n2, 0.8 * complex(math.cos(phase),
+                                                                      math.sin(phase)))))
+    return OscillatorSystem.from_dimensionless(g, mu1), state
 
-    def test_matches_closed_form(self):
-        sys = OscillatorSystem.from_dimensionless(4.0, 0.5)
-        assert purity_quadrature(sys, Coherent(), n_points=48) == pytest.approx(
-            purity_coherent(sys), abs=1e-6)
 
-    def test_large_grid_rejected(self):
-        sys = OscillatorSystem.from_dimensionless(4.0, 0.5)
-        with pytest.raises(DomainError):
-            purity_quadrature(sys, Coherent(), n_points=128)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(oracle_inputs())
+def test_sized_grid_matches_exact(inputs):
+    sys, state = inputs
+    res = schmidt_analyze(sys, state)
+    assert abs(res.purity - method_purity(sys, state)) <= 1e-10
+    assert res.grid_defect <= 1e-10
+    assert res.n_points % 16 == 0 and res.n_points >= 32
+
+
+class TestSizedGrid:
+    def test_half_widths_are_per_axis(self):
+        sys = OscillatorSystem.from_dimensionless(0.2, 0.1)
+        c1, c2, half1, half2 = grid_mod._window(sys, NumberState(0, 0), 8.0)
+        # position spreads of the ground state: <x_a^2> = 1/(2 Gamma^2) + mu_b^2/(2 gamma^2)
+        sigma1 = math.sqrt(0.5 / sys.Gamma ** 2 + 0.5 * sys.mu2 ** 2 / sys.gamma ** 2)
+        sigma2 = math.sqrt(0.5 / sys.Gamma ** 2 + 0.5 * sys.mu1 ** 2 / sys.gamma ** 2)
+        assert (c1, c2) == (0.0, 0.0)
+        assert half1 == pytest.approx(8.0 * sigma1, rel=1e-14)
+        assert half2 == pytest.approx(8.0 * sigma2, rel=1e-14)
+        assert half1 > 2.5 * half2
+        x1, x2, _, dx1, dx2 = grid_mod._sample(sys, NumberState(0, 0), GridSpec())
+        assert x1[-1] == pytest.approx(half1, rel=1e-14)
+        assert x2[-1] == pytest.approx(half2, rel=1e-14)
+        assert dx1 > 2.5 * dx2
+
+    def test_equal_masses_give_a_square_window(self):
+        sys = OscillatorSystem.from_dimensionless(10.0, 0.5)
+        _, _, half1, half2 = grid_mod._window(sys, NumberState(2, 1), 8.0)
+        assert half1 == half2
+
+    def test_explicit_points_override_the_sizing(self):
+        sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
+        sized = schmidt_analyze(sys, NumberState(1, 1))
+        explicit = schmidt_analyze(sys, NumberState(1, 1), GridSpec(200, 8.0))
+        assert sized.n_points == 144
+        assert explicit.n_points == 200 == len(explicit.singular_values)
+
+    def test_points_follow_the_narrowest_conditional_width(self):
+        sys = OscillatorSystem.from_dimensionless(1000.0, 0.5)
+        _, _, half1, half2 = grid_mod._window(sys, NumberState(1, 1), 8.0)
+        width = 1.0 / math.sqrt(2.0 * (sys.gamma ** 2 + sys.Gamma ** 2 * 0.25))
+        ratio = 2.0 * half1 / width
+        assert grid_mod._sized_points(sys, half1, half2) == 16 * math.ceil(4 * ratio / 16)
+        assert grid_mod._sized_points(OscillatorSystem.from_dimensionless(1.0, 0.5),
+                                      1e-3, 1e-3) == 32
+
+    def test_wide_anisotropy_resolved(self):
+        # the ridge along x1 = x2 is the r-spread, 1/20 of the window here
+        sys = OscillatorSystem.from_dimensionless(1000.0, 0.5)
+        res = schmidt_analyze(sys, NumberState(1, 1))
+        assert abs(res.purity - purity_number(sys, 1, 1)) <= 1e-12
+        assert res.grid_defect <= 1e-10
+
+    def test_two_grid_check_flags_a_coarse_grid(self):
+        sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
+        res = schmidt_analyze(sys, NumberState(2, 2), GridSpec(48, 8.0))
+        assert res.norm_defect < 1e-6
+        assert res.grid_defect > 1e-2
+        assert abs(res.purity - purity_number(sys, 2, 2)) > 1e-7
+
+    def test_sized_grid_above_the_cap_raises_before_allocating(self):
+        sys = OscillatorSystem.from_dimensionless(1e6, 0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="grid points"):
+                schmidt_analyze(sys, NumberState(4, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
