@@ -12,18 +12,21 @@ selftest        run the acceptance criteria
 Exit codes: 0 success, 1 usage error, 2 numerical-consistency failure,
 3 resource cap exceeded.
 
-Every emitted file is deterministic byte for byte for identical inputs.
-Sweeps fan out over a thread pool capped by the OSCILLENT_THREADS
-environment variable; results are written in input order regardless of
-completion order.  A JSON file passed as --config supplies defaults for any
-flag; explicit flags win.  Config values go through the flag's own type and
-choices, null stands for the flag's default, and an unknown key is a usage
-error.  The oracle grid is sized from the state unless --n-points is given.
+This is the only module that reads flags or writes files, and every table
+goes through one writer.  Every emitted file is deterministic byte for byte
+for identical inputs.  Sweeps fan out over a thread pool capped by the
+OSCILLENT_THREADS environment variable; results are written in input order
+regardless of completion order.  A JSON file passed as --config supplies
+defaults for any flag; a flag on the command line wins in any spelling.
+Config values go through the flag's own type and choices, null stands for
+the flag's default, and an unknown key is a usage error.  The oracle grid is
+sized from the state unless --n-points is given.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -231,13 +234,23 @@ def compute_purity(sys: OscillatorSystem, state, method: str, args) -> dict:
 # ----------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The file ``path`` opened for writing, or stdout when no path is given.
+
+    stdout is looked up per call, so ``contextlib.redirect_stdout`` applies.
+    """
+    if path:
+        with open(path, "w", newline="\n") as fh:
+            yield fh
+    else:
+        yield _sys.stdout
+
+
 def _emit_json(record: dict, path):
     text = json.dumps(record, sort_keys=True, default=_json_default)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _output(path) as fh:
+        fh.write(text + "\n")
 
 
 def _json_default(obj):
@@ -248,17 +261,17 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_csv(path, header_params: dict, columns, rows):
-    lines = [f"# params: {json.dumps(header_params, sort_keys=True)}",
-             ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+def _write_csv(path, params: dict, columns, rows):
+    """Every table the CLI emits: a ``# params:`` JSON line, the column line,
+    then one LF-terminated line per row, floats written by :func:`_fmt`.
+
+    ``rows`` may be any iterable; lines are written as they are formatted.
+    """
+    with _output(path) as fh:
+        fh.write(f"# params: {json.dumps(params, sort_keys=True)}\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                      for row in rows)
 
 
 # ----------------------------------------------------------------------
@@ -289,6 +302,10 @@ def _cmd_covariance(args) -> int:
     return 0
 
 
+# the largest sweep any figure or check runs has 99 points
+_SWEEP_POINTS_CAP = 10 ** 6
+
+
 def _sweep_values(args) -> np.ndarray:
     try:
         start, stop, count = args.range.split(":")
@@ -297,6 +314,9 @@ def _sweep_values(args) -> np.ndarray:
         raise _UsageError(f"bad --range {args.range!r}; expected START:STOP:COUNT") from exc
     if count < 2:
         raise _UsageError("sweep needs at least 2 points")
+    if count > _SWEEP_POINTS_CAP:
+        raise ResourceCapError(f"sweep of {count} points exceeds the cap of "
+                               f"{_SWEEP_POINTS_CAP}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise _UsageError(f"sweep endpoints must be finite, got {args.range!r}")
     if args.scale == "log":
@@ -387,9 +407,12 @@ def _cmd_figure(args) -> int:
         for (g, mu1) in _FIG12_COMBOS:
             sys_ = OscillatorSystem.from_dimensionless(g, mu1)
             dg = grid.density_grid(sys_, NumberState(m, n), spec)
-            params = json.dumps({"g": g, "mu1": mu1, "state": f"number:{m},{n}",
-                                 "n": args.points}, sort_keys=True)
-            grid.save_density_csv(dg, outpath(f"{which}_g{g:g}_mu{mu1:g}.csv"), params)
+            x2 = dg.x2.tolist()
+            rows = ((a, b, d) for a, line in zip(dg.x1.tolist(), dg.density.tolist())
+                    for b, d in zip(x2, line))
+            _write_csv(outpath(f"{which}_g{g:g}_mu{mu1:g}.csv"),
+                       {"g": g, "mu1": mu1, "state": f"number:{m},{n}", "n": args.points},
+                       ["x1", "x2", "density"], rows)
     elif which == "fig3":
         mus = _mu_grid()
         rows = [(float(mu),) + tuple(
@@ -439,9 +462,9 @@ def _cmd_figure(args) -> int:
             sys_ = OscillatorSystem.from_dimensionless(g, mu1)
             rows = fock.convergence_run(sys_, NumberState(0, 1), _FIG7_PAIRS,
                                         max_truncation=5)
-            params = json.dumps({"g": g, "mu1": mu1, "state": "number:0,1"},
-                                sort_keys=True)
-            fock.write_convergence_csv(rows, outpath(f"fig7_g{g:g}_mu{mu1:g}.csv"), params)
+            _write_csv(outpath(f"fig7_g{g:g}_mu{mu1:g}.csv"),
+                       {"g": g, "mu1": mu1, "state": "number:0,1"},
+                       ["gamma1", "gamma2", "jmax", "kmax", "purity", "abs_error"], rows)
     else:
         raise _UsageError(f"unknown figure {which!r}")
     for path in emitted:
@@ -575,28 +598,25 @@ def _config_value(action: argparse.Action, key: str, val):
 
 
 def _apply_config(args, argv, command_parser: argparse.ArgumentParser):
-    """Fill every flag the command line left out from the --config file.
+    """The command line parsed again over the --config values.
 
     Each value goes through the flag's own type and choices; a key that names
-    no flag of the command is a usage error.
+    no flag of the command is a usage error.  argparse fills only what the
+    command line left out, so any spelling of a flag it accepts beats the file.
     """
-    if getattr(args, "config", None) is None:
-        return
     with open(args.config) as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise _UsageError(f"--config {args.config!r} must hold a JSON object")
     flags = {a.dest: a for a in command_parser._actions
              if a.option_strings and a.nargs != 0 and a.dest != "config"}
-    by_option = {opt: a.dest for a in flags.values() for opt in a.option_strings}
-    explicit = {by_option.get(tok.split("=", 1)[0]) for tok in argv}
+    defaults = argparse.Namespace(command=args.command)
     for key, val in values.items():
         dest = key.replace("-", "_")
         if dest not in flags:
             raise _UsageError(f"unknown --config key {key!r} for {args.command}")
-        val = _config_value(flags[dest], key, val)
-        if dest not in explicit:
-            setattr(args, dest, val)
+        setattr(defaults, dest, _config_value(flags[dest], key, val))
+    return command_parser.parse_args(argv[1:], defaults)
 
 
 def run(argv=None) -> int:
@@ -607,7 +627,8 @@ def run(argv=None) -> int:
         # looked up per call, so a rebinding of a _cmd_* function (for
         # tracing, say) takes effect although the parser is built only once
         command = globals()["_cmd_" + args.command.replace("-", "_")]
-        _apply_config(args, argv, parser.commands[args.command])
+        if getattr(args, "config", None) is not None:
+            args = _apply_config(args, argv, parser.commands[args.command])
         if getattr(args, "kmax", None) is None and hasattr(args, "jmax"):
             args.kmax = args.jmax
         return command(args)

@@ -105,7 +105,6 @@ class QuadraticGenerator:
     one); extraction multiplies it by factorial weights and the coefficient.
     """
 
-    dim: int
     Mmat: np.ndarray
     prefactor: complex
 
@@ -232,7 +231,7 @@ def build_M(sys: OscillatorSystem) -> QuadraticGenerator:
         raise NumericalConsistencyError(
             f"generator determinant {det!r} deviates from 1/256"
         )
-    return QuadraticGenerator(dim=8, Mmat=M, prefactor=purity_coherent(sys))
+    return QuadraticGenerator(Mmat=M, prefactor=purity_coherent(sys))
 
 
 def build_M_from_A(gdata: GaussianIntegralData) -> QuadraticGenerator:
@@ -269,7 +268,7 @@ def build_M_from_A(gdata: GaussianIntegralData) -> QuadraticGenerator:
     if not detA > 0:
         raise NumericalConsistencyError(f"det A must be positive, got {detA!r}")
     prefactor = gdata.norm_const * math.pi ** 2 / math.sqrt(detA)
-    return QuadraticGenerator(dim=8, Mmat=M, prefactor=prefactor)
+    return QuadraticGenerator(Mmat=M, prefactor=prefactor)
 
 
 # ----------------------------------------------------------------------

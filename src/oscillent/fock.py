@@ -35,7 +35,6 @@ immutable afterwards; a superposition reads all its terms from one box.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -58,7 +57,6 @@ __all__ = [
     "purity_truncated",
     "entropy_truncated",
     "convergence_run",
-    "write_convergence_csv",
 ]
 
 DEFAULT_COEFF_CAP = 64  # j + k + m + n for a single coefficient
@@ -284,14 +282,3 @@ def convergence_run(sys: OscillatorSystem, state, basis_list, max_truncation: in
             purity = purity_from_density(block @ block.conj().T)
             rows.append((g1, g2, tr, tr, purity, abs(purity - exact)))
     return rows
-
-
-def write_convergence_csv(rows, path, params: str = ""):
-    """Serialize convergence rows with the standard column set."""
-    with open(path, "w", newline="") as fh:
-        if params:
-            fh.write(f"# params: {params}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["gamma1", "gamma2", "jmax", "kmax", "purity", "abs_error"])
-        for (g1, g2, jm, km, p, err) in rows:
-            writer.writerow([f"{g1:.17g}", f"{g2:.17g}", jm, km, f"{p:.17g}", f"{err:.17g}"])

@@ -59,7 +59,6 @@ __all__ = [
     "schmidt_analyze",
     "schmidt_from_samples",
     "density_grid",
-    "save_density_csv",
 ]
 
 _NORM_WARN = 1e-3
@@ -121,16 +120,12 @@ class SchmidtResult:
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Sampled position probability density.
-
-    ``x1`` and ``x2`` are the raw axis coordinates; multiply by ``Gamma`` for
-    the dimensionless axes used in the emitted files.
-    """
+    """Sampled position probability density |psi(x1, x2)|^2 on the axes
+    ``x1`` and ``x2``."""
 
     x1: np.ndarray
     x2: np.ndarray
     density: np.ndarray
-    Gamma: float
 
 
 def hermite_functions(u: np.ndarray, nmax: int) -> np.ndarray:
@@ -358,17 +353,4 @@ def schmidt_analyze(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -
 def density_grid(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -> DensityGrid:
     """Position probability density |psi(x1, x2)|^2 on the sampling grid."""
     x1, x2, W, _, _ = _sample(sys, state, grid)
-    return DensityGrid(x1=x1, x2=x2, density=np.abs(W) ** 2, Gamma=sys.Gamma)
-
-
-def save_density_csv(result: DensityGrid, path, params: str = ""):
-    """Long-form CSV (x1, x2, density) with axes in units of 1/Gamma."""
-    G = result.Gamma
-    with open(path, "w") as fh:
-        if params:
-            fh.write(f"# params: {params}\n")
-        fh.write("x1,x2,density\n")
-        for i, a in enumerate(result.x1):
-            row = result.density[i]
-            for j, b in enumerate(result.x2):
-                fh.write(f"{a * G:.17g},{b * G:.17g},{row[j] / (G * G):.17g}\n")
+    return DensityGrid(x1=x1, x2=x2, density=np.abs(W) ** 2)

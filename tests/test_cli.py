@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -213,6 +214,17 @@ class TestSweepCommand:
         assert cli.run(["sweep", "--param", "mu1", "--range", "0.1:0.9:1",
                         "--g", "1", "--state", "number:0,1"]) == 1
 
+    def test_oversized_sweep_exits_three_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            assert cli.run(["sweep", "--param", "mu1", "--range", "0.1:0.9:1000000000000",
+                            "--g", "1", "--state", "number:0,1"]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert "1000000000000 points exceeds the cap" in capsys.readouterr().err
+
     def test_threads_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OSCILLENT_THREADS", "2")
         out = tmp_path / "s.csv"
@@ -245,6 +257,21 @@ class TestFigureCommands:
         body = (tmp_path / "fig1_g1_mu0.5.csv").read_text().splitlines()
         assert body[1] == "x1,x2,density"
         assert len(body) == 2 + 32 * 32
+
+    @pytest.mark.parametrize("which", [f"fig{i}" for i in range(1, 8)])
+    def test_one_table_format(self, tmp_path, capsys, which):
+        assert cli.run(["figure", which, "--points", "16", "--outdir", str(tmp_path)]) == 0
+        paths = capsys.readouterr().out.split()
+        assert paths
+        for path in paths:
+            data = pathlib.Path(path).read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n")
+            lines = data.decode().splitlines()
+            assert lines[0].startswith("# params: ")
+            assert isinstance(json.loads(lines[0][len("# params: "):]), dict)
+            width = len(lines[1].split(","))
+            assert len(lines) > 2
+            assert all(len(ln.split(",")) == width for ln in lines[2:])
 
     def test_fig4_convention_flag(self, tmp_path):
         cli.run(["figure", "fig4", "--outdir", str(tmp_path / "a")])
@@ -467,6 +494,16 @@ class TestConfigFile:
                 expect = capsys.readouterr().out
                 assert expect != sized
             assert out == expect
+
+    @pytest.mark.parametrize("flag", [["--jm", "20"], ["--jmax=20"], ["--jm=20"]])
+    def test_any_spelling_of_a_flag_beats_config(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jmax": 4}))
+        code, rec = run_json(capsys, ["purity", "--config", str(cfg), "--g", "2",
+                                      "--mu1", "0.3", "--state", "number:1,1",
+                                      "--method", "fock"] + flag)
+        assert code == 0
+        assert rec["basis"]["jmax"] == 20 and rec["basis"]["kmax"] == 20
 
     def test_short_flag_beats_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oscillent import cli
 from oscillent import (BasisParams, DomainError, NumberState,
                        OscillatorSystem, ResourceCapError, Superposition,
                        coefficient_table, convergence_run, default_basis,
@@ -237,13 +238,12 @@ class TestConvergenceRun:
             err = {(r[0], r[1]): r[5] for r in rows if r[2] == 5}
             assert err[(SQ2, 1.0)] < err[(1.0, SQ2)]
 
-    def test_csv_writer(self, tmp_path):
-        from oscillent.fock import write_convergence_csv
-        sys = OscillatorSystem.from_dimensionless(1.0, 0.5)
-        rows = convergence_run(sys, NumberState(0, 1), [(SQ2, SQ2)], max_truncation=2)
-        path = tmp_path / "conv.csv"
-        write_convergence_csv(rows, path, params='{"g": 1}')
-        lines = path.read_text().splitlines()
-        assert lines[0] == '# params: {"g": 1}'
+    def test_csv_writer(self, tmp_path, capsys):
+        assert cli.run(["figure", "fig7", "--outdir", str(tmp_path)]) == 0
+        lines = (tmp_path / "fig7_g1_mu0.5.csv").read_text().splitlines()
+        assert lines[0] == '# params: {"g": 1.0, "mu1": 0.5, "state": "number:0,1"}'
         assert lines[1] == "gamma1,gamma2,jmax,kmax,purity,abs_error"
-        assert len(lines) == 2 + 3
+        sys = OscillatorSystem.from_dimensionless(1.0, 0.5)
+        rows = convergence_run(sys, NumberState(0, 1), cli._FIG7_PAIRS, max_truncation=5)
+        assert len(lines) == 2 + len(rows) == 2 + 4 * 6
+        assert [tuple(map(float, ln.split(","))) for ln in lines[2:]] == rows

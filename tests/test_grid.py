@@ -10,6 +10,7 @@ from oscillent import (Coherent, DomainError, GridSpec, NumberState,
                        OscillatorSystem, Superposition, UnboundGaussian,
                        density_grid, eval_wavefunction, purity_number,
                        schmidt_analyze)
+from oscillent import cli
 from oscillent.acceptance import method_purity
 from oscillent.errors import ResourceCapError
 from oscillent.grid import hermite_functions, schmidt_from_samples
@@ -270,31 +271,19 @@ class TestDensityGrid:
         mass = np.sum(dg.density) * (dg.x1[1] - dg.x1[0]) * (dg.x2[1] - dg.x2[0])
         assert mass == pytest.approx(1.0, abs=1e-6)
 
-    def test_serializers(self, tmp_path):
-        from oscillent.grid import save_density_csv
-        sys = OscillatorSystem.from_dimensionless(3.0, 0.3)
-        dg = density_grid(sys, NumberState(0, 0), GridSpec(16, 8.0))
-        csv_path = tmp_path / "density.csv"
-        save_density_csv(dg, csv_path, params='{"g": 3}')
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == '# params: {"g": 3}'
+    def test_serializers(self, tmp_path, capsys):
+        assert cli.run(["figure", "fig1", "--points", "16", "--outdir", str(tmp_path)]) == 0
+        lines = (tmp_path / "fig1_g1_mu0.25.csv").read_text().splitlines()
+        assert lines[0] == '# params: {"g": 1.0, "mu1": 0.25, "n": 16, "state": "number:0,0"}'
         assert lines[1] == "x1,x2,density"
         assert len(lines) == 2 + 16 * 16
-
-    def test_csv_axes_in_inverse_Gamma_units(self, tmp_path):
-        from oscillent import OscillatorSystem as OS, UnboundGaussian
-        from oscillent.grid import save_density_csv
-        sys = OS.from_untrapped(0.5, c=1.0, Gamma=2.0)
-        dg = density_grid(sys, UnboundGaussian(0, 0.0), GridSpec(16, 8.0))
-        path = tmp_path / "d.csv"
-        save_density_csv(dg, path)
-        first = path.read_text().splitlines()[1].split(",")
-        assert float(first[0]) == pytest.approx(dg.x1[0] * 2.0, rel=1e-15)
-        # scaled density integrates to 1 against the scaled axes
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        vals = rows[:, 2].reshape(16, 16)
-        du = (dg.x1[1] - dg.x1[0]) * 2.0
-        assert np.sum(vals) * du * du == pytest.approx(1.0, abs=1e-3)
+        # axes and density as sampled, x2 running fastest
+        sys = OscillatorSystem.from_dimensionless(1.0, 0.25)
+        dg = density_grid(sys, NumberState(0, 0), GridSpec(16, 8.0))
+        rows = np.array([list(map(float, ln.split(","))) for ln in lines[2:]])
+        assert np.array_equal(rows[:, 0], np.repeat(dg.x1, 16))
+        assert np.array_equal(rows[:, 1], np.tile(dg.x2, 16))
+        assert np.array_equal(rows[:, 2], dg.density.ravel())
 
 
 @st.composite
