@@ -17,7 +17,8 @@ goes through one writer.  Every emitted file is deterministic byte for byte
 for identical inputs.  Sweeps fan out over a thread pool capped by the
 OSCILLENT_THREADS environment variable; results are written in input order
 regardless of completion order.  A JSON file passed as --config supplies
-defaults for any flag; a flag on the command line wins in any spelling.
+defaults for any flag, required ones included; a flag on the command line
+wins in any spelling.
 Config values go through the flag's own type and choices, null stands for
 the flag's default, and an unknown key is a usage error.  The oracle grid is
 sized from the state unless --n-points is given.
@@ -182,8 +183,11 @@ def _threads() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def compute_purity(sys: OscillatorSystem, state, method: str, args) -> dict:
-    """Evaluate one purity with the requested method; returns a JSON-able record."""
+def compute_purity(sys: OscillatorSystem, state, method: str, args, entropy: bool = True) -> dict:
+    """Evaluate one purity with the requested method; returns a JSON-able record.
+
+    With ``entropy=False`` the record has no entropy, and neither the fock
+    nor the oracle route computes one."""
     record: dict = {"method": method, "state": _state_label(state),
                     "system": _system_params(sys)}
     if method == "analytic":
@@ -206,7 +210,8 @@ def compute_purity(sys: OscillatorSystem, state, method: str, args) -> dict:
             basis = fock.default_basis(sys, jmax=args.jmax, kmax=args.kmax)
         rho = fock.reduced_density_truncated(sys, state, basis)
         record["purity"] = fock.purity_from_density(rho)
-        record["entropy"] = fock.entropy_from_density(rho)
+        if entropy:
+            record["entropy"] = fock.entropy_from_density(rho)
         record["basis"] = {"gamma1": basis.gamma1, "gamma2": basis.gamma2,
                            "jmax": basis.jmax, "kmax": basis.kmax}
     elif method == "oracle":
@@ -222,7 +227,8 @@ def compute_purity(sys: OscillatorSystem, state, method: str, args) -> dict:
                 f"every second point) exceeds 1e-6; raise --n-points, or leave it unset "
                 f"to size the grid from the state")
         record["purity"] = res.purity
-        record["entropy"] = res.entropy
+        if entropy:
+            record["entropy"] = res.entropy
         record["norm_defect"] = res.norm_defect
     else:
         raise _UsageError(f"unknown method {method!r}")
@@ -357,7 +363,7 @@ def _sweep_point(args, param: str, value: float) -> float:
         state = Superposition.two_mode_mix(float(value))
     else:
         raise _UsageError(f"unknown sweep parameter {param!r}")
-    return compute_purity(sys_, state, args.method, args)["purity"]
+    return compute_purity(sys_, state, args.method, args, entropy=False)["purity"]
 
 
 def _cmd_sweep(args) -> int:
@@ -539,7 +545,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("purity", help="single purity evaluation")
     common(p)
     method_opts(p)
-    p.add_argument("--state", required=True, help="state literal, e.g. number:0,1")
+    p.add_argument("--state", help="state literal, e.g. number:0,1 (required)")
 
     p = sub.add_parser("covariance", help="coherent-state covariance pipeline")
     common(p)
@@ -547,8 +553,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="one-parameter sweep to CSV")
     common(p)
     method_opts(p)
-    p.add_argument("--param", required=True, choices=["g", "mu1", "tau", "theta", "c"])
-    p.add_argument("--range", required=True, help="START:STOP:COUNT")
+    p.add_argument("--param", choices=["g", "mu1", "tau", "theta", "c"], help="(required)")
+    p.add_argument("--range", help="START:STOP:COUNT (required)")
     p.add_argument("--scale", choices=["linear", "log"], default="linear")
     p.add_argument("--state", default="coherent:", help="state literal")
 
@@ -619,6 +625,11 @@ def _apply_config(args, argv, command_parser: argparse.ArgumentParser):
     return command_parser.parse_args(argv[1:], defaults)
 
 
+# flags a command cannot run without; checked after --config is applied, so a
+# config value supplies them as well as the command line does
+_REQUIRED = {"purity": ("state",), "sweep": ("param", "range")}
+
+
 def run(argv=None) -> int:
     argv = list(_sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -629,6 +640,10 @@ def run(argv=None) -> int:
         command = globals()["_cmd_" + args.command.replace("-", "_")]
         if getattr(args, "config", None) is not None:
             args = _apply_config(args, argv, parser.commands[args.command])
+        missing = [f"--{dest}" for dest in _REQUIRED.get(args.command, ())
+                   if getattr(args, dest) is None]
+        if missing:
+            raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
         if getattr(args, "kmax", None) is None and hasattr(args, "jmax"):
             args.kmax = args.jmax
         return command(args)

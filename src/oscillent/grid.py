@@ -30,9 +30,17 @@ psi(x1, x2) = Phi(x1 - x2, mu1 x1 + mu2 x2).  Hermite factors use the
 orthonormal three-term recurrence with the Gaussian weight folded in at
 every step, which stays bounded far beyond quantum numbers of 50.  Number
 states and superpositions with real coefficients are sampled in float64,
-coherent states and spreading packets in complex128.  Sampling is capped by
-a predicted peak memory, checked on the number of points actually used, and
-raises ResourceCapError before allocating.
+coherent states and spreading packets in complex128.  The sample matrix is
+filled in blocks of rows of at least 2^14 cells each (one block when the
+grid is smaller), so the Hermite rows and temporaries of one block stay in
+cache and no full-size temporary is made; every sample is computed by the
+same arithmetic as one call over the whole grid, bit for bit.  Sampling is capped by a predicted peak memory, checked
+on the number of points actually used, and raises ResourceCapError before
+allocating.
+
+Purity and the two checks need only the Gram matrix.  The Schmidt spectrum
+and the entropy are computed from it when first read, so a caller that reads
+only the purity never pays for the eigendecomposition.
 
 Every call is independent; nothing here mutates shared state.
 """
@@ -42,7 +50,8 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +73,13 @@ __all__ = [
 _NORM_WARN = 1e-3
 # predicted peak bytes of one sampling; 1024^2 on |4,4> needs about 1/10 of it
 _SAMPLE_BYTES_CAP = 2 ** 30
+# fewest cells per sampling block: a block's coordinates, Hermite rows and
+# temporaries (128 KiB each in float64) fit in a core's L2 cache.  It is also
+# the size (256 KiB of complex128) from which numpy's temporary elision
+# evaluates ``scalar * temporary`` in place as ``temporary *= scalar``; the
+# two orders round complex products differently, so a smaller block of a
+# larger grid would not reproduce the bits of one call over the whole grid.
+_BLOCK_CELLS = 2 ** 14
 # sized grids: points per unit of the window-to-width ratio R, the fewest
 # points, and the step n is rounded up to
 _POINTS_PER_RATIO = 4
@@ -96,26 +112,42 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SchmidtResult:
-    """Schmidt spectrum of the sampled wavefunction with derived
-    entanglement quantities.
+    """Entanglement of the sampled wavefunction, from the Gram matrix of
+    its samples.
 
-    ``singular_values`` are the singular values of the sample matrix W,
-    descending, taken as square roots of the eigenvalues of its Gram matrix
-    (negative roundoff clipped to zero).  ``norm_defect`` is the deviation
-    of the discrete normalization integral from 1 and flags a too-small
-    window or too few points.  ``grid_defect`` is |P_n - P_sub|, the
-    distance of the purity from the purity of every second point in each
+    ``purity`` is ||G||_F^2 / tr(G)^2 for the Gram matrix ``gram`` of the
+    sample matrix W, whose trace is ``trace``.  ``norm_defect`` is the
+    deviation of the discrete normalization integral from 1 and flags a
+    too-small window or too few points.  ``grid_defect`` is |P_n - P_sub|,
+    the distance of the purity from the purity of every second point in each
     direction (the same window at twice the spacing); it overstates the
     discretization error of the full grid, often by orders of magnitude.
     ``n_points`` is the number of points per axis used.
+
+    ``singular_values`` (of W, descending, square roots of the eigenvalues
+    of G with negative roundoff clipped to zero) and ``entropy`` are
+    computed on first read, by one eigendecomposition of G shared by both,
+    and cached.
     """
 
-    singular_values: np.ndarray
     purity: float
-    entropy: float
     norm_defect: float
     grid_defect: float
     n_points: int
+    gram: np.ndarray = field(repr=False)
+    trace: float
+
+    @cached_property
+    def _schmidt(self) -> tuple[np.ndarray, float]:
+        return _spectrum(self.gram, self.trace)
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        return self._schmidt[0]
+
+    @property
+    def entropy(self) -> float:
+        return self._schmidt[1]
 
 
 @dataclass(frozen=True)
@@ -273,7 +305,10 @@ def _check_sample_cap(state, n_points: int):
     The estimate counts n_points^2 cells for each Hermite row of both stacks
     (orders 0..m and 0..n), the coordinate arrays and temporaries around
     them (four float64 cells), and three cells of the sample dtype (the
-    samples, their Gram matrix and one temporary).
+    samples, their Gram matrix and one temporary).  Sampling allocates the
+    Hermite rows and coordinates one row block at a time, so this is a
+    conservative upper bound; formula and budget are kept so that the same
+    grids are refused whether or not they are sampled in blocks.
     """
     m_eff, n_eff = _max_orders(state)
     itemsize = 8 if _is_real(state) else 16
@@ -292,10 +327,22 @@ def _sample(sys: OscillatorSystem, state, grid: GridSpec):
     _check_sample_cap(state, n)
     x1 = np.linspace(c1 - half1, c1 + half1, n)
     x2 = np.linspace(c2 - half2, c2 + half2, n)
-    W = eval_wavefunction(sys, state, x1[:, None], x2[None, :])
+    W = np.empty((n, n), dtype=float if _is_real(state) else complex)
+    # rows split evenly into blocks of at least _BLOCK_CELLS cells each
+    blocks = max(1, n // math.ceil(_BLOCK_CELLS / n))
+    for b in range(blocks):
+        i, j = b * n // blocks, (b + 1) * n // blocks
+        W[i:j] = eval_wavefunction(sys, state, x1[i:j, None], x2[None, :])
     dx1 = x1[1] - x1[0]
     dx2 = x2[1] - x2[0]
     return x1, x2, W, dx1, dx2
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 elementwise.  For real x, x * x has the same bits as
+    np.abs(x) ** 2 with one n^2 temporary fewer; complex x keeps
+    np.abs(x) ** 2, whose bits the product with the conjugate would change."""
+    return x * x if x.dtype.kind == "f" else np.abs(x) ** 2
 
 
 def _gram_purity(W: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -307,7 +354,17 @@ def _gram_purity(W: np.ndarray) -> tuple[np.ndarray, float, float]:
         raise DomainError("sample matrix is identically zero")
     # np.sum adds pairwise; a BLAS dot over the n^2 entries (np.vdot) lost up
     # to 3e-14 of the purity at 1024^2
-    return G, total, float(np.sum(np.abs(G) ** 2)) / (total * total)
+    return G, total, float(np.sum(_abs2(G))) / (total * total)
+
+
+def _spectrum(G: np.ndarray, total: float) -> tuple[np.ndarray, float]:
+    """Singular values of W, descending, and the entropy -sum p_k ln p_k with
+    p_k = w_k / tr(G), from the eigenvalues w_k of its Gram matrix G
+    (negative roundoff clipped to 0)."""
+    w = np.clip(np.linalg.eigvalsh(G), 0.0, None)[::-1]
+    p = w / total
+    pos = p[p > 1e-300]
+    return np.sqrt(w), float(-np.sum(pos * np.log(pos)))
 
 
 def schmidt_from_samples(W: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -320,22 +377,21 @@ def schmidt_from_samples(W: np.ndarray) -> tuple[np.ndarray, float, float]:
     Scale invariant by construction.
     """
     G, total, purity = _gram_purity(W)
-    w = np.clip(np.linalg.eigvalsh(G), 0.0, None)[::-1]
-    p = w / total
-    pos = p[p > 1e-300]
-    entropy = float(-np.sum(pos * np.log(pos)))
-    return np.sqrt(w), purity, entropy
+    s, entropy = _spectrum(G, total)
+    return s, purity, entropy
 
 
 def schmidt_analyze(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -> SchmidtResult:
-    """Sample the wavefunction and extract purity and entropy from the Gram
-    matrix of the samples, with the two-grid check from the same samples.
+    """Sample the wavefunction and take the purity from the Gram matrix of
+    the samples, with the two-grid check from the same samples; the entropy
+    and the Schmidt spectrum are computed when the result's fields are
+    first read.
 
     Warns when the discrete normalization deviates from 1 by more than 1e-3,
     which signals a window too small for the state or too few points.
     """
     _, _, W, dx1, dx2 = _sample(sys, state, grid)
-    norm = float(np.sum(np.abs(W) ** 2) * dx1 * dx2)
+    norm = float(np.sum(_abs2(W)) * dx1 * dx2)
     defect = abs(1.0 - norm)
     if not defect <= _NORM_WARN:
         warnings.warn(
@@ -344,13 +400,13 @@ def schmidt_analyze(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -
             RuntimeWarning,
             stacklevel=2,
         )
-    s, purity, entropy = schmidt_from_samples(W)
+    G, total, purity = _gram_purity(W)
     coarse = _gram_purity(W[::2, ::2])[2]
-    return SchmidtResult(singular_values=s, purity=purity, entropy=entropy, norm_defect=defect,
-                         grid_defect=abs(purity - coarse), n_points=W.shape[0])
+    return SchmidtResult(purity=purity, norm_defect=defect, grid_defect=abs(purity - coarse),
+                         n_points=W.shape[0], gram=G, trace=total)
 
 
 def density_grid(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -> DensityGrid:
     """Position probability density |psi(x1, x2)|^2 on the sampling grid."""
     x1, x2, W, _, _ = _sample(sys, state, grid)
-    return DensityGrid(x1=x1, x2=x2, density=np.abs(W) ** 2)
+    return DensityGrid(x1=x1, x2=x2, density=_abs2(W))

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oscillent import NumberState, OscillatorSystem, acceptance, cli, fock
+from oscillent import NumberState, OscillatorSystem, acceptance, cli, fock, grid
 from oscillent.errors import NumericalConsistencyError
 
 
@@ -321,6 +321,36 @@ class TestOracleCompare:
             assert float(ln.rsplit(",", 1)[1]) <= 1e-6
 
 
+class TestOracleSpectrum:
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        real = grid._spectrum
+        calls = []
+
+        def counted(G, total):
+            calls.append(G.shape)
+            return real(G, total)
+
+        monkeypatch.setattr(grid, "_spectrum", counted)
+        return calls
+
+    def test_purity_reads_the_spectrum_once(self, capsys, spectra):
+        code, rec = run_json(capsys, ["purity", "--g", "1.7", "--mu1", "0.37", "--state",
+                                      "number:2,1", "--method", "oracle", "--n-points", "128"])
+        assert code == 0 and spectra == [(128, 128)]
+        sys_ = OscillatorSystem.from_dimensionless(1.7, 0.37)
+        W = grid._sample(sys_, NumberState(2, 1), grid.GridSpec(128, 8.0))[2]
+        _, purity, entropy = grid.schmidt_from_samples(W)
+        assert (rec["purity"], rec["entropy"]) == (purity, entropy)
+
+    def test_sweep_and_oracle_compare_never_read_it(self, tmp_path, spectra):
+        assert cli.run(["sweep", "--method", "oracle", "--param", "mu1", "--range",
+                        "0.2:0.8:3", "--g", "2", "--state", "number:1,1",
+                        "-o", str(tmp_path / "s.csv")]) == 0
+        assert cli.run(["oracle-compare", "-o", str(tmp_path / "o.csv")]) == 0
+        assert spectra == []
+
+
 class TestOracleSizing:
     @pytest.mark.parametrize("g, mu1, state", [
         ("0.2", "0.01", "number:2,2"),
@@ -512,3 +542,36 @@ class TestConfigFile:
         assert cli.run(["purity", "--config", str(cfg), "-o", str(out), "--g", "1",
                         "--mu1", "0.5", "--state", "number:0,1"]) == 0
         assert out.exists() and not (tmp_path / "from_config.json").exists()
+
+    def test_config_supplies_required_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"state": "number:1,1", "g": 2, "mu1": 0.3}))
+        assert cli.run(["purity", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert cli.run(["purity", "--state", "number:1,1", "--g", "2", "--mu1", "0.3"]) == 0
+        assert from_config == capsys.readouterr().out
+        cfg.write_text(json.dumps({"param": "mu1", "range": "0.2:0.8:3", "g": 2,
+                                   "state": "number:1,1"}))
+        assert cli.run(["sweep", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert cli.run(["sweep", "--param", "mu1", "--range", "0.2:0.8:3", "--g", "2",
+                        "--state", "number:1,1"]) == 0
+        assert from_config == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, values, missing", [
+        (["purity"], {"g": 2, "mu1": 0.3}, "--state"),
+        (["purity"], {"g": 2, "mu1": 0.3, "state": None}, "--state"),
+        (["sweep"], {"g": 2}, "--param, --range"),
+        (["sweep", "--param", "mu1"], {"g": 2}, "--range"),
+        (["sweep"], {"range": "0.2:0.8:3", "g": 2}, "--param"),
+    ])
+    def test_required_flag_missing_from_both_exits_one(self, tmp_path, capsys, argv,
+                                                       values, missing):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert cli.run(argv + ["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the following arguments are required: {missing}\n"
+        assert cli.run(argv + ["--g", "2", "--mu1", "0.3"]) == 1
+        assert "required: --" in capsys.readouterr().err

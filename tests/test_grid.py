@@ -380,3 +380,76 @@ class TestSizedGrid:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+TRAPPED = OscillatorSystem.from_dimensionless(1.7, 0.37)
+
+
+class TestBlockedSampling:
+    @pytest.mark.parametrize("n", [17, 33, 1000])
+    @pytest.mark.parametrize("sys, state", [
+        (TRAPPED, NumberState(2, 2)),
+        (TRAPPED, Superposition.two_mode_mix(math.pi / 3)),
+        (TRAPPED, Superposition(((0, 1, 0.6), (2, 0, 0.8j)))),
+        (TRAPPED, Coherent(0.3 + 0.2j, -0.1 + 0.4j)),
+        (OscillatorSystem.from_untrapped(0.37, c=2.0), UnboundGaussian(1, 2.0)),
+    ], ids=["number", "real-mix", "complex-mix", "coherent", "unbound"])
+    def test_blocks_match_one_call_over_the_grid(self, monkeypatch, sys, state, n):
+        whole = grid_mod.eval_wavefunction
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].shape[0])
+            return whole(*args)
+
+        monkeypatch.setattr(grid_mod, "eval_wavefunction", counted)
+        x1, x2, W, _, _ = grid_mod._sample(sys, state, GridSpec(n, 8.0))
+        ref = whole(sys, state, x1[:, None], x2[None, :])
+        assert W.dtype == ref.dtype
+        assert np.array_equal(W, ref)
+        assert sum(calls) == n
+        # every block holds at least 2^14 cells unless the grid is smaller
+        assert min(calls) * n >= min(n * n, 2 ** 14)
+        assert len(calls) == (1 if n * n <= 2 ** 14 else n // math.ceil(2 ** 14 / n))
+
+    @pytest.mark.parametrize("x", [
+        np.array([[-1.5, 0.0], [-0.0, 3e-200]]),
+        np.array([[1.0 - 2.0j, -0.5j], [3e-200 + 1j, 0.0]]),
+    ], ids=["real", "complex"])
+    def test_abs2_has_the_bits_of_abs_squared(self, x):
+        assert np.array_equal(grid_mod._abs2(x), np.abs(x) ** 2)
+
+
+class TestSpectrumOnDemand:
+    def test_computed_once_on_first_read(self, monkeypatch):
+        real = grid_mod._spectrum
+        calls = []
+
+        def counted(G, total):
+            calls.append(G.shape)
+            return real(G, total)
+
+        monkeypatch.setattr(grid_mod, "_spectrum", counted)
+        sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
+        res = schmidt_analyze(sys, NumberState(2, 1), GridSpec(128, 8.0))
+        assert calls == []
+        s, entropy = res.singular_values, res.entropy
+        assert res.entropy == entropy and res.singular_values is s
+        assert calls == [(128, 128)]
+        _, _, W, _, _ = grid_mod._sample(sys, NumberState(2, 1), GridSpec(128, 8.0))
+        s_ref, purity_ref, entropy_ref = schmidt_from_samples(W)
+        assert (res.purity, res.entropy) == (purity_ref, entropy_ref)
+        assert np.array_equal(s, s_ref)
+
+    def test_peak_memory_without_the_spectrum(self):
+        # 8 MiB of samples, the Gram matrix and one n^2 temporary; full-size
+        # Hermite rows alone would add 80 MiB
+        sys = OscillatorSystem.from_dimensionless(1.7, 0.37)
+        tracemalloc.start()
+        try:
+            res = schmidt_analyze(sys, NumberState(4, 4), GridSpec(1024, 8.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_points == 1024
+        assert peak < 40 * 2 ** 20
