@@ -21,7 +21,7 @@ from .exact import (build_A, build_At, build_M, build_M_from_A, purity_cross,
                     purity_number, purity_number_unbound, purity_superposition)
 from .fock import (BasisParams, coefficient_table, convergence_run,
                    default_basis, entropy_truncated, purity_truncated,
-                   reduced_density_truncated, transform_coefficient)
+                   reduced_density_truncated)
 from .gaussian import (CovariancePack, classical_covariance,
                        covariance_coherent, position_covariance,
                        purity_coherent, purity_unbound_gaussian,
@@ -41,7 +41,7 @@ __all__ = [
     "position_covariance",
     "build_A", "build_At", "build_M", "build_M_from_A",
     "purity_number", "purity_number_unbound", "purity_cross", "purity_superposition",
-    "BasisParams", "default_basis", "transform_coefficient", "coefficient_table",
+    "BasisParams", "default_basis", "coefficient_table",
     "reduced_density_truncated", "purity_truncated", "entropy_truncated",
     "convergence_run",
     "GridSpec", "SchmidtResult", "DensityGrid", "eval_wavefunction",

@@ -262,8 +262,6 @@ def _emit_json(record: dict, path):
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

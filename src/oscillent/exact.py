@@ -24,11 +24,16 @@ The untrapped pair reuses the machinery with a complex, time-dependent A
 whose center-of-mass width follows the spreading packet; the resulting
 purities are real up to roundoff, which is asserted.
 
-The coefficient box has prod(t_i + 1) cells over the eight slots, so its
-time and memory grow as the eighth power of the quantum numbers; the
-operations carry configurable caps and raise ResourceCapError beyond them.
-All functions are pure; superposition sums iterate in a fixed order so
-results are bit-stable.
+The order caps are fixed: m + n <= 8 for a number state and unbound index
+m <= 8, and a total order of at most 16 over the four slots of a
+superposition's cross terms, so every term of a superposition has
+m + n <= 4.  They guard precision, not run time: past them the extraction
+stops returning purities without any sign of it (|63,0> at g = 1000,
+mu1 = 0.5 reads 4.197).  Inside them the symmetries g <-> 1/g,
+mu1 <-> mu2 and (m, n) <-> (n, m) hold to about 1e-15 for g up to 1e6, and
+every box has at most 5^8 cells (3 MiB).  An order beyond them raises
+ResourceCapError.  All functions are pure; superposition sums iterate in a
+fixed order so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -59,12 +64,11 @@ __all__ = [
     "purity_number_unbound",
     "purity_cross",
     "purity_superposition",
-    "DEFAULT_NUMBER_CAP",
-    "DEFAULT_CROSS_CAP",
 ]
 
-DEFAULT_NUMBER_CAP = 8    # m + n
-DEFAULT_CROSS_CAP = 16    # sum over all four slots of m_i + n_i
+# order caps beyond which the extracted coefficients lose their precision
+_NUMBER_CAP = 8    # m + n
+_CROSS_CAP = 16    # sum over all four slots of m_i + n_i
 
 _DET_M_TARGET = 1.0 / 256.0
 _DET_M_TOL = 1e-10
@@ -83,8 +87,6 @@ class GaussianIntegralData:
         trapped kernel, complex for the spreading packet.
     Lmap : (4, 8) ndarray
         Linear coupling of (alpha_1..4, beta_1..4) into the coordinates.
-    Cquad : (8, 8) ndarray
-        Diagonal -1/2 from the coherent-state normalization.
     norm_const : float
         Product of the four wavefunction normalization prefactors divided
         by pi^2; multiplies sqrt(pi^4 / det A) to give the zero-order purity.
@@ -92,7 +94,6 @@ class GaussianIntegralData:
 
     A: np.ndarray
     Lmap: np.ndarray
-    Cquad: np.ndarray
     norm_const: float
 
 
@@ -155,7 +156,6 @@ def build_A(sys: OscillatorSystem) -> GaussianIntegralData:
     return GaussianIntegralData(
         A=A,
         Lmap=_chain_Lmap(sys),
-        Cquad=-0.5 * np.eye(8),
         norm_const=(sys.gamma * sys.Gamma) ** 2 / math.pi ** 2,
     )
 
@@ -189,7 +189,6 @@ def build_At(sys: OscillatorSystem, tau: float) -> GaussianIntegralData:
     return GaussianIntegralData(
         A=A,
         Lmap=_chain_Lmap(sys),
-        Cquad=-0.5 * np.eye(8),
         norm_const=(sys.gamma * sys.Gamma) ** 2 / (math.pi ** 2 * T),
     )
 
@@ -235,7 +234,7 @@ def build_M(sys: OscillatorSystem) -> QuadraticGenerator:
 
 
 def build_M_from_A(gdata: GaussianIntegralData) -> QuadraticGenerator:
-    """Generator via the Gaussian integral: M = (1/4) L^T A^{-1} L + Cquad.
+    """Generator via the Gaussian integral: M = (1/4) L^T A^{-1} L - (1/2) I.
 
     A is inverted with a partially pivoted solve.  A singular A raises with
     its condition number in the message; a merely ill-conditioned one
@@ -259,7 +258,7 @@ def build_M_from_A(gdata: GaussianIntegralData) -> QuadraticGenerator:
         raise NumericalConsistencyError(
             f"kernel quadratic form is singular (condition number {cond!r})"
         ) from exc
-    M = 0.25 * gdata.Lmap.T @ AinvL + gdata.Cquad
+    M = 0.25 * gdata.Lmap.T @ AinvL - 0.5 * np.eye(8)
     M = 0.5 * (M + M.T)  # symmetrize away roundoff
     detA = np.linalg.det(A)
     if not abs(detA.imag if np.iscomplexobj(A) else 0.0) <= _IMAG_TOL * abs(detA):
@@ -276,16 +275,15 @@ def build_M_from_A(gdata: GaussianIntegralData) -> QuadraticGenerator:
 # ----------------------------------------------------------------------
 
 
-def _check_number_cap(total: int, cap: int):
-    if total > cap:
+def _check_number_cap(total: int):
+    if total > _NUMBER_CAP:
         raise ResourceCapError(
-            f"quantum-number order {total} exceeds the cap {cap}; raise the cap "
-            "explicitly if the run time is acceptable"
+            f"quantum-number order {total} exceeds the cap {_NUMBER_CAP}, beyond "
+            "which the extracted purities lose their precision"
         )
 
 
-def purity_number(sys: OscillatorSystem, m: int, n: int,
-                  cap: int = DEFAULT_NUMBER_CAP) -> float:
+def purity_number(sys: OscillatorSystem, m: int, n: int) -> float:
     """Exact purity of the number state |m, n> of a trapped pair.
 
     Extracts the coefficient of prod alpha_i^m beta_i^n from the generator
@@ -294,15 +292,14 @@ def purity_number(sys: OscillatorSystem, m: int, n: int,
     """
     if m < 0 or n < 0:
         raise DomainError("quantum numbers must be nonnegative")
-    _check_number_cap(m + n, cap)
+    _check_number_cap(m + n)
     gen = build_M(sys)
     coeff = taylor_coefficient(gen.Mmat, (m, m, m, m, n, n, n, n))
     fac = float(math.factorial(m) * math.factorial(n))
     return float(gen.prefactor * fac * fac * coeff)
 
 
-def purity_number_unbound(sys: OscillatorSystem, m: int, tau: float,
-                          cap: int = DEFAULT_NUMBER_CAP) -> float:
+def purity_number_unbound(sys: OscillatorSystem, m: int, tau: float) -> float:
     """Exact purity of the untrapped pair in vibrational state m with a
     center-of-mass packet spread to dimensionless time tau.
 
@@ -311,7 +308,7 @@ def purity_number_unbound(sys: OscillatorSystem, m: int, tau: float,
     """
     if m < 0:
         raise DomainError("vibrational index must be nonnegative")
-    _check_number_cap(m, cap)
+    _check_number_cap(m)
     gen = build_M_from_A(build_At(sys, tau))
     coeff = taylor_coefficient(gen.Mmat, (m, m, m, m, 0, 0, 0, 0))
     fac = float(math.factorial(m))
@@ -324,12 +321,13 @@ def purity_number_unbound(sys: OscillatorSystem, m: int, tau: float,
     return float(value.real)
 
 
-def _cross_orders(quad, cap: int) -> tuple:
-    """Box index (m_1..m_4, n_1..n_4) of a quadruple; raises beyond ``cap``."""
+def _cross_orders(quad) -> tuple:
+    """Box index (m_1..m_4, n_1..n_4) of a quadruple; raises beyond the
+    cross-term cap."""
     total = sum(m + n for (m, n) in quad)
-    if total > cap:
+    if total > _CROSS_CAP:
         raise ResourceCapError(
-            f"total order {total} exceeds the cross-term cap {cap}"
+            f"total order {total} exceeds the cross-term cap {_CROSS_CAP}"
         )
     return tuple(m for (m, _) in quad) + tuple(n for (_, n) in quad)
 
@@ -342,8 +340,7 @@ def _cross_value(gen: QuadraticGenerator, box: np.ndarray, orders) -> float:
     return float(gen.prefactor * math.sqrt(fac) * box[orders])
 
 
-def purity_cross(sys: OscillatorSystem, quadruple,
-                 cap: int = DEFAULT_CROSS_CAP) -> float:
+def purity_cross(sys: OscillatorSystem, quadruple) -> float:
     """Cross term P({m_i, n_i}) of the superposition purity sum.
 
     ``quadruple`` holds four (m_i, n_i) pairs, one per kernel factor in the
@@ -357,33 +354,28 @@ def purity_cross(sys: OscillatorSystem, quadruple,
         raise DomainError("quadruple must contain exactly four (m, n) pairs")
     if any(m < 0 or n < 0 for (m, n) in quad):
         raise DomainError("quantum numbers must be nonnegative")
-    orders = _cross_orders(quad, cap)
+    orders = _cross_orders(quad)
     if sum(orders) % 2 == 1:
         return 0.0
     gen = build_M(sys)
     return _cross_value(gen, taylor.exp_taylor_box(gen.Mmat, orders), orders)
 
 
-def purity_superposition(sys: OscillatorSystem, state,
-                         cap: int = DEFAULT_CROSS_CAP) -> float:
+def purity_superposition(sys: OscillatorSystem, state: Superposition) -> float:
     """Exact purity of a finite normalized superposition of number states.
 
     Sums c_1 c_2* c_3 c_4* P({m_i, n_i}) over all index quadruples drawn
     from the support, in a fixed iteration order.  Every cross term is read
     from one box whose per-slot caps are the largest orders any even-total
-    quadruple with nonzero weight needs.  Accepts a
-    :class:`~oscillent.system.Superposition` or a raw (m, n, coefficient)
-    term list, which is validated.
+    quadruple with nonzero weight needs.
     """
-    if not isinstance(state, Superposition):
-        state = Superposition(tuple(state))
     gen = build_M(sys)
     read = []
     for (m1, n1, c1), (m2, n2, c2), (m3, n3, c3), (m4, n4, c4) in product(state.terms, repeat=4):
         weight = c1 * c2.conjugate() * c3 * c4.conjugate()
         if weight == 0:
             continue
-        read.append((weight, _cross_orders(((m1, n1), (m2, n2), (m3, n3), (m4, n4)), cap)))
+        read.append((weight, _cross_orders(((m1, n1), (m2, n2), (m3, n3), (m4, n4)))))
     even = [orders for (_, orders) in read if sum(orders) % 2 == 0]
     box = taylor.exp_taylor_box(gen.Mmat, np.max(even, axis=0)) if even else None
 

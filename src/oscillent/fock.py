@@ -29,8 +29,9 @@ basis matches the symplectic scales of the coherent-state standard form,
 (sqrt(gamma Gamma) s, sqrt(gamma Gamma) / s), which is exact for
 single-excitation states whenever the two oscillator frequencies coincide.
 
-Coefficient tables fill from a single generating-function box and are
-immutable afterwards; a superposition reads all its terms from one box.
+A coefficient table fills from a single generating-function box and is
+immutable afterwards; a single coefficient is read from the table that
+holds it, and a superposition reads all its terms from one box.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "BasisParams",
     "CoeffTable",
     "default_basis",
-    "transform_coefficient",
     "coefficient_table",
     "reduced_density_truncated",
     "purity_from_density",
@@ -59,7 +59,6 @@ __all__ = [
     "convergence_run",
 ]
 
-DEFAULT_COEFF_CAP = 64  # j + k + m + n for a single coefficient
 _ENTROPY_FLOOR = 1e-14
 
 
@@ -113,27 +112,6 @@ def _generator(sys: OscillatorSystem, gamma1: float, gamma2: float):
     G = p.T @ f @ p / Z - 0.5 * np.eye(4)
     prefactor = math.sqrt(4.0 * gamma1 * gamma2 * gam * Gam / Z)
     return G, prefactor
-
-
-def transform_coefficient(sys: OscillatorSystem, basis: BasisParams,
-                          j: int, k: int, m: int, n: int,
-                          cap: int = DEFAULT_COEFF_CAP) -> float:
-    """Single basis-change coefficient {j, k | m, n>.
-
-    Zero whenever j + k + m + n is odd (the generating exponential has only
-    even total degrees).
-    """
-    if min(j, k, m, n) < 0:
-        raise DomainError("indices must be nonnegative")
-    if j + k + m + n > cap:
-        raise ResourceCapError(f"index total {j + k + m + n} exceeds the cap {cap}")
-    if (j + k + m + n) % 2 == 1:
-        return 0.0
-    G, pref = _generator(sys, basis.gamma1, basis.gamma2)
-    box = exp_taylor_box(G, (j, k, m, n))
-    weight = math.sqrt(math.factorial(j) * math.factorial(k)
-                       * math.factorial(m) * math.factorial(n))
-    return float(pref * weight * box[j, k, m, n])
 
 
 @dataclass(frozen=True)
@@ -252,27 +230,25 @@ def entropy_truncated(sys: OscillatorSystem, state, basis: BasisParams) -> float
     return entropy_from_density(reduced_density_truncated(sys, state, basis))
 
 
-def convergence_run(sys: OscillatorSystem, state, basis_list, max_truncation: int,
-                    exact: float | None = None):
+def convergence_run(sys: OscillatorSystem, state, basis_list, max_truncation: int):
     """Purity error sequences over growing square truncations.
 
     For each (gamma1, gamma2) pair the full coefficient matrix is computed
     once at max_truncation and the truncated purity is read off every
     sub-block, so a run costs one expansion per basis.  Rows come back as
     (gamma1, gamma2, jmax, kmax, purity, abs_error) against the exact value
-    (computed from the generating-function method when not supplied).
+    from the generating-function method.
     """
     if max_truncation < 0:
         raise DomainError("max_truncation must be nonnegative")
-    if exact is None:
-        if isinstance(state, NumberState):
-            exact = purity_number(sys, state.m, state.n)
-        elif isinstance(state, Superposition):
-            exact = purity_superposition(sys, state)
-        else:
-            raise UnsupportedStateError(
-                f"no exact reference for state kind {type(state).__name__}"
-            )
+    if isinstance(state, NumberState):
+        exact = purity_number(sys, state.m, state.n)
+    elif isinstance(state, Superposition):
+        exact = purity_superposition(sys, state)
+    else:
+        raise UnsupportedStateError(
+            f"no exact reference for state kind {type(state).__name__}"
+        )
     rows = []
     for (g1, g2) in basis_list:
         basis = BasisParams(gamma1=g1, gamma2=g2, jmax=max_truncation, kmax=max_truncation)

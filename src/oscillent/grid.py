@@ -23,7 +23,7 @@ so the sized grid holds a factor of two in hand.  The same samples check
 it: the purity of every second point in each direction, W[::2, ::2], is the
 same window at twice the spacing, and its distance from the full purity is
 reported as the grid defect.  An explicit number of points overrides the
-sizing.
+sizing; a window that no finite grid resolves is refused either way.
 
 Wavefunctions are evaluated in particle coordinates via the substitution
 psi(x1, x2) = Phi(x1 - x2, mu1 x1 + mu2 x2).  Hermite factors use the
@@ -277,7 +277,12 @@ def _window(sys: OscillatorSystem, state, extent_sigmas: float):
         c1 = X0 + mu2 * r0
         c2 = X0 - mu1 * r0
     elif isinstance(state, UnboundGaussian):
-        spread_X = 1.0 + state.tau ** 2
+        # tau ** 2 keeps the bits of every finite window, which tau * tau
+        # would not; past 1.3e154 it raises, and the window is unbounded
+        try:
+            spread_X = 1.0 + state.tau ** 2
+        except OverflowError:
+            spread_X = math.inf
     var_X = spread_X / (2 * Gam2)
     var_r = (2 * m_eff + 1) / (2 * gam2)
     sigma1 = math.sqrt(var_X + mu2 ** 2 * var_r)
@@ -323,7 +328,9 @@ def _check_sample_cap(state, n_points: int):
 
 def _sample(sys: OscillatorSystem, state, grid: GridSpec):
     c1, c2, half1, half2 = _window(sys, state, grid.extent_sigmas)
-    n = _sized_points(sys, half1, half2) if grid.n_points is None else grid.n_points
+    # sized even when the points are given, so an unbounded window is refused
+    sized = _sized_points(sys, half1, half2)
+    n = sized if grid.n_points is None else grid.n_points
     _check_sample_cap(state, n)
     x1 = np.linspace(c1 - half1, c1 + half1, n)
     x2 = np.linspace(c2 - half2, c2 + half2, n)

@@ -23,6 +23,7 @@ threads without coordination.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass, field
@@ -209,8 +210,11 @@ class Coherent:
     beta: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
+        for name in ("alpha", "beta"):
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 def _quantum_number(value) -> int:
@@ -255,8 +259,9 @@ class Superposition:
                 raise DomainError(f"quantum numbers must be nonnegative, got ({m}, {n})")
         if len({(m, n) for (m, n, _) in terms}) != len(terms):
             raise DomainError("duplicate (m, n) labels in superposition")
-        norm = sum(abs(cf) ** 2 for (_, _, cf) in terms)
-        if abs(norm - 1.0) > _NORMALIZATION_TOL:
+        # a product overflows to inf where ** would raise OverflowError
+        norm = sum(abs(cf) * abs(cf) for (_, _, cf) in terms)
+        if not abs(norm - 1.0) <= _NORMALIZATION_TOL:
             raise DomainError(f"superposition is not normalized: sum |c|^2 = {norm!r}")
         object.__setattr__(self, "terms", terms)
 

@@ -64,9 +64,19 @@ class TestPurityCommand:
         assert code == 0
         assert 0 < rec["purity"] < 1
 
-    def test_resource_cap_exit_code(self):
-        assert cli.run(["purity", "--g", "2", "--mu1", "0.5",
-                        "--state", "number:9,9"]) == 3
+    def test_resource_cap_exit_code(self, capsys):
+        # the exact route's order caps are fixed: the message names the cap
+        # and offers no way past it
+        for system, state, cap in [
+            (["--g", "2", "--mu1", "0.5"], "number:9,9", "cap 8"),
+            (["--g", "2", "--mu1", "0.5"], "number:5,4", "cap 8"),
+            (["--c", "2", "--mu1", "0.5"], "unbound:9,1", "cap 8"),
+            (["--g", "2", "--mu1", "0.5"], "superposition:0,0,0.6;0,5,0.8", "cap 16"),
+        ]:
+            assert cli.run(["purity", *system, "--state", state]) == 3
+            err = capsys.readouterr().err
+            assert cap in err
+            assert "raise" not in err
 
     def test_fock_truncation_beyond_float_factorials_exits_three(self, capsys):
         assert cli.run(["purity", "--g", "2", "--mu1", "0.5", "--state", "number:1,1",
@@ -119,7 +129,23 @@ class TestPurityCommand:
                         "--method", "oracle", "--extent", value]) == 1
         assert cli.run(["sweep", "--g", "2", "--mu1", "0.3", "--param", "theta",
                         "--range", f"0:{value}:3"]) == 1
+        for method in ("analytic", "exact", "fock", "oracle"):
+            for state in (f"coherent:{value},0", f"sup:{value}",
+                          f"superposition:0,1,0.6;1,0,{value}"):
+                assert cli.run(["purity", "--g", "2", "--mu1", "0.3", "--state", state,
+                                "--method", method]) == 1
         assert capsys.readouterr().out == ""
+
+    def test_overflowing_state_literals(self, capsys):
+        # sum |c|^2 overflows to inf, which is not 1
+        assert cli.run(["purity", "--g", "2", "--mu1", "0.3",
+                        "--state", "superposition:0,0,1e200;1,0,0"]) == 1
+        assert "not normalized" in capsys.readouterr().err
+        # tau^2 overflows: no finite grid holds the packet, sized or given
+        for points in ([], ["--n-points", "64"]):
+            assert cli.run(["purity", "--method", "oracle", "--c", "2", "--mu1", "0.3",
+                            "--state", "unbound:1,1e200", *points]) == 3
+            assert "unboundedly many points" in capsys.readouterr().err
 
     def test_usage_errors_exit_one(self):
         assert cli.run(["purity", "--g", "1", "--state", "number:0,1"]) == 1

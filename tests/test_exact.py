@@ -115,7 +115,7 @@ class TestGeneratorConstruction:
 
     def test_singular_A_reports_condition_number(self):
         data = GaussianIntegralData(A=np.zeros((4, 4)), Lmap=np.zeros((4, 8)),
-                                    Cquad=-0.5 * np.eye(8), norm_const=1.0)
+                                    norm_const=1.0)
         with pytest.raises(NumericalConsistencyError, match="condition number"):
             build_M_from_A(data)
 
@@ -187,11 +187,25 @@ class TestPurityNumber:
 
     def test_resource_cap(self):
         sys = OscillatorSystem.from_dimensionless(2.0, 0.5)
-        with pytest.raises(ResourceCapError):
+        with pytest.raises(ResourceCapError, match="cap 8"):
             purity_number(sys, 5, 4)
-        # explicit override allows it
-        val = purity_number(sys, 5, 4, cap=9)
-        assert 0.0 < val < 1.0
+        with pytest.raises(ResourceCapError, match="cap 8"):
+            purity_number_unbound(OscillatorSystem.from_untrapped(0.5, c=2.0), 9, 1.0)
+
+    @pytest.mark.parametrize("m, n", [(8, 0), (0, 8), (4, 4), (7, 1)])
+    def test_symmetries_at_the_cap(self, m, n):
+        # the deepest orders the cap allows keep every symmetry far into the
+        # regimes g >> 1 and mu1 -> 1; symmetry alone certifies no value (a
+        # raised cap gives |63,0> at g = 100 a symmetric 0.2125 that no other
+        # route confirms), so the (4,4) value is checked against the oracle
+        for g in (10.0, 1e3, 1e6):
+            for mu1 in (0.5, 0.99, 0.999):
+                p = purity_number(OscillatorSystem.from_dimensionless(g, mu1), m, n)
+                assert 0.0 < p <= 1.0
+                for other in (purity_number(OscillatorSystem.from_dimensionless(1 / g, mu1), m, n),
+                              purity_number(OscillatorSystem.from_dimensionless(g, 1 - mu1), m, n),
+                              purity_number(OscillatorSystem.from_dimensionless(g, mu1), n, m)):
+                    assert abs(p - other) <= 1e-12
 
     def test_deeper_states_more_entangled_monitored(self):
         # diagonal monotonicity is an observed regularity, not an asserted
@@ -256,7 +270,7 @@ class TestPurityCross:
     def test_cap(self):
         sys = OscillatorSystem.from_dimensionless(4.0, 0.4)
         with pytest.raises(ResourceCapError):
-            purity_cross(sys, [(3, 3)] * 4, cap=16)
+            purity_cross(sys, [(3, 3)] * 4)
 
     def test_quadruple_shape_validated(self):
         sys = OscillatorSystem.from_dimensionless(4.0, 0.4)
@@ -288,7 +302,7 @@ class TestPuritySuperposition:
     def test_non_normalized_terms_rejected(self):
         sys = OscillatorSystem.from_dimensionless(5.0, 0.5)
         with pytest.raises(DomainError):
-            purity_superposition(sys, [(0, 1, 0.9), (1, 0, 0.9)])
+            purity_superposition(sys, Superposition(((0, 1, 0.9), (1, 0, 0.9))))
 
     def test_complex_coefficients_stay_real(self):
         sys = OscillatorSystem.from_dimensionless(2.0, 0.35)
@@ -333,22 +347,23 @@ class TestPuritySuperposition:
 
     def test_cap_counts_only_weighted_quadruples(self):
         sys = OscillatorSystem.from_dimensionless(2.0, 0.4)
-        # |0,3> x 4 reaches total 12 > 11
-        with pytest.raises(ResourceCapError, match="total order 12"):
-            purity_superposition(sys, [(0, 0, 0.6), (0, 3, 0.8)], cap=11)
+        # |0,5> x 4 reaches total 20 > 16
+        with pytest.raises(ResourceCapError, match="total order 20"):
+            purity_superposition(sys, Superposition(((0, 0, 0.6), (0, 5, 0.8))))
         # a zero coefficient weights every quadruple that holds it by 0
-        assert purity_superposition(sys, [(0, 1, 1.0), (0, 3, 0.0)], cap=4) == pytest.approx(
+        st = Superposition(((0, 1, 1.0), (0, 5, 0.0)))
+        assert purity_superposition(sys, st) == pytest.approx(
             purity_number(sys, 0, 1), rel=1e-13)
 
     def test_box_memory_cap(self):
-        # a raised order cap lets |8,0> + |0,8> through, but its one box at
-        # caps (8,) * 8 would hold 9^8 = 43M cells (344 MB): refused unbuilt
+        # the one box of |8,0> + |0,8> at caps (8,) * 8 would hold 9^8 = 43M
+        # cells (344 MB); the order cap refuses it before anything is built
         sys = OscillatorSystem.from_dimensionless(2.0, 0.4)
-        terms = [(8, 0, math.sqrt(0.5)), (0, 8, math.sqrt(0.5))]
+        st = Superposition(((8, 0, math.sqrt(0.5)), (0, 8, math.sqrt(0.5))))
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceCapError, match="MiB budget"):
-                purity_superposition(sys, terms, cap=32)
+            with pytest.raises(ResourceCapError, match="cross-term cap 16"):
+                purity_superposition(sys, st)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

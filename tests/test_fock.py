@@ -8,8 +8,7 @@ from oscillent import (BasisParams, DomainError, NumberState,
                        OscillatorSystem, ResourceCapError, Superposition,
                        coefficient_table, convergence_run, default_basis,
                        entropy_truncated, purity_number, purity_truncated,
-                       reduced_density_truncated, schmidt_analyze,
-                       transform_coefficient)
+                       reduced_density_truncated, schmidt_analyze)
 from oscillent.errors import UnsupportedStateError
 from oscillent.grid import hermite_functions
 
@@ -36,13 +35,13 @@ class TestTransformCoefficients:
     def test_matched_ground_overlap_is_one(self):
         sys = OscillatorSystem.from_dimensionless(1.0, 0.5)
         basis = BasisParams(SQ2, SQ2, 2, 2)
-        assert transform_coefficient(sys, basis, 0, 0, 0, 0) == pytest.approx(1.0, abs=1e-12)
+        assert coefficient_table(sys, basis, 0, 0).values[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_odd_parity_vanishes(self):
         sys = OscillatorSystem.from_dimensionless(2.0, 0.3)
         basis = BasisParams(0.8, 1.2, 4, 4)
-        assert transform_coefficient(sys, basis, 1, 0, 0, 0) == 0.0
-        assert transform_coefficient(sys, basis, 2, 1, 1, 1) == 0.0
+        assert coefficient_table(sys, basis, 0, 0).values[1, 0] == 0.0
+        assert coefficient_table(sys, basis, 1, 1).values[2, 1] == 0.0
 
     def test_unitarity_of_expansion(self):
         sys = OscillatorSystem.from_dimensionless(1.0, 0.5)
@@ -60,21 +59,12 @@ class TestTransformCoefficients:
         assert all(a >= b for a, b in zip(defects, defects[1:]))
         assert defects[-1] < 1e-6
 
-    def test_table_matches_single_coefficients(self):
-        sys = OscillatorSystem.from_dimensionless(2.0, 0.3)
-        basis = BasisParams(0.9, 1.1, 3, 3)
-        table = coefficient_table(sys, basis, 1, 1)
-        for j in range(4):
-            for k in range(4):
-                assert table.values[j, k] == pytest.approx(
-                    transform_coefficient(sys, basis, j, k, 1, 1), abs=1e-13)
-
     def test_quadrature_oracle(self):
         # independent 2D quadrature of the overlap of the basis function with
         # the physical wavefunction
         sys = OscillatorSystem.from_dimensionless(2.0, 0.3)
         basis = BasisParams(0.9, 1.1, 4, 4)
-        got = transform_coefficient(sys, basis, 1, 1, 0, 2)
+        got = coefficient_table(sys, basis, 0, 2).values[1, 1]
         from oscillent.grid import eval_wavefunction
         x = np.linspace(-12.0, 12.0, 2001)
         dx = x[1] - x[0]
@@ -83,12 +73,6 @@ class TestTransformCoefficients:
         b2 = math.sqrt(1.1) * hermite_functions(1.1 * x, 1)[1]
         quad = float(b1 @ W @ b2) * dx * dx
         assert got == pytest.approx(quad, abs=1e-10)
-
-    def test_cap(self):
-        sys = OscillatorSystem.from_dimensionless(2.0, 0.3)
-        basis = BasisParams(1.0, 1.0, 2, 2)
-        with pytest.raises(ResourceCapError):
-            transform_coefficient(sys, basis, 40, 40, 0, 0, cap=64)
 
     def test_unrepresentable_factorial_weight_hits_cap(self):
         # 171! overflows a float; the check fires before any box is built
