@@ -100,7 +100,8 @@ COMMANDS = [
 
 
 def run(tree: Path, argv: list[str]):
-    """Exit code, stdout, stderr and {relative name: bytes} of one command."""
+    """Exit code, stdout, stderr and {relative name: bytes} of one command,
+    with the tree's path in stdout and stderr replaced by ``<tree>``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -108,7 +109,10 @@ def run(tree: Path, argv: list[str]):
                               env=env, capture_output=True, timeout=600)
         files = {p.relative_to(work).as_posix(): p.read_bytes()
                  for p in sorted(work.rglob("*")) if p.is_file()}
-    return proc.returncode, proc.stdout, proc.stderr, files
+    # warnings name the file they come from, which lies in the tree
+    tree_path = str(tree).encode()
+    return (proc.returncode, proc.stdout.replace(tree_path, b"<tree>"),
+            proc.stderr.replace(tree_path, b"<tree>"), files)
 
 
 def first_difference(a: bytes, b: bytes) -> str:
@@ -141,7 +145,7 @@ def differences(old, new) -> list[str]:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print("usage: python3 tools/same_outputs.py OLD_TREE NEW_TREE", file=sys.stderr)
         return 2
     old_tree, new_tree = (Path(a).resolve() for a in argv)
     differing = 0
