@@ -14,14 +14,21 @@ Exit codes: 0 success, 1 usage error, 2 numerical-consistency failure,
 
 This is the only module that reads flags or writes files, and every table
 goes through one writer.  Every emitted file is deterministic byte for byte
-for identical inputs.  Sweeps fan out over a thread pool capped by the
-OSCILLENT_THREADS environment variable; results are written in input order
-regardless of completion order.  A JSON file passed as --config supplies
-defaults for any flag, required ones included; a flag on the command line
-wins in any spelling.
-Config values go through the flag's own type and choices, null stands for
-the flag's default, and an unknown key is a usage error.  The oracle grid is
-sized from the state unless --n-points is given.
+for identical inputs.
+
+A command names its system in one gauge (--g, --c/--gamma, or
+--m1/--m2/--omega/--Omega), and :func:`build_system` builds it.  A sweep
+point is the purity command with the swept value set, and the sweep's
+``# params:`` line records every flag that built it.  Each column of
+fig3-fig6 is a mu1 sweep over 0.01:0.99:99, byte for byte.
+
+Sweeps fan out over a thread pool capped by the OSCILLENT_THREADS
+environment variable; results are written in input order regardless of
+completion order.  A JSON file passed as --config supplies defaults for any
+flag, required ones included; a flag on the command line wins in any
+spelling.  Config values go through the flag's own type and choices, null
+stands for the flag's default, and an unknown key is a usage error.  The
+oracle grid is sized from the state unless --n-points is given.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import acceptance, exact, fock, gaussian, grid
+from . import acceptance, fock, gaussian, grid
 from .errors import DomainError, NumericalConsistencyError, OscillentError, ResourceCapError
 from .system import Coherent, NumberState, OscillatorSystem, Superposition, UnboundGaussian
 
@@ -143,7 +150,17 @@ def _add_system_args(p: argparse.ArgumentParser):
     p.add_argument("--hbar", type=float, default=1.0, help="action scale (physical gauge)")
 
 
+_GAUGES = {"--g": ("g",), "--c/--gamma": ("c", "gamma"),
+           "--m1/--m2/--omega/--Omega": ("m1", "m2", "omega", "Omega")}
+
+
 def build_system(args) -> OscillatorSystem:
+    """The system of the one gauge the flags name; flags of two gauges, or
+    --mu1 beside the physical gauge, are a usage error."""
+    given = [name for name, dests in _GAUGES.items()
+             if any(getattr(args, d) is not None for d in dests)]
+    if len(given) > 1:
+        raise _UsageError(f"pass the flags of one gauge, not {' and '.join(given)}")
     if args.g is not None:
         if args.mu1 is None:
             raise _UsageError("--g needs --mu1")
@@ -153,10 +170,13 @@ def build_system(args) -> OscillatorSystem:
             raise _UsageError("--c/--gamma need --mu1")
         return OscillatorSystem.from_untrapped(args.mu1, Gamma=args.Gamma,
                                                c=args.c, gamma=args.gamma)
-    if args.m1 is not None:
-        missing = [n for n in ("m2", "omega", "Omega") if getattr(args, n) is None]
+    if given:
+        missing = [n for n in ("m1", "m2", "omega", "Omega") if getattr(args, n) is None]
         if missing:
             raise _UsageError(f"physical gauge needs --{', --'.join(missing)}")
+        if args.mu1 is not None:
+            raise _UsageError("--mu1 belongs to the g and c gauges; the physical gauge "
+                              "takes it from --m1/--m2")
         Gamma = args.Gamma if args.Omega == 0 else None
         return OscillatorSystem.from_physical(args.m1, args.m2, args.omega,
                                               args.Omega, hbar=args.hbar, Gamma=Gamma)
@@ -331,37 +351,28 @@ def _sweep_values(args) -> np.ndarray:
 
 
 def _sweep_point(args, param: str, value: float) -> float:
-    if param == "g":
-        if args.mu1 is None:
-            raise _UsageError("sweeping g needs --mu1")
-        sys_ = OscillatorSystem.from_dimensionless(value, args.mu1)
-        state = parse_state(args.state)
-    elif param == "mu1":
-        if args.c is not None or args.gamma is not None:
-            sys_ = OscillatorSystem.from_untrapped(value, Gamma=args.Gamma,
-                                                   c=args.c, gamma=args.gamma)
-        elif args.g is not None:
-            sys_ = OscillatorSystem.from_dimensionless(args.g, value)
-        else:
-            raise _UsageError("sweeping mu1 needs --g or --c/--gamma")
-        state = parse_state(args.state)
-    elif param == "c":
-        if args.mu1 is None:
-            raise _UsageError("sweeping c needs --mu1")
-        sys_ = OscillatorSystem.from_untrapped(args.mu1, Gamma=args.Gamma, c=value)
-        state = parse_state(args.state)
-    elif param == "tau":
-        sys_ = build_system(args)
-        base = parse_state(args.state)
-        if not isinstance(base, UnboundGaussian):
-            raise _UsageError("sweeping tau needs --state unbound:M,TAU")
-        state = UnboundGaussian(base.m, float(value))
-    elif param == "theta":
-        sys_ = build_system(args)
+    """The purity of one sweep point, built as the purity command builds it
+    from the same flags with the swept one set to ``value``."""
+    point = argparse.Namespace(**vars(args))
+    if param in ("g", "mu1", "c"):
+        setattr(point, param, value)
+    elif param not in ("tau", "theta"):
+        raise _UsageError(f"unknown sweep parameter {param!r}")
+    sys_ = build_system(point)
+    if param == "theta":
         state = Superposition.two_mode_mix(float(value))
     else:
-        raise _UsageError(f"unknown sweep parameter {param!r}")
+        state = parse_state(args.state)
+        if param == "tau":
+            if not isinstance(state, UnboundGaussian):
+                raise _UsageError("sweeping tau needs --state unbound:M,TAU")
+            state = UnboundGaussian(state.m, float(value))
     return compute_purity(sys_, state, args.method, args, entropy=False)["purity"]
+
+
+# the flags a sweep's header records when they are set, and those of each route
+_SWEEP_FLAGS = ("g", "mu1", "c", "gamma", "Gamma", "hbar", "m1", "m2", "omega", "Omega")
+_METHOD_FLAGS = {"fock": ("jmax", "kmax", "gamma1", "gamma2"), "oracle": ("n_points", "extent")}
 
 
 def _cmd_sweep(args) -> int:
@@ -370,7 +381,7 @@ def _cmd_sweep(args) -> int:
         purities = list(pool.map(lambda v: _sweep_point(args, args.param, float(v)), values))
     params = {"param": args.param, "range": args.range, "scale": args.scale,
               "method": args.method, "state": args.state}
-    for name in ("g", "mu1", "c", "gamma", "Gamma", "hbar"):
+    for name in _SWEEP_FLAGS + _METHOD_FLAGS.get(args.method, ()):
         val = getattr(args, name)
         if val is not None and name != args.param:
             params[name] = val
@@ -391,8 +402,14 @@ _FIG7_PAIRS = [(1 / math.sqrt(2), 1 / math.sqrt(2)), (1.0, 1.0),
 _FIG7_CASES = [(1.0, 0.5), (5.0, 0.5), (1.0, 0.1), (5.0, 0.1)]
 
 
-def _mu_grid(n: int = 99) -> np.ndarray:
-    return np.linspace(0.01, 0.99, n)
+def _mu_table(path, params: dict, columns):
+    """A table over the mu1 grid of ``sweep --param mu1 --range 0.01:0.99:99``;
+    each column is ``(name, system of mu1, state)``, each cell the
+    :func:`acceptance.method_purity` of its state on its system."""
+    rows = ((mu,) + tuple(acceptance.method_purity(system(mu), state)
+                          for (_, system, state) in columns)
+            for mu in np.linspace(0.01, 0.99, 99).tolist())
+    _write_csv(path, params, ["mu1"] + [name for (name, _, _) in columns], rows)
 
 
 def _cmd_figure(args) -> int:
@@ -418,49 +435,27 @@ def _cmd_figure(args) -> int:
                        {"g": g, "mu1": mu1, "state": f"number:{m},{n}", "n": args.points},
                        ["x1", "x2", "density"], rows)
     elif which == "fig3":
-        mus = _mu_grid()
-        rows = [(float(mu),) + tuple(
-            gaussian.purity_coherent(OscillatorSystem.from_dimensionless(g, float(mu)))
-            for g in _FIG3_G) for mu in mus]
-        _write_csv(outpath("fig3.csv"), {"g": _FIG3_G},
-                   ["mu1"] + [f"P_g{g:g}" for g in _FIG3_G], rows)
+        _mu_table(outpath("fig3.csv"), {"g": _FIG3_G},
+                  [(f"P_g{g:g}", functools.partial(OscillatorSystem.from_dimensionless, g),
+                    Coherent()) for g in _FIG3_G])
     elif which == "fig4":
         flip = args.c_convention == "gamma-over-Gamma"
-        mus = _mu_grid()
-        rows = []
-        for mu in mus:
-            row = [float(mu)]
-            for c in _FIG4_C:
-                c_eff = 1.0 / c if flip else c
-                sys_ = OscillatorSystem.from_untrapped(float(mu), c=c_eff)
-                row.append(gaussian.purity_unbound_gaussian(sys_, 0.0))
-            rows.append(tuple(row))
-        _write_csv(outpath("fig4.csv"),
-                   {"c": _FIG4_C, "c_convention": args.c_convention, "tau": 0.0},
-                   ["mu1"] + [f"P_c{c:g}" for c in _FIG4_C], rows)
+        _mu_table(outpath("fig4.csv"),
+                  {"c": _FIG4_C, "c_convention": args.c_convention, "tau": 0.0},
+                  [(f"P_c{c:g}", functools.partial(OscillatorSystem.from_untrapped,
+                                                   c=1.0 / c if flip else c),
+                    UnboundGaussian(0, 0.0)) for c in _FIG4_C])
     elif which == "fig5":
-        mus = _mu_grid()
-        combos = [(m, n) for m in (0, 1, 2) for n in (0, 1, 2, 3)]
         for g in _FIG5_G:
-            rows = []
-            for mu in mus:
-                sys_ = OscillatorSystem.from_dimensionless(g, float(mu))
-                rows.append((float(mu),) + tuple(
-                    exact.purity_number(sys_, m, n) for (m, n) in combos))
-            _write_csv(outpath(f"fig5_g{g:g}.csv"), {"g": g},
-                       ["mu1"] + [f"P{m}{n}" for (m, n) in combos], rows)
+            _mu_table(outpath(f"fig5_g{g:g}.csv"), {"g": g},
+                      [(f"P{m}{n}", functools.partial(OscillatorSystem.from_dimensionless, g),
+                        NumberState(m, n)) for m in (0, 1, 2) for n in (0, 1, 2, 3)])
     elif which == "fig6":
-        mus = _mu_grid()
         for g in _FIG6_G:
-            rows = []
-            for mu in mus:
-                sys_ = OscillatorSystem.from_dimensionless(g, float(mu))
-                rows.append((float(mu),) + tuple(
-                    exact.purity_superposition(sys_, Superposition.two_mode_mix(th))
-                    for (_, th) in _FIG6_THETA))
-            _write_csv(outpath(f"fig6_g{g:g}.csv"),
-                       {"g": g, "theta": [lbl for (lbl, _) in _FIG6_THETA]},
-                       ["mu1"] + [f"P_theta_{lbl}" for (lbl, _) in _FIG6_THETA], rows)
+            _mu_table(outpath(f"fig6_g{g:g}.csv"),
+                      {"g": g, "theta": [lbl for (lbl, _) in _FIG6_THETA]},
+                      [(f"P_theta_{lbl}", functools.partial(OscillatorSystem.from_dimensionless, g),
+                        Superposition.two_mode_mix(th)) for (lbl, th) in _FIG6_THETA])
     elif which == "fig7":
         for (g, mu1) in _FIG7_CASES:
             sys_ = OscillatorSystem.from_dimensionless(g, mu1)

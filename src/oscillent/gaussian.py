@@ -83,7 +83,12 @@ def purity_unbound_gaussian(sys: OscillatorSystem, tau: float) -> float:
     gam, Gam = sys.gamma, sys.Gamma
     mu1, mu2 = sys.mu1, sys.mu2
     under = (gam * gam + Gam * Gam * mu1 * mu1) * (gam * gam + Gam * Gam * mu2 * mu2)
-    return gam * Gam / math.sqrt(under + gam ** 4 * tau * tau)
+    spread = gam ** 4 * tau * tau
+    if not math.isfinite(spread):
+        # the square overflows (tau = 1e300, say): take the root of the sum
+        # divided by gam^4, so tau enters unsquared
+        return Gam / (gam * math.hypot(math.sqrt(under) / (gam * gam), tau))
+    return gam * Gam / math.sqrt(under + spread)
 
 
 # ----------------------------------------------------------------------

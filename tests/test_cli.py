@@ -147,6 +147,14 @@ class TestPurityCommand:
                             "--state", "unbound:1,1e200", *points]) == 3
             assert "unboundedly many points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["analytic", "exact"])
+    def test_spread_packet_whose_tau_squared_overflows(self, capsys, method):
+        # the closed form is c/|tau| there, c = 2; it used to print 0.0
+        code, rec = run_json(capsys, ["purity", "--method", method, "--c", "2",
+                                      "--mu1", "0.3", "--state", "unbound:0,1e300"])
+        assert code == 0
+        assert rec["purity"] == pytest.approx(2e-300, rel=1e-15, abs=0)
+
     def test_usage_errors_exit_one(self):
         assert cli.run(["purity", "--g", "1", "--state", "number:0,1"]) == 1
         assert cli.run(["purity", "--g", "1", "--mu1", "0.5",
@@ -259,6 +267,169 @@ class TestSweepCommand:
         monkeypatch.setenv("OSCILLENT_THREADS", "0")
         assert cli.run(["sweep", "--param", "mu1", "--range", "0.2:0.8:5",
                         "--g", "2", "--state", "number:0,1", "-o", str(out)]) == 1
+
+
+PHYSICAL = ["--m1", "1", "--m2", "2", "--omega", "3", "--Omega", "1"]
+
+
+def run_table(capsys, argv):
+    """The params dict and the lines after it of a table written to stdout."""
+    assert cli.run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return json.loads(lines[0][len("# params: "):]), lines[1:]
+
+
+class TestOneGauge:
+    # each purity command next to a sweep that sets the same flags
+    @pytest.mark.parametrize("flags, sweep, state", [
+        (["--g", "5", "--c", "2", "--mu1", "0.2"],
+         ["--param", "mu1", "--range", "0.2:0.8:2", "--g", "5", "--c", "2"], "number:1,1"),
+        (["--c", "1", "--gamma", "2", "--mu1", "0.3"],
+         ["--param", "c", "--range", "1:2:2", "--gamma", "2", "--mu1", "0.3"], "unbound:0,0"),
+        (["--g", "1", "--c", "2", "--mu1", "0.3"],
+         ["--param", "g", "--range", "1:2:2", "--c", "2", "--mu1", "0.3"], "number:1,1"),
+        (["--g", "5", "--mu1", "0.3", *PHYSICAL],
+         ["--param", "theta", "--range", "0:1:2", "--g", "5", "--mu1", "0.3", *PHYSICAL],
+         "number:1,1"),
+        (["--c", "2", "--mu1", "0.3", "--Omega", "0"],
+         ["--param", "tau", "--range", "0:1:2", "--c", "2", "--mu1", "0.3", "--Omega", "0"],
+         "unbound:0,0"),
+        ([*PHYSICAL, "--mu1", "0.3"],
+         ["--param", "mu1", "--range", "0.2:0.8:2", *PHYSICAL], "number:1,1"),
+    ])
+    def test_flags_of_two_gauges_exit_one(self, capsys, flags, sweep, state):
+        assert cli.run(["purity", "--state", state, *flags]) == 1
+        assert cli.run(["sweep", "--state", state, *sweep]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: ") == 2
+
+    def test_the_message_names_the_gauges(self, capsys):
+        assert cli.run(["purity", "--g", "5", "--c", "2", "--mu1", "0.2",
+                        "--state", "number:1,1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: pass the flags of one gauge, not --g and --c/--gamma\n")
+        assert cli.run(["purity", *PHYSICAL, "--mu1", "0.3", "--state", "number:1,1"]) == 1
+        assert "--mu1 belongs to the g and c gauges" in capsys.readouterr().err
+
+
+class TestSweepHeader:
+    def test_physical_fock_and_oracle_flags_are_recorded(self, capsys):
+        params, _ = run_table(capsys, ["sweep", "--param", "theta", "--range", "0:1:2",
+                                       *PHYSICAL])
+        assert {k: params[k] for k in ("m1", "m2", "omega", "Omega")} == {
+            "m1": 1.0, "m2": 2.0, "omega": 3.0, "Omega": 1.0}
+        params, _ = run_table(capsys, ["sweep", "--param", "g", "--range", "1:2:2",
+                                       "--mu1", "0.3", "--state", "number:0,1",
+                                       "--method", "fock", "--jmax", "24"])
+        assert (params["jmax"], params["kmax"]) == (24, 24)
+        assert "gamma1" not in params
+        params, _ = run_table(capsys, ["sweep", "--param", "mu1", "--range", "0.3:0.6:2",
+                                       "--g", "2", "--state", "number:1,1",
+                                       "--method", "oracle", "--n-points", "256"])
+        assert (params["n_points"], params["extent"]) == (256, 8.0)
+
+    def test_exact_header_keeps_its_keys(self, capsys):
+        params, _ = run_table(capsys, ["sweep", "--param", "mu1", "--range", "0.2:0.8:2",
+                                       "--g", "5", "--state", "number:1,1"])
+        assert params == {"Gamma": 1.0, "g": 5.0, "hbar": 1.0, "method": "exact",
+                          "param": "mu1", "range": "0.2:0.8:2", "scale": "linear",
+                          "state": "number:1,1"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--param", "theta", "--range", "0:1:3", *PHYSICAL],
+        ["--param", "tau", "--range", "0:4:3", "--m1", "1", "--m2", "2", "--omega", "3",
+         "--Omega", "0", "--Gamma", "1.5", "--hbar", "2", "--state", "unbound:1,0"],
+        ["--param", "g", "--range", "1:3:3", "--mu1", "0.3", "--state", "number:0,1",
+         "--method", "fock", "--jmax", "10", "--kmax", "8", "--gamma1", "0.8",
+         "--gamma2", "1.2"],
+        ["--param", "mu1", "--range", "0.3:0.6:2", "--g", "2", "--state", "number:1,1",
+         "--method", "oracle", "--n-points", "256", "--extent", "9"],
+        ["--param", "mu1", "--range", "0.3:0.6:2", "--g", "2", "--state", "number:1,1",
+         "--method", "oracle"],
+    ])
+    def test_header_as_config_rebuilds_the_table(self, tmp_path, capsys, argv):
+        params, lines = run_table(capsys, ["sweep", *argv])
+        cfg = tmp_path / "header.json"
+        cfg.write_text(json.dumps(params))
+        assert run_table(capsys, ["sweep", "--config", str(cfg)]) == (params, lines)
+
+
+def _cells(lines):
+    """The columns of a table's rows, by name."""
+    names = lines[0].split(",")
+    return dict(zip(names, zip(*(ln.split(",") for ln in lines[1:]))))
+
+
+class TestSweepPointIsThePurityCommand:
+    # (swept flag, flags of one gauge, state, range) for every gauge each
+    # parameter accepts
+    @pytest.mark.parametrize("param, flags, state, rng", [
+        ("g", ["--mu1", "0.3"], "number:2,1", "0.2:20:4"),
+        ("mu1", ["--g", "5"], "number:2,1", "0.05:0.95:4"),
+        ("mu1", ["--c", "2"], "unbound:1,3", "0.05:0.95:4"),
+        ("mu1", ["--gamma", "0.7", "--Gamma", "1.3"], "unbound:0,2", "0.05:0.95:4"),
+        ("c", ["--mu1", "0.3", "--Gamma", "1.5"], "unbound:1,2", "0.5:5:4"),
+        ("tau", ["--c", "2", "--mu1", "0.3"], "unbound:2,0", "0:8:4"),
+        ("tau", ["--gamma", "0.7", "--mu1", "0.3"], "unbound:0,0", "0:8:4"),
+        ("tau", ["--m1", "1", "--m2", "2", "--omega", "3", "--Omega", "0",
+                 "--Gamma", "1.2"], "unbound:1,0", "0:8:4"),
+        ("theta", ["--g", "5", "--mu1", "0.3"], "coherent:", "0:3:4"),
+        ("theta", ["--c", "2", "--mu1", "0.3"], "coherent:", "0:3:4"),
+        ("theta", PHYSICAL, "coherent:", "0:3:4"),
+    ])
+    def test_bit_for_bit(self, capsys, param, flags, state, rng):
+        _, lines = run_table(capsys, ["sweep", "--param", param, "--range", rng,
+                                      "--state", state, *flags])
+        for value, purity in (ln.split(",") for ln in lines[1:]):
+            if param == "tau":
+                point = ["--state", f"{state.rsplit(',', 1)[0]},{value}"]
+            elif param == "theta":
+                point = ["--state", f"sup:{value}"]
+            else:
+                point = ["--state", state, f"--{param}", value]
+            code, rec = run_json(capsys, ["purity", *flags, *point])
+            assert code == 0
+            assert rec["purity"] == float(purity)
+
+
+class TestFiguresAreMuSweeps:
+    # figure, its files, and the sweep flags of each column of every file
+    @pytest.mark.parametrize("which, columns", [
+        ("fig3", {"fig3.csv": {f"P_g{g:g}": ["--g", repr(g), "--state", "coherent:"]
+                               for g in (1.0, 10.0, 100.0, 1000.0)}}),
+        ("fig4", {"fig4.csv": {f"P_c{c:g}": ["--c", repr(c), "--state", "unbound:0,0"]
+                               for c in (1.0, 3.0, 10.0, 30.0)}}),
+        ("fig5", {f"fig5_g{g}.csv": {f"P{m}{n}": ["--g", g, "--state", f"number:{m},{n}"]
+                                     for m in (0, 1, 2) for n in (0, 1, 2, 3)}
+                  for g in ("1", "5")}),
+        ("fig6", {f"fig6_g{g}.csv": {f"P_theta_{lbl}": ["--g", g, "--state", f"sup:{th}"]
+                                     for lbl, th in (("0", "0"), ("pi_6", "pi/6"),
+                                                     ("pi_3", "pi/3"))}
+                  for g in ("1", "5")}),
+    ])
+    def test_each_column_is_the_mu1_sweep(self, tmp_path, capsys, which, columns):
+        assert cli.run(["figure", which, "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for name, sweeps in columns.items():
+            figure = _cells((tmp_path / name).read_text().splitlines()[1:])
+            for column, flags in sweeps.items():
+                _, lines = run_table(capsys, ["sweep", "--param", "mu1",
+                                              "--range", "0.01:0.99:99", *flags])
+                sweep = _cells(lines)
+                assert figure["mu1"] == sweep["mu1"]
+                assert figure[column] == sweep["purity"], (name, column)
+
+    def test_fig4_other_convention(self, tmp_path, capsys):
+        assert cli.run(["figure", "fig4", "--outdir", str(tmp_path),
+                        "--c-convention", "gamma-over-Gamma"]) == 0
+        capsys.readouterr()
+        figure = _cells((tmp_path / "fig4.csv").read_text().splitlines()[1:])
+        for c in (3.0, 30.0):
+            _, lines = run_table(capsys, ["sweep", "--param", "mu1", "--range",
+                                          "0.01:0.99:99", "--c", repr(1.0 / c),
+                                          "--state", "unbound:0,0"])
+            assert figure[f"P_c{c:g}"] == _cells(lines)["purity"]
 
 
 class TestFigureCommands:

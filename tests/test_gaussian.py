@@ -76,6 +76,20 @@ class TestPurityUnbound:
         with pytest.raises(DomainError):
             purity_unbound_gaussian(sys, 1.0)
 
+    def test_tau_whose_square_overflows(self):
+        # far out the purity is c/|tau|, c = Gamma/gamma = 2; tau^2 overflows
+        # past |tau| ~ 1e154 and used to give 0
+        sys = OscillatorSystem.from_untrapped(0.3, c=2.0)
+        for tau in (1e155, 1e300, -1e300, 1.7e308):
+            assert purity_unbound_gaussian(sys, tau) == pytest.approx(2.0 / abs(tau),
+                                                                      rel=1e-15, abs=0)
+        # a finite square keeps the closed form's bits
+        gam, Gam, mu1, mu2 = sys.gamma, sys.Gamma, sys.mu1, sys.mu2
+        under = (gam * gam + Gam * Gam * mu1 * mu1) * (gam * gam + Gam * Gam * mu2 * mu2)
+        for tau in (0.0, 3.0, 1e150, 1e154):
+            assert purity_unbound_gaussian(sys, tau) == (
+                gam * Gam / math.sqrt(under + gam ** 4 * tau * tau))
+
 
 class TestCovariance:
     def test_entries_vanish_at_g1(self):

@@ -7,14 +7,17 @@ Each tree is a checkout of this repository; its package is imported from
 TREE/src.  Every command runs as ``python -m oscillent.cli ...`` in a fresh
 empty directory, so the files it writes are compared by their names
 relative to that directory.  The list covers purity on every route and
-state kind, sweeps, covariance, oracle-compare, fig1-fig7 and the commands
-that exit 1, 2 or 3.  Prints one line per command and exits 1 if any
+state kind, sweeps in every gauge and on every route, covariance,
+oracle-compare, fig1-fig7 and the commands that exit 1, 2 or 3.  The line
+number in a warning's ``<tree>/...py:LINE`` is masked, so moving code does
+not count as a difference.  Prints one line per command and exits 1 if any
 command differs.  Standard library only.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -23,6 +26,7 @@ from pathlib import Path
 G5 = ["--g", "5", "--mu1", "0.3"]
 FREE = ["--c", "2", "--mu1", "0.3"]
 SUP = "superposition:0,1,0.6;1,0,0.8j"
+PHYSICAL = ["--m1", "1.3", "--m2", "2.1", "--omega", "7", "--Omega", "2"]
 
 COMMANDS = [
     # purity on every route and state kind
@@ -65,6 +69,12 @@ COMMANDS = [
      "--state", "number:1,1", "--method", "oracle"],
     ["sweep", "--param", "g", "--range", "1:10:10", "--mu1", "0.3",
      "--state", "number:0,1", "--method", "fock"],
+    ["sweep", "--param", "theta", "--range", "0:3.14:7", *PHYSICAL],
+    ["sweep", "--param", "g", "--range", "1:10:4", "--mu1", "0.3",
+     "--state", "number:1,1", "--method", "fock", "--jmax", "24"],
+    ["sweep", "--param", "mu1", "--range", "0.2:0.8:4", "--g", "3",
+     "--state", "number:2,2", "--method", "oracle", "--n-points", "256"],
+    ["purity", *FREE, "--state", "unbound:0,1e300", "--method", "analytic"],
     ["oracle-compare", "-o", "oc.csv"],
     *[["figure", f"fig{i}", "--outdir", "out"] for i in range(1, 8)],
     ["figure", "fig4", "--outdir", "out", "--c-convention", "gamma-over-Gamma"],
@@ -83,6 +93,15 @@ COMMANDS = [
     ["purity", *G5, "--state", "superposition:0,0,1e200;1,0,0"],
     ["purity", *G5, "--state", "superposition:0,1,0.9;1,0,0.9"],
     ["sweep", "--param", "theta", "--range", "0:nan:3", "--g", "2", "--mu1", "0.3"],
+    # flags of two gauges, or --mu1 beside the physical gauge
+    ["purity", "--g", "5", "--c", "2", "--mu1", "0.2", "--state", "number:1,1"],
+    ["purity", *PHYSICAL, "--mu1", "0.3", "--state", "number:1,1"],
+    ["sweep", "--param", "mu1", "--range", "0.2:0.8:3", "--g", "5", "--c", "2",
+     "--state", "number:1,1"],
+    ["sweep", "--param", "c", "--range", "0.5:5:3", "--gamma", "2", "--mu1", "0.3",
+     "--state", "unbound:0,1"],
+    ["sweep", "--param", "g", "--range", "1:10:3", "--c", "2", "--mu1", "0.3",
+     "--state", "number:1,1"],
     # exit 2: numerical consistency
     ["purity", *G5, "--state", "number:2,2", "--method", "oracle", "--n-points", "48"],
     ["purity", *G5, "--state", "number:2,2", "--method", "oracle", "--n-points", "32"],
@@ -101,7 +120,8 @@ COMMANDS = [
 
 def run(tree: Path, argv: list[str]):
     """Exit code, stdout, stderr and {relative name: bytes} of one command,
-    with the tree's path in stdout and stderr replaced by ``<tree>``."""
+    with the tree's path in stdout and stderr replaced by ``<tree>`` and the
+    line number after a ``<tree>/...py:`` by ``<line>``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -109,10 +129,14 @@ def run(tree: Path, argv: list[str]):
                               env=env, capture_output=True, timeout=600)
         files = {p.relative_to(work).as_posix(): p.read_bytes()
                  for p in sorted(work.rglob("*")) if p.is_file()}
-    # warnings name the file they come from, which lies in the tree
+    # warnings name the file and line they come from, which lie in the tree
     tree_path = str(tree).encode()
-    return (proc.returncode, proc.stdout.replace(tree_path, b"<tree>"),
-            proc.stderr.replace(tree_path, b"<tree>"), files)
+
+    def masked(text: bytes) -> bytes:
+        return re.sub(rb"(<tree>/\S*?\.py:)\d+", rb"\1<line>",
+                      text.replace(tree_path, b"<tree>"))
+
+    return proc.returncode, masked(proc.stdout), masked(proc.stderr), files
 
 
 def first_difference(a: bytes, b: bytes) -> str:
