@@ -251,7 +251,8 @@ class Superposition:
     terms: tuple
 
     def __post_init__(self):
-        terms = tuple((int(m), int(n), complex(cf)) for (m, n, cf) in self.terms)
+        terms = tuple((_quantum_number(m), _quantum_number(n), complex(cf))
+                      for (m, n, cf) in self.terms)
         if not terms:
             raise DomainError("superposition needs at least one term")
         for (m, n, _) in terms:

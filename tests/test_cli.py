@@ -34,6 +34,26 @@ class TestPurityCommand:
                         "--state", "number:1,1", "--method", "analytic"])
         assert code == 1
 
+    # the Gaussian states on a (g, mu1) grid and on a (c, mu1, tau) grid
+    @pytest.mark.parametrize("cases", [
+        [(["--g", g, "--mu1", mu1], state) for g in ("0.1", "1", "7", "300")
+         for mu1 in ("0.05", "0.3", "0.5", "0.9")
+         for state in ("coherent:", "coherent:0.7+0.4j,-0.3+1.1j", "number:0,0")],
+        [(["--c", c, "--mu1", mu1], state) for c in ("0.5", "2", "30")
+         for mu1 in ("0.05", "0.5", "0.9")
+         for state in ("coherent:", "number:0,0", "unbound:0,0", "unbound:0,1.5",
+                       "unbound:0,40")],
+    ], ids=["g-mu1", "c-mu1-tau"])
+    def test_analytic_is_the_closed_form_part_of_exact(self, capsys, cases):
+        for flags, state in cases:
+            records = {}
+            for method in ("analytic", "exact"):
+                code, records[method] = run_json(capsys, ["purity", *flags, "--state", state,
+                                                          "--method", method])
+                assert code == 0
+                assert records[method].pop("method") == method
+            assert records["analytic"] == records["exact"], (flags, state)
+
     def test_oracle_method(self, capsys):
         code, rec = run_json(capsys, ["purity", "--g", "4", "--mu1", "0.5",
                                       "--state", "coherent:", "--method", "oracle",
@@ -248,6 +268,25 @@ class TestSweepCommand:
         assert cli.run(["sweep", "--param", "mu1", "--range", "0.1:0.9:1",
                         "--g", "1", "--state", "number:0,1"]) == 1
 
+    def test_failing_sweep_stops_within_its_first_block(self, capsys):
+        tracemalloc.start()
+        try:
+            assert cli.run(["sweep", "--param", "g", "--range", "1:2:100000",
+                            "--c", "2", "--mu1", "0.3"]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 23
+        assert capsys.readouterr().err == (
+            "error: pass the flags of one gauge, not --g and --c/--gamma\n")
+
+    def test_tau_sweep_needs_an_unbound_state(self, capsys):
+        assert cli.run(["sweep", "--param", "tau", "--range", "0:1:2", "--c", "2",
+                        "--mu1", "0.3", "--state", "number:1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sweeping tau needs --state unbound:M,TAU\n"
+
     def test_oversized_sweep_exits_three_before_allocating(self, capsys):
         tracemalloc.start()
         try:
@@ -258,15 +297,6 @@ class TestSweepCommand:
             tracemalloc.stop()
         assert peak < 2 ** 20
         assert "1000000000000 points exceeds the cap" in capsys.readouterr().err
-
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OSCILLENT_THREADS", "2")
-        out = tmp_path / "s.csv"
-        assert cli.run(["sweep", "--param", "mu1", "--range", "0.2:0.8:5",
-                        "--g", "2", "--state", "number:0,1", "-o", str(out)]) == 0
-        monkeypatch.setenv("OSCILLENT_THREADS", "0")
-        assert cli.run(["sweep", "--param", "mu1", "--range", "0.2:0.8:5",
-                        "--g", "2", "--state", "number:0,1", "-o", str(out)]) == 1
 
 
 PHYSICAL = ["--m1", "1", "--m2", "2", "--omega", "3", "--Omega", "1"]
@@ -312,6 +342,21 @@ class TestOneGauge:
         assert cli.run(["purity", *PHYSICAL, "--mu1", "0.3", "--state", "number:1,1"]) == 1
         assert "--mu1 belongs to the g and c gauges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["purity", "--g", "5", "--mu1", "0.3", "--Gamma", "7", "--hbar", "3",
+          "--state", "number:1,1"],
+         "the g gauge reads neither --Gamma nor --hbar"),
+        (["purity", "--c", "2", "--mu1", "0.3", "--hbar", "3", "--state", "unbound:1,1"],
+         "--hbar belongs to the physical gauge"),
+        (["purity", *PHYSICAL, "--Gamma", "5", "--state", "number:1,1"],
+         "Gamma is derived from the trap; do not pass it when OmegaTrap > 0"),
+        (["sweep", "--param", "mu1", "--range", "0.2:0.8:3", "--g", "5", "--hbar", "3"],
+         "the g gauge reads neither --Gamma nor --hbar"),
+    ], ids=["g", "c", "physical", "sweep"])
+    def test_gamma_and_hbar_only_beside_a_gauge_that_reads_them(self, capsys, argv, message):
+        assert cli.run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestSweepHeader:
     def test_physical_fock_and_oracle_flags_are_recorded(self, capsys):
@@ -332,9 +377,11 @@ class TestSweepHeader:
     def test_exact_header_keeps_its_keys(self, capsys):
         params, _ = run_table(capsys, ["sweep", "--param", "mu1", "--range", "0.2:0.8:2",
                                        "--g", "5", "--state", "number:1,1"])
-        assert params == {"Gamma": 1.0, "g": 5.0, "hbar": 1.0, "method": "exact",
-                          "param": "mu1", "range": "0.2:0.8:2", "scale": "linear",
-                          "state": "number:1,1"}
+        assert params == {"g": 5.0, "method": "exact", "param": "mu1", "range": "0.2:0.8:2",
+                          "scale": "linear", "state": "number:1,1"}
+        params, _ = run_table(capsys, ["sweep", "--param", "mu1", "--range", "0.2:0.8:2",
+                                       "--c", "2", "--Gamma", "1.5", "--state", "unbound:0,1"])
+        assert params["Gamma"] == 1.5 and "hbar" not in params
 
     @pytest.mark.parametrize("argv", [
         ["--param", "theta", "--range", "0:1:3", *PHYSICAL],
@@ -517,6 +564,20 @@ class TestOracleCompare:
         for ln in lines[2:]:
             assert float(ln.rsplit(",", 1)[1]) <= 1e-6
 
+    def test_rows_are_criterion_5s(self, capsys, monkeypatch):
+        real, seen = acceptance.oracle_residuals, []
+
+        def recorded(spec):
+            seen.append(real(spec))
+            return seen[-1]
+
+        monkeypatch.setattr(acceptance, "oracle_residuals", recorded)
+        assert acceptance.criterion_5_oracle_equivalence()[0]
+        assert [len(seen), len(seen[0])] == [1, len(acceptance.oracle_cases())]
+        assert cli.run(["oracle-compare"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            ",".join([label, *map(cli._fmt, values)]) for (label, *values) in seen[0]]
+
 
 class TestOracleSpectrum:
     @pytest.fixture
@@ -623,6 +684,12 @@ class TestSelftest:
             assert set(r) == {"number", "title", "ok", "seconds", "detail"}
             assert r["title"] == title and r["ok"] is True
             assert r["seconds"] >= 0.0 and r["detail"]
+
+    @pytest.mark.parametrize("criteria, unknown", [("99", "99"), ("1,99", "99"),
+                                                   ("0,1,13", "0, 13")])
+    def test_unknown_criteria_exit_one_before_running_any(self, capsys, criteria, unknown):
+        assert cli.run(["selftest", "--criteria", criteria]) == 1
+        assert capsys.readouterr() == ("", f"error: no criterion numbered {unknown}\n")
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_failure_exits_two(self, monkeypatch, capsys, flags):

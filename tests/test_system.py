@@ -180,6 +180,11 @@ class TestStateSpecs:
             NumberState(1.0, 0)
         with pytest.raises(DomainError):
             UnboundGaussian(np.float64(2.0), 0.5)
+        st = Superposition(((np.int64(1), np.uint8(0), 1.0),))
+        assert st.terms == ((1, 0, 1 + 0j),) and type(st.terms[0][0]) is int
+        for label in ((1.5, 0), (1.0, 0), (0, 2.0)):
+            with pytest.raises(DomainError):
+                Superposition(((*label, 1.0),))
 
     def test_unbound_validation(self):
         UnboundGaussian(0, -3.0)

@@ -8,10 +8,11 @@ TREE/src.  Every command runs as ``python -m oscillent.cli ...`` in a fresh
 empty directory, so the files it writes are compared by their names
 relative to that directory.  The list covers purity on every route and
 state kind, sweeps in every gauge and on every route, covariance,
-oracle-compare, fig1-fig7 and the commands that exit 1, 2 or 3.  The line
-number in a warning's ``<tree>/...py:LINE`` is masked, so moving code does
-not count as a difference.  Prints one line per command and exits 1 if any
-command differs.  Standard library only.
+oracle-compare, fig1-fig7 and the commands that exit 1, 2 or 3, among them
+a 10^5-point sweep whose flags name two gauges.  The line number in a
+warning's ``<tree>/...py:LINE`` is masked, so moving code does not count as
+a difference.  Prints one line per command and exits 1 if any command
+differs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -102,6 +103,16 @@ COMMANDS = [
      "--state", "unbound:0,1"],
     ["sweep", "--param", "g", "--range", "1:10:3", "--c", "2", "--mu1", "0.3",
      "--state", "number:1,1"],
+    ["sweep", "--param", "g", "--range", "1:2:100000", "--c", "2", "--mu1", "0.3"],
+    # --Gamma or --hbar beside a gauge that does not read them
+    ["purity", *G5, "--Gamma", "7", "--hbar", "3", "--state", "number:1,1"],
+    ["purity", *FREE, "--hbar", "3", "--state", "unbound:1,1"],
+    ["purity", "--m1", "1", "--m2", "2", "--omega", "3", "--Omega", "1", "--Gamma", "5",
+     "--state", "number:1,1"],
+    ["sweep", "--param", "mu1", "--range", "0.2:0.8:3", "--g", "5", "--hbar", "3"],
+    # inputs a command cannot use
+    ["selftest", "--criteria", "99"],
+    ["sweep", "--param", "tau", "--range", "0:1:2", *FREE, "--state", "number:1,1"],
     # exit 2: numerical consistency
     ["purity", *G5, "--state", "number:2,2", "--method", "oracle", "--n-points", "48"],
     ["purity", *G5, "--state", "number:2,2", "--method", "oracle", "--n-points", "32"],
