@@ -491,7 +491,11 @@ def _print_criterion_json(num, title, ok, seconds, detail):
 def _cmd_selftest(args) -> int:
     selection = None
     if args.criteria:
-        selection = [int(tok) for tok in args.criteria.split(",")]
+        try:
+            selection = [int(tok) for tok in args.criteria.split(",")]
+        except ValueError:
+            raise _UsageError(f"--criteria takes comma-separated criterion numbers, "
+                              f"got {args.criteria!r}") from None
         unknown = sorted(set(selection) - {num for (num, _, _) in acceptance.CRITERIA})
         if unknown:
             raise _UsageError(f"no criterion numbered {', '.join(map(str, unknown))}")

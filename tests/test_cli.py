@@ -691,6 +691,12 @@ class TestSelftest:
         assert cli.run(["selftest", "--criteria", criteria]) == 1
         assert capsys.readouterr() == ("", f"error: no criterion numbered {unknown}\n")
 
+    @pytest.mark.parametrize("criteria", ["a", "1,", "1;6"])
+    def test_malformed_criteria_name_the_flag(self, capsys, criteria):
+        assert cli.run(["selftest", "--criteria", criteria]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --criteria takes comma-separated criterion numbers, got {criteria!r}\n")
+
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_failure_exits_two(self, monkeypatch, capsys, flags):
         monkeypatch.setattr(acceptance, "CRITERIA",

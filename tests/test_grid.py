@@ -10,7 +10,7 @@ from oscillent import (Coherent, DomainError, GridSpec, NumberState,
                        OscillatorSystem, Superposition, UnboundGaussian,
                        density_grid, eval_wavefunction, purity_number,
                        schmidt_analyze)
-from oscillent import cli
+from oscillent import cli, fock
 from oscillent.acceptance import method_purity
 from oscillent.errors import ResourceCapError
 from oscillent.grid import hermite_functions, schmidt_from_samples
@@ -150,6 +150,18 @@ def test_gram_route_matches_svd(W):
 ], ids=["real", "complex-rectangular", "nan"])
 def test_zero_or_nan_samples_rejected(W):
     with pytest.raises(DomainError):
+        schmidt_from_samples(W)
+
+
+@pytest.mark.parametrize("W", [
+    np.full((2, 2), 1e200),
+    np.full((3, 2), 1e160 + 1e160j),
+    np.array([[np.inf, 1.0], [0.0, 1.0]]),
+], ids=["real", "complex", "inf"])
+def test_overflowing_samples_rejected(W):
+    # tr(G) is inf: the pivoted factor would stop at once and report a product state
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DomainError, match="overflows"):
         schmidt_from_samples(W)
 
 
@@ -453,3 +465,70 @@ class TestSpectrumOnDemand:
             tracemalloc.stop()
         assert res.n_points == 1024
         assert peak < 40 * 2 ** 20
+
+
+def gaussian_entropy(purity):
+    """Entropy of a single-mode Gaussian state from its purity P:
+    S = (N+1) ln(N+1) - N ln N with N = (1/P - 1)/2 (Serafini, Illuminati and
+    De Siena, J. Phys. B 37, L21, 2004).  Every pure two-mode Gaussian state
+    reduces to one."""
+    N = (1.0 / purity - 1.0) / 2.0
+    return (N + 1.0) * math.log1p(N) - (N * math.log(N) if N > 0.0 else 0.0)
+
+
+GAUSSIAN = [
+    pytest.param(TRAPPED, Coherent(0.3 + 0.2j, -0.1 + 0.4j), id="coherent"),
+    pytest.param(OscillatorSystem.from_dimensionless(5.0, 0.3), NumberState(0, 0), id="ground-g5"),
+    pytest.param(OscillatorSystem.from_dimensionless(0.05, 0.01), NumberState(0, 0),
+                 id="ground-g0.05"),
+    pytest.param(OscillatorSystem.from_untrapped(0.3, c=2.0), UnboundGaussian(0, 5.0),
+                 id="unbound"),
+]
+GRIDS = pytest.mark.parametrize("n", [None, 1024, 2048], ids=["sized", "1024", "2048"])
+
+
+class TestEntropy:
+    @GRIDS
+    @pytest.mark.parametrize("sys, state", GAUSSIAN)
+    def test_gaussian_states_match_the_closed_form(self, sys, state, n):
+        res = schmidt_analyze(sys, state, GridSpec(n, 8.0))
+        reference = gaussian_entropy(method_purity(sys, state, "analytic"))
+        assert abs(res.entropy - reference) <= 1e-12
+
+    @GRIDS
+    def test_number_state_matches_fock(self, n):
+        reference = fock.entropy_truncated(TRAPPED, NumberState(2, 2),
+                                           fock.default_basis(TRAPPED, jmax=60))
+        res = schmidt_analyze(TRAPPED, NumberState(2, 2), GridSpec(n, 8.0))
+        assert abs(res.entropy - reference) <= 1e-12
+
+    @pytest.mark.parametrize("sys, state", GAUSSIAN + [(TRAPPED, NumberState(2, 2))])
+    def test_spectrum_defect_on_sized_grids(self, sys, state):
+        assert 0.0 <= schmidt_analyze(sys, state).spectrum_defect <= 1e-14
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_full_rank_gram_matches_eigvalsh(self, complex_):
+        # a square Gaussian matrix's eigenvalue spread (about 4 n^2) keeps
+        # every pivot above the stop rule, so the factor takes all n columns
+        rng = np.random.default_rng(16)
+        W = rng.normal(size=(300, 300))
+        if complex_:
+            W = W + 1j * rng.normal(size=W.shape)
+        G, total, _ = grid_mod._gram_purity(W)
+        s, entropy, defect = grid_mod._spectrum(G, total)
+        w = np.linalg.eigvalsh(G)
+        p = w / total
+        reference = float(-np.sum(p * np.log(p)))
+        assert np.count_nonzero(s) == 300 and defect == 0.0
+        assert abs(entropy - reference) <= 1e-12 * reference
+        assert np.max(np.abs(s ** 2 - w[::-1])) <= 1e-12 * w[-1]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rank_one_has_no_entropy(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(1, 60, size=2)
+        u = rng.normal(size=rows) + 1j * rng.normal(size=rows) * (seed % 2)
+        W = np.outer(u, rng.normal(size=cols))
+        s, _, entropy = schmidt_from_samples(W)
+        assert len(s) == min(rows, cols)
+        assert 0.0 <= entropy <= 1e-12
