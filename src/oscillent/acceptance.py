@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import exact, fock, gaussian, grid
-from .errors import DomainError
+from .errors import UnsupportedStateError
 from .system import Coherent, NumberState, OscillatorSystem, Superposition, UnboundGaussian
 
 __all__ = ["CRITERIA", "run_all", "print_line", "oracle_cases", "method_purity"]
@@ -102,15 +102,15 @@ def method_purity(sys, state, method: str = "exact") -> float:
     if isinstance(state, UnboundGaussian) and state.m == 0:
         return gaussian.purity_unbound_gaussian(sys, state.tau)
     if method == "analytic":
-        raise DomainError("analytic closed forms cover coherent/ground states and "
-                          "the m = 0 spreading packet; use --method exact")
+        raise UnsupportedStateError("analytic closed forms cover coherent/ground states "
+                                    "and the m = 0 spreading packet; use --method exact")
     if isinstance(state, NumberState):
         return exact.purity_number(sys, state.m, state.n)
     if isinstance(state, UnboundGaussian):
         return exact.purity_number_unbound(sys, state.m, state.tau)
     if isinstance(state, Superposition):
         return exact.purity_superposition(sys, state)
-    raise TypeError(f"no method route for {type(state).__name__}")
+    raise UnsupportedStateError(f"no method route for {type(state).__name__}")
 
 
 # the bound of criterion 5 and oracle-compare on |method - oracle| purity

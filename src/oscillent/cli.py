@@ -231,15 +231,7 @@ def compute_purity(sys: OscillatorSystem, state, method: str, args, entropy: boo
     elif method == "oracle":
         res = grid.schmidt_analyze(sys, state,
                                    grid.GridSpec(args.n_points, args.extent))
-        if not res.norm_defect <= 1e-3:
-            raise NumericalConsistencyError(
-                f"grid norm defect {res.norm_defect:.3e} exceeds 1e-3; enlarge --extent "
-                f"if the window is too narrow or raise --n-points if the grid is too coarse")
-        if not res.grid_defect <= 1e-6:
-            raise NumericalConsistencyError(
-                f"grid defect {res.grid_defect:.3e} (purity at {res.n_points} points against "
-                f"every second point) exceeds 1e-6; raise --n-points, or leave it unset "
-                f"to size the grid from the state")
+        res.check()
         record["purity"] = res.purity
         if entropy:
             record["entropy"] = res.entropy
@@ -424,7 +416,7 @@ def _cmd_figure(args) -> int:
     which = args.which
     if which in ("fig1", "fig2"):
         m, n = (0, 0) if which == "fig1" else (1, 0)
-        spec = grid.GridSpec(n_points=args.points, extent_sigmas=8.0)
+        spec = grid.GridSpec(n_points=args.points)
         for (g, mu1) in _FIG12_COMBOS:
             sys_ = OscillatorSystem.from_dimensionless(g, mu1)
             dg = grid.density_grid(sys_, NumberState(m, n), spec)
@@ -535,7 +527,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--gamma2", type=float, help="fock basis scale for particle 2")
         p.add_argument("--n-points", type=int, default=None,
                        help="oracle grid points per axis (default: sized from the state)")
-        p.add_argument("--extent", type=float, default=8.0, help="oracle half-width in sigmas")
+        p.add_argument("--extent", type=float, default=grid.GridSpec.extent_sigmas,
+                       help="oracle half-width in sigmas")
 
     p = sub.add_parser("purity", help="single purity evaluation")
     common(p)
@@ -567,7 +560,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", help="output file (default: stdout)")
     p.add_argument("--n-points", type=int, default=None,
                    help="oracle grid points per axis (default: sized from the state)")
-    p.add_argument("--extent", type=float, default=8.0)
+    p.add_argument("--extent", type=float, default=grid.GridSpec.extent_sigmas)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--criteria", help="comma-separated criterion numbers (default: all)")
@@ -648,10 +641,7 @@ def run(argv=None) -> int:
     except NumericalConsistencyError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except (DomainError, OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except OscillentError as exc:
+    except (OscillentError, OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -31,9 +31,11 @@ m + n <= 4.  They guard precision, not run time: past them the extraction
 stops returning purities without any sign of it (|63,0> at g = 1000,
 mu1 = 0.5 reads 4.197).  Inside them the symmetries g <-> 1/g,
 mu1 <-> mu2 and (m, n) <-> (n, m) hold to about 1e-15 for g up to 1e6, and
-every box has at most 5^8 cells (3 MiB).  An order beyond them raises
-ResourceCapError.  All functions are pure; superposition sums iterate in a
-fixed order so results are bit-stable.
+every box has at most 5^8 cells (3 MiB).  Each cap is decided from the
+state's numbers before anything is built (4 max(m + n) over a
+superposition's terms with c != 0) and raises ResourceCapError; number
+states and the untrapped pair share one read.  All functions are pure;
+superposition sums iterate in a fixed order so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ _DET_M_TARGET = 1.0 / 256.0
 _DET_M_TOL = 1e-10
 _COND_WARN = 1e10
 _IMAG_TOL = 1e-8
+_SUPERPOSITION_IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -283,6 +286,19 @@ def _check_number_cap(total: int):
         )
 
 
+def _check_cross_cap(total: int):
+    if total > _CROSS_CAP:
+        raise ResourceCapError(f"total order {total} exceeds the cross-term cap {_CROSS_CAP}")
+
+
+def _number_read(gen: QuadraticGenerator, m: int, n: int):
+    """P_0 (m! n!)^2 c, with c the coefficient of prod alpha_i^m beta_i^n of
+    the exponential of ``gen`` and P_0 its prefactor."""
+    coeff = taylor_coefficient(gen.Mmat, (m,) * 4 + (n,) * 4)
+    fac = float(math.factorial(m) * math.factorial(n))
+    return gen.prefactor * fac * fac * coeff
+
+
 def purity_number(sys: OscillatorSystem, m: int, n: int) -> float:
     """Exact purity of the number state |m, n> of a trapped pair.
 
@@ -293,43 +309,25 @@ def purity_number(sys: OscillatorSystem, m: int, n: int) -> float:
     if m < 0 or n < 0:
         raise DomainError("quantum numbers must be nonnegative")
     _check_number_cap(m + n)
-    gen = build_M(sys)
-    coeff = taylor_coefficient(gen.Mmat, (m, m, m, m, n, n, n, n))
-    fac = float(math.factorial(m) * math.factorial(n))
-    return float(gen.prefactor * fac * fac * coeff)
+    return float(_number_read(build_M(sys), m, n))
 
 
 def purity_number_unbound(sys: OscillatorSystem, m: int, tau: float) -> float:
     """Exact purity of the untrapped pair in vibrational state m with a
     center-of-mass packet spread to dimensionless time tau.
 
-    Same pipeline as :func:`purity_number` over the complex time-dependent
-    generator; the imaginary residue must stay below 1e-8.
+    Same read as :func:`purity_number` (at n = 0) over the complex
+    time-dependent generator; the imaginary residue must stay below 1e-8.
     """
     if m < 0:
         raise DomainError("vibrational index must be nonnegative")
     _check_number_cap(m)
-    gen = build_M_from_A(build_At(sys, tau))
-    coeff = taylor_coefficient(gen.Mmat, (m, m, m, m, 0, 0, 0, 0))
-    fac = float(math.factorial(m))
-    value = gen.prefactor * fac * fac * coeff
-    value = complex(value)
+    value = complex(_number_read(build_M_from_A(build_At(sys, tau)), m, 0))
     if not abs(value.imag) <= _IMAG_TOL:
         raise NumericalConsistencyError(
             f"unbound purity has imaginary residue {value.imag!r}"
         )
     return float(value.real)
-
-
-def _cross_orders(quad) -> tuple:
-    """Box index (m_1..m_4, n_1..n_4) of a quadruple; raises beyond the
-    cross-term cap."""
-    total = sum(m + n for (m, n) in quad)
-    if total > _CROSS_CAP:
-        raise ResourceCapError(
-            f"total order {total} exceeds the cross-term cap {_CROSS_CAP}"
-        )
-    return tuple(m for (m, _) in quad) + tuple(n for (_, n) in quad)
 
 
 def _cross_value(gen: QuadraticGenerator, box: np.ndarray, orders) -> float:
@@ -354,7 +352,8 @@ def purity_cross(sys: OscillatorSystem, quadruple) -> float:
         raise DomainError("quadruple must contain exactly four (m, n) pairs")
     if any(m < 0 or n < 0 for (m, n) in quad):
         raise DomainError("quantum numbers must be nonnegative")
-    orders = _cross_orders(quad)
+    orders = tuple(m for (m, _) in quad) + tuple(n for (_, n) in quad)
+    _check_cross_cap(sum(orders))
     if sum(orders) % 2 == 1:
         return 0.0
     gen = build_M(sys)
@@ -365,24 +364,22 @@ def purity_superposition(sys: OscillatorSystem, state: Superposition) -> float:
     """Exact purity of a finite normalized superposition of number states.
 
     Sums c_1 c_2* c_3 c_4* P({m_i, n_i}) over all index quadruples drawn
-    from the support, in a fixed iteration order.  Every cross term is read
-    from one box whose per-slot caps are the largest orders any even-total
-    quadruple with nonzero weight needs.
+    from the terms with c != 0, in ``product(terms, repeat=4)`` order.  The
+    largest quadruple repeats the term of largest m + n, so the cap is
+    checked on 4 max(m + n), and one box at caps (max m,)*4 + (max n,)*4
+    covers every cross term.
     """
+    terms = [(m, n, c) for (m, n, c) in state.terms if c != 0]
+    _check_cross_cap(4 * max(m + n for (m, n, _) in terms))
     gen = build_M(sys)
-    read = []
-    for (m1, n1, c1), (m2, n2, c2), (m3, n3, c3), (m4, n4, c4) in product(state.terms, repeat=4):
-        weight = c1 * c2.conjugate() * c3 * c4.conjugate()
-        if weight == 0:
-            continue
-        read.append((weight, _cross_orders(((m1, n1), (m2, n2), (m3, n3), (m4, n4)))))
-    even = [orders for (_, orders) in read if sum(orders) % 2 == 0]
-    box = taylor.exp_taylor_box(gen.Mmat, np.max(even, axis=0)) if even else None
+    caps = (max(m for (m, _, _) in terms),) * 4 + (max(n for (_, n, _) in terms),) * 4
+    box = taylor.exp_taylor_box(gen.Mmat, caps)
 
     total = 0j
-    for weight, orders in read:
-        total += weight * _cross_value(gen, box, orders)
-    if not abs(total.imag) <= 1e-10:
+    for (m1, n1, c1), (m2, n2, c2), (m3, n3, c3), (m4, n4, c4) in product(terms, repeat=4):
+        orders = (m1, m2, m3, m4, n1, n2, n3, n4)
+        total += c1 * c2.conjugate() * c3 * c4.conjugate() * _cross_value(gen, box, orders)
+    if not abs(total.imag) <= _SUPERPOSITION_IMAG_TOL:
         raise NumericalConsistencyError(
             f"superposition purity has imaginary residue {total.imag!r}"
         )

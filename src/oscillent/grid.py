@@ -9,8 +9,10 @@ particle.  Purity is ||G||_F^2 / tr(G)^2 and needs no decomposition at all;
 the entropy -sum p_k ln p_k takes the nonzero eigenvalues w_k of G, which are
 the squared singular values of W, with p_k = w_k / tr(G).  Those normalized
 formulas make the result exactly invariant under scaling W, so no grid
-measure needs to enter.  This path shares no formulas with the closed-form,
-generating-function and truncated-basis modules, which is the point.
+measure needs to enter; a W whose tr(G) or ||G||_F^2 would leave the float
+range is scaled by a power of two first.  This path shares no formulas with
+the closed-form, generating-function and truncated-basis modules, which is
+the point.
 
 The grid is sized from the state.  Each axis spans ``extent`` position
 spreads of its own particle around its center, and the points per axis
@@ -22,7 +24,8 @@ Weideman, SIAM Review 56, 385, 2014); about 2 R points already reach 1e-12,
 so the sized grid holds a factor of two in hand.  The same samples check
 it: the purity of every second point in each direction, W[::2, ::2], is the
 same window at twice the spacing, and its distance from the full purity is
-reported as the grid defect.  An explicit number of points overrides the
+reported as the grid defect; ``SchmidtResult.check`` is the one verdict on
+it and on the norm defect.  An explicit number of points overrides the
 sizing; a window that no finite grid resolves is refused either way.
 
 Wavefunctions are evaluated in particle coordinates via the substitution
@@ -59,7 +62,7 @@ Measured k/n: at most 0.036 on 1024^2 and 0.078 on 512^2 grids with
 g <= 5; 0.16 to 0.21 on sized grids at g = 1000 to 4000; and up to 0.43 on
 explicit grids that pass the two-grid check at g = 100 to 1000.  Grids too
 coarse for the state reach k/n = 0.66, where the loop is the slower one,
-but their grid defect is above the 1e-6 the command line accepts.
+but their grid defect is above the 1e-6 that ``SchmidtResult.check`` accepts.
 
 Every call is independent; nothing here mutates shared state.
 """
@@ -68,13 +71,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapError, UnsupportedStateError
+from .errors import (DomainError, NumericalConsistencyError, ResourceCapError,
+                     UnsupportedStateError)
 from .system import (Coherent, NumberState, OscillatorSystem, Superposition,
                      UnboundGaussian)
 
@@ -89,7 +92,6 @@ __all__ = [
     "density_grid",
 ]
 
-_NORM_WARN = 1e-3
 # predicted peak bytes of one sampling; 1024^2 on |4,4> needs about 1/10 of it
 _SAMPLE_BYTES_CAP = 2 ** 30
 # fewest cells per sampling block: a block's coordinates, Hermite rows and
@@ -111,6 +113,11 @@ _POINTS_STEP = 16
 # packet on 1024^2 was off by 2.4e-12; at eps/100 all twelve stayed within
 # 1e-13.
 _PIVOT_STOP = 1e-2 * np.finfo(float).eps
+# smallest normal float: a Gram norm below it has lost bits to underflow
+_TINY = np.finfo(float).tiny
+# the largest norm defect and then grid defect SchmidtResult.check accepts
+_NORM_TOL = 1e-3
+_GRID_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -148,14 +155,18 @@ class SchmidtResult:
     the distance of the purity from the purity of every second point in each
     direction (the same window at twice the spacing); it overstates the
     discretization error of the full grid, often by orders of magnitude.
-    ``n_points`` is the number of points per axis used.
+    ``n_points`` is the number of points per axis used; :meth:`check`
+    judges the two defects.
 
     ``singular_values`` (of W, descending: the square roots of the
     eigenvalues of L^H L for the pivoted Cholesky factor L of G, negative
     roundoff clipped to zero, padded with zeros to the order of G),
     ``entropy`` and ``spectrum_defect`` (the trace of G left out of the
     factor, over tr(G)) are computed on first read, by one factorization
-    shared by all three, and cached.
+    shared by all three, and cached.  ``scale_exp`` is the e of the power of
+    two 2^-e that W was scaled by before its Gram product (0 unless tr(G)
+    would leave the float range); ``gram`` and ``trace`` are those of the
+    scaled W, and the singular values are in the units of W.
     """
 
     purity: float
@@ -164,10 +175,25 @@ class SchmidtResult:
     n_points: int
     gram: np.ndarray = field(repr=False)
     trace: float
+    scale_exp: int = 0
+
+    def check(self) -> None:
+        """Raise NumericalConsistencyError unless the norm defect is at most
+        1e-3 and then the grid defect at most 1e-6; a NaN defect fails."""
+        if not self.norm_defect <= _NORM_TOL:
+            raise NumericalConsistencyError(
+                f"grid norm defect {self.norm_defect:.3e} exceeds 1e-3; enlarge --extent "
+                f"if the window is too narrow or raise --n-points if the grid is too coarse")
+        if not self.grid_defect <= _GRID_TOL:
+            raise NumericalConsistencyError(
+                f"grid defect {self.grid_defect:.3e} (purity at {self.n_points} points against "
+                f"every second point) exceeds 1e-6; raise --n-points, or leave it unset "
+                f"to size the grid from the state")
 
     @cached_property
     def _schmidt(self) -> tuple[np.ndarray, float, float]:
-        return _spectrum(self.gram, self.trace)
+        s, entropy, defect = _spectrum(self.gram, self.trace)
+        return np.ldexp(s, self.scale_exp), entropy, defect
 
     @property
     def singular_values(self) -> np.ndarray:
@@ -384,20 +410,45 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     return x * x if x.dtype.kind == "f" else np.abs(x) ** 2
 
 
-def _gram_purity(W: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Gram matrix G of W on its shorter side, tr(G) and ||G||_F^2 / tr(G)^2."""
+def _gram(W: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Gram matrix G of W on its shorter side, tr(G) and ||G||_F^2."""
     Wh = W.conj().T
     G = Wh @ W if W.shape[0] >= W.shape[1] else W @ Wh
-    total = float(np.trace(G).real)
-    if not math.isfinite(total):
-        # an infinite trace would put the pivoted factor's stop at inf, and
-        # it would return a product state
-        raise DomainError(f"sample matrix overflows or holds NaN: tr(G) = {total}")
-    if not total > 0.0:
-        raise DomainError("sample matrix is identically zero")
     # np.sum adds pairwise; a BLAS dot over the n^2 entries (np.vdot) lost up
     # to 3e-14 of the purity at 1024^2
-    return G, total, float(np.sum(_abs2(G))) / (total * total)
+    return G, float(np.trace(G).real), float(np.sum(_abs2(G)))
+
+
+def _scaled_gram(W: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    """G, tr(G) and the purity ||G||_F^2 / tr(G)^2 of 2^-e W, and e.
+
+    e is 0 unless tr(G) or ||G||_F^2 of W itself would leave the normal
+    float range; then it is the exponent of the largest entry of W, so the
+    scaled entries are at most 1 and the purity, a ratio, is unchanged.  A W
+    holding inf or NaN, or only zeros, is refused.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        G, total, square = _gram(W)
+    if _TINY <= square and total * total < math.inf:
+        return G, total, square / (total * total), 0
+    big = float(np.maximum(np.max(np.abs(W.real)), np.max(np.abs(W.imag))))
+    if not big < math.inf:
+        # an infinite trace would put the pivoted factor's stop at inf, and
+        # it would return a product state
+        raise DomainError(f"sample matrix overflows or holds NaN: max |W| = {big}")
+    if not big > 0.0:
+        raise DomainError("sample matrix is identically zero")
+    e = math.frexp(big)[1]
+    # two steps, since 2^-e itself overflows for e below -1023
+    half = -e // 2
+    G, total, square = _gram(W * 2.0 ** half * 2.0 ** (-e - half))
+    return G, total, square / (total * total), e
+
+
+def _gram_purity(W: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """G, tr(G) and ||G||_F^2 / tr(G)^2 of W, scaled as :func:`_scaled_gram`
+    scales it."""
+    return _scaled_gram(W)[:3]
 
 
 def _spectrum(G: np.ndarray, total: float) -> tuple[np.ndarray, float, float]:
@@ -448,11 +499,13 @@ def schmidt_from_samples(W: np.ndarray) -> tuple[np.ndarray, float, float]:
     values are the square roots of the eigenvalues w_k of L^H L for the k
     columns of G's pivoted Cholesky factor L (see ``_spectrum``), descending
     and padded with zeros to min(W.shape); the entropy weights are
-    p_k = w_k / tr(G).  Scale invariant by construction.
+    p_k = w_k / tr(G).  Scale invariant by construction: when tr(G) or
+    ||G||_F^2 would leave the float range, W is first scaled by a power of
+    two, and the singular values are scaled back.
     """
-    G, total, purity = _gram_purity(W)
+    G, total, purity, e = _scaled_gram(W)
     s, entropy, _ = _spectrum(G, total)
-    return s, purity, entropy
+    return np.ldexp(s, e), purity, entropy
 
 
 def schmidt_analyze(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -> SchmidtResult:
@@ -461,23 +514,16 @@ def schmidt_analyze(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -
     and the Schmidt spectrum are computed when the result's fields are
     first read.
 
-    Warns when the discrete normalization deviates from 1 by more than 1e-3,
-    which signals a window too small for the state or too few points.
+    Reports the norm and grid defects and refuses neither; that is
+    :meth:`SchmidtResult.check`'s verdict.
     """
     _, _, W, dx1, dx2 = _sample(sys, state, grid)
     norm = float(np.sum(_abs2(W)) * dx1 * dx2)
-    defect = abs(1.0 - norm)
-    if not defect <= _NORM_WARN:
-        warnings.warn(
-            f"discrete norm deviates from 1 by {defect:.3e}; enlarge the grid extent "
-            f"or the number of points",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    G, total, purity = _gram_purity(W)
+    G, total, purity, e = _scaled_gram(W)
     coarse = _gram_purity(W[::2, ::2])[2]
-    return SchmidtResult(purity=purity, norm_defect=defect, grid_defect=abs(purity - coarse),
-                         n_points=W.shape[0], gram=G, trace=total)
+    return SchmidtResult(purity=purity, norm_defect=abs(1.0 - norm),
+                         grid_defect=abs(purity - coarse), n_points=W.shape[0], gram=G,
+                         trace=total, scale_exp=e)
 
 
 def density_grid(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -> DensityGrid:

@@ -6,7 +6,9 @@ criterion; the same checks back ``oscillent selftest``.
 
 import pytest
 
-from oscillent.acceptance import CRITERIA
+from oscillent import OscillatorSystem
+from oscillent.acceptance import CRITERIA, method_purity
+from oscillent.errors import UnsupportedStateError
 
 
 @pytest.mark.parametrize("num,title,func", CRITERIA,
@@ -15,3 +17,10 @@ def test_criterion(num, title, func):
     ok, detail = func()
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num:2d}: {title} -- {detail}")
     assert ok, f"criterion {num} ({title}) failed: {detail}"
+
+
+@pytest.mark.parametrize("method", ["exact", "analytic"])
+def test_method_purity_refuses_an_unknown_state_kind(method):
+    sys = OscillatorSystem.from_dimensionless(2.0, 0.4)
+    with pytest.raises(UnsupportedStateError):
+        method_purity(sys, object(), method)

@@ -632,12 +632,13 @@ class TestOracleSizing:
         assert "grid defect" in err and "norm defect" not in err
 
     def test_norm_defect_names_both_remedies(self, capsys):
-        with pytest.warns(RuntimeWarning, match="norm"):
-            code = cli.run(["purity", "--g", "5", "--mu1", "0.3", "--state", "number:2,2",
-                            "--method", "oracle", "--n-points", "32"])
+        # one error line and no warning (the suite turns warnings into errors)
+        code = cli.run(["purity", "--g", "5", "--mu1", "0.3", "--state", "number:2,2",
+                        "--method", "oracle", "--n-points", "32"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "norm defect" in err and "--extent" in err and "--n-points" in err
+        assert err.startswith("error: grid norm defect") and err.count("\n") == 1
+        assert "--extent" in err and "--n-points" in err
 
     def test_sized_grid_above_the_cap_exits_three_before_allocating(self, capsys):
         tracemalloc.start()

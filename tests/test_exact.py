@@ -11,6 +11,7 @@ from oscillent import (DomainError, NumberState, NumericalConsistencyError,
                        purity_coherent, purity_cross, purity_number,
                        purity_number_unbound, purity_superposition,
                        purity_unbound_gaussian, schmidt_analyze)
+from oscillent import exact, taylor
 from oscillent.exact import GaussianIntegralData
 from oscillent.taylor import exp_taylor_box, taylor_coefficient
 
@@ -192,6 +193,16 @@ class TestPurityNumber:
         with pytest.raises(ResourceCapError, match="cap 8"):
             purity_number_unbound(OscillatorSystem.from_untrapped(0.5, c=2.0), 9, 1.0)
 
+    def test_caps_refuse_before_the_generator_is_built(self, monkeypatch):
+        built = []
+        for name in ("build_M", "build_At", "build_M_from_A"):
+            monkeypatch.setattr(exact, name, lambda *a, name=name: built.append(name))
+        with pytest.raises(ResourceCapError, match="order 9 exceeds the cap 8"):
+            purity_number(OscillatorSystem.from_dimensionless(2.0, 0.5), 5, 4)
+        with pytest.raises(ResourceCapError, match="order 9 exceeds the cap 8"):
+            purity_number_unbound(OscillatorSystem.from_untrapped(0.5, c=2.0), 9, 1.0)
+        assert built == []
+
     @pytest.mark.parametrize("m, n", [(8, 0), (0, 8), (4, 4), (7, 1)])
     def test_symmetries_at_the_cap(self, m, n):
         # the deepest orders the cap allows keep every symmetry far into the
@@ -354,6 +365,34 @@ class TestPuritySuperposition:
         st = Superposition(((0, 1, 1.0), (0, 5, 0.0)))
         assert purity_superposition(sys, st) == pytest.approx(
             purity_number(sys, 0, 1), rel=1e-13)
+
+    @pytest.fixture
+    def boxes(self, monkeypatch):
+        real, calls = taylor.exp_taylor_box, []
+
+        def counted(M, caps):
+            calls.append(tuple(caps))
+            return real(M, caps)
+
+        monkeypatch.setattr(taylor, "exp_taylor_box", counted)
+        return calls
+
+    def test_one_box_at_the_largest_orders(self, boxes):
+        sys = OscillatorSystem.from_dimensionless(2.0, 0.4)
+        st = Superposition(((0, 3, 0.6), (2, 1, 0.48), (1, 0, 0.64j), (4, 0, 0.0)))
+        purity_superposition(sys, st)
+        assert boxes == [(2,) * 4 + (3,) * 4]
+
+    def test_over_cap_builds_nothing(self, boxes, monkeypatch):
+        built = []
+        monkeypatch.setattr(exact, "build_M", lambda sys: built.append(sys))
+        sys = OscillatorSystem.from_dimensionless(2.0, 0.4)
+        # |0,3> x 4 is within the cap, |0,5> x 4 is not; the message names the
+        # largest quadruple's order whatever the term order
+        for terms in [((0, 3, 0.6), (0, 5, 0.8)), ((0, 5, 0.8), (0, 3, 0.6))]:
+            with pytest.raises(ResourceCapError, match="total order 20 exceeds"):
+                purity_superposition(sys, Superposition(terms))
+        assert boxes == [] and built == []
 
     def test_box_memory_cap(self):
         # the one box of |8,0> + |0,8> at caps (8,) * 8 would hold 9^8 = 43M

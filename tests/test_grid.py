@@ -12,7 +12,7 @@ from oscillent import (Coherent, DomainError, GridSpec, NumberState,
                        schmidt_analyze)
 from oscillent import cli, fock
 from oscillent.acceptance import method_purity
-from oscillent.errors import ResourceCapError
+from oscillent.errors import NumericalConsistencyError, ResourceCapError
 from oscillent.grid import hermite_functions, schmidt_from_samples
 import oscillent.grid as grid_mod
 
@@ -154,15 +154,73 @@ def test_zero_or_nan_samples_rejected(W):
 
 
 @pytest.mark.parametrize("W", [
-    np.full((2, 2), 1e200),
-    np.full((3, 2), 1e160 + 1e160j),
     np.array([[np.inf, 1.0], [0.0, 1.0]]),
-], ids=["real", "complex", "inf"])
+], ids=["inf"])
 def test_overflowing_samples_rejected(W):
     # tr(G) is inf: the pivoted factor would stop at once and report a product state
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(DomainError, match="overflows"):
         schmidt_from_samples(W)
+
+
+@pytest.mark.parametrize("scale, unit", [
+    (1e200, np.ones((2, 2))),
+    (1e160, np.full((3, 2), 1 + 1j)),
+    (1e150, np.ones((2, 2))),
+    (1e-170, np.ones((2, 2))),
+], ids=["real", "complex", "square-overflows", "underflows"])
+def test_extreme_scale_samples_answered(scale, unit):
+    # tr(G) or ||G||_F^2 leaves the float range; a product state either way
+    s, purity, entropy = schmidt_from_samples(scale * unit)
+    s_ref = svd_reference(unit)[0]
+    assert purity == 1.0 and 0.0 <= entropy <= 1e-15
+    assert s == pytest.approx(scale * s_ref, rel=1e-12, abs=1e-12 * scale * s_ref[0])
+
+
+@pytest.mark.parametrize("shift", [600, -600])
+def test_power_of_two_rescale_moves_no_purity_bit(shift):
+    rng = np.random.default_rng(5)
+    W = rng.normal(size=(30, 20)) + 1j * rng.normal(size=(30, 20))
+    s, purity, entropy = schmidt_from_samples(W)
+    s2, purity2, entropy2 = schmidt_from_samples(np.ldexp(W.real, shift)
+                                                 + 1j * np.ldexp(W.imag, shift))
+    assert purity2 == purity
+    assert entropy2 == pytest.approx(entropy, abs=1e-13)
+    assert np.ldexp(s2, -shift) == pytest.approx(s, rel=1e-12)
+
+
+class TestCheck:
+    @staticmethod
+    def result(norm_defect, grid_defect):
+        return grid_mod.SchmidtResult(purity=0.5, norm_defect=norm_defect,
+                                      grid_defect=grid_defect, n_points=48,
+                                      gram=np.eye(2), trace=2.0)
+
+    def test_defects_at_the_bounds_pass(self):
+        assert self.result(1e-3, 1e-6).check() is None
+        assert self.result(0.0, 0.0).check() is None
+
+    @pytest.mark.parametrize("norm_defect", [1.1e-3, math.nan, math.inf])
+    def test_norm_gate_alone(self, norm_defect):
+        with pytest.raises(NumericalConsistencyError) as err:
+            self.result(norm_defect, 0.0).check()
+        assert str(err.value) == (
+            f"grid norm defect {norm_defect:.3e} exceeds 1e-3; enlarge --extent if the "
+            f"window is too narrow or raise --n-points if the grid is too coarse")
+
+    @pytest.mark.parametrize("grid_defect", [1.1e-6, math.nan, math.inf])
+    def test_grid_gate_alone(self, grid_defect):
+        with pytest.raises(NumericalConsistencyError) as err:
+            self.result(0.0, grid_defect).check()
+        assert str(err.value) == (
+            f"grid defect {grid_defect:.3e} (purity at 48 points against every second "
+            f"point) exceeds 1e-6; raise --n-points, or leave it unset to size the grid "
+            f"from the state")
+
+    def test_norm_gate_comes_first(self):
+        for norm_defect, grid_defect in [(1.0, 1.0), (math.nan, math.nan)]:
+            with pytest.raises(NumericalConsistencyError, match="^grid norm defect"):
+                self.result(norm_defect, grid_defect).check()
 
 
 class TestSampleCap:
@@ -236,7 +294,7 @@ class TestSchmidtAnalyze:
         assert p1 == pytest.approx(p3, rel=1e-12)
         assert e1 == pytest.approx(e3, abs=1e-12)
 
-    def test_norm_defect_warning(self, monkeypatch):
+    def test_norm_defect_reported_without_warning(self, monkeypatch):
         sys = OscillatorSystem.from_dimensionless(4.0, 0.5)
         real_window = grid_mod._window
 
@@ -245,9 +303,20 @@ class TestSchmidtAnalyze:
             return c1, c2, half1 / 10.0, half2 / 10.0
 
         monkeypatch.setattr(grid_mod, "_window", tiny_window)
-        with pytest.warns(RuntimeWarning, match="norm"):
-            res = schmidt_analyze(sys, Coherent(), GridSpec(64, 8.0))
+        # the suite turns warnings into errors, so none is emitted
+        res = schmidt_analyze(sys, Coherent(), GridSpec(64, 8.0))
         assert res.norm_defect > 1e-3
+        with pytest.raises(NumericalConsistencyError, match="norm defect") as err:
+            res.check()
+        assert "--extent" in str(err.value) and "--n-points" in str(err.value)
+
+    def test_coarse_grid_reports_both_defects_without_warning(self):
+        # the 32-point grid of the command line's norm-gate example
+        sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
+        res = schmidt_analyze(sys, NumberState(2, 2), GridSpec(32, 8.0))
+        assert res.norm_defect > 1e-3 and res.grid_defect > 1e-6
+        with pytest.raises(NumericalConsistencyError, match="norm defect"):
+            res.check()
 
     def test_grid_spec_validation(self):
         with pytest.raises(DomainError):

@@ -39,6 +39,8 @@ COMMANDS = [
     ["purity", *G5, "--state", "sup:pi/6"],
     ["purity", *G5, "--state", SUP],
     ["purity", *G5, "--state", "superposition:0,0,0.6;2,2,0.8"],
+    # the zero coefficient's |0,5> does not count toward the cross-term cap
+    ["purity", *G5, "--state", "superposition:0,1,1;0,5,0"],
     ["purity", *FREE, "--state", "unbound:1,5"],
     ["purity", *FREE, "--state", "unbound:8,2"],
     ["purity", *G5, "--state", "coherent:", "--method", "analytic"],
