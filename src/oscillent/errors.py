@@ -14,7 +14,9 @@ class UnsupportedStateError(DomainError):
 
 
 class ResourceCapError(OscillentError):
-    """A configurable cost cap (quantum-number order, term count) was exceeded."""
+    """A fixed cost cap was exceeded: an exact-route order, a factorial that
+    overflows a float, a Taylor box's or an oracle grid's predicted memory, an
+    unbounded oracle window, or a sweep's number of points."""
 
 
 class NumericalConsistencyError(OscillentError):

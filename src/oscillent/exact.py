@@ -52,7 +52,7 @@ import numpy as np
 from . import taylor
 from .errors import DomainError, NumericalConsistencyError, ResourceCapError
 from .gaussian import purity_coherent
-from .system import OscillatorSystem, Superposition
+from .system import OscillatorSystem, Superposition, _quantum_number
 from .taylor import taylor_coefficient
 
 __all__ = [
@@ -306,8 +306,7 @@ def purity_number(sys: OscillatorSystem, m: int, n: int) -> float:
     exponential; only the expansion order 2(m+n) contributes.  The factorial
     bookkeeping gives P = P_coherent * (m! n!)^2 * coefficient.
     """
-    if m < 0 or n < 0:
-        raise DomainError("quantum numbers must be nonnegative")
+    m, n = _quantum_number(m, "m"), _quantum_number(n, "n")
     _check_number_cap(m + n)
     return float(_number_read(build_M(sys), m, n))
 
@@ -319,8 +318,7 @@ def purity_number_unbound(sys: OscillatorSystem, m: int, tau: float) -> float:
     Same read as :func:`purity_number` (at n = 0) over the complex
     time-dependent generator; the imaginary residue must stay below 1e-8.
     """
-    if m < 0:
-        raise DomainError("vibrational index must be nonnegative")
+    m = _quantum_number(m, "m")
     _check_number_cap(m)
     value = complex(_number_read(build_M_from_A(build_At(sys, tau)), m, 0))
     if not abs(value.imag) <= _IMAG_TOL:
@@ -347,11 +345,9 @@ def purity_cross(sys: OscillatorSystem, quadruple) -> float:
     whenever sum (m_i + n_i) is odd because the generator exponential has
     only even terms.
     """
-    quad = [(int(m), int(n)) for (m, n) in quadruple]
+    quad = [(_quantum_number(m, "m"), _quantum_number(n, "n")) for (m, n) in quadruple]
     if len(quad) != 4:
         raise DomainError("quadruple must contain exactly four (m, n) pairs")
-    if any(m < 0 or n < 0 for (m, n) in quad):
-        raise DomainError("quantum numbers must be nonnegative")
     orders = tuple(m for (m, _) in quad) + tuple(n for (_, n) in quad)
     _check_cross_cap(sum(orders))
     if sum(orders) % 2 == 1:

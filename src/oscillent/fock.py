@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError, UnsupportedStateError
 from .exact import purity_number, purity_superposition
-from .system import NumberState, OscillatorSystem, Superposition
+from .system import NumberState, OscillatorSystem, Superposition, _quantum_number
 from .taylor import exp_taylor_box
 
 __all__ = [
@@ -74,8 +74,8 @@ class BasisParams:
     def __post_init__(self):
         if not (0 < self.gamma1 < math.inf and 0 < self.gamma2 < math.inf):
             raise DomainError("basis scales gamma1, gamma2 must be positive and finite")
-        if self.jmax < 0 or self.kmax < 0:
-            raise DomainError("truncation bounds must be nonnegative")
+        object.__setattr__(self, "jmax", _quantum_number(self.jmax, "jmax"))
+        object.__setattr__(self, "kmax", _quantum_number(self.kmax, "kmax"))
 
 
 def default_basis(sys: OscillatorSystem, jmax: int = 12, kmax: int | None = None) -> BasisParams:
@@ -165,8 +165,7 @@ def coefficient_table(sys: OscillatorSystem, basis: BasisParams,
 
     One generating-function box fills the whole table.
     """
-    if m < 0 or n < 0:
-        raise DomainError("quantum numbers must be nonnegative")
+    m, n = _quantum_number(m, "m"), _quantum_number(n, "n")
     return CoeffTable(basis=basis, m=m, n=n, values=_planes(sys, basis, [(m, n)])[0])
 
 
@@ -239,8 +238,7 @@ def convergence_run(sys: OscillatorSystem, state, basis_list, max_truncation: in
     (gamma1, gamma2, jmax, kmax, purity, abs_error) against the exact value
     from the generating-function method.
     """
-    if max_truncation < 0:
-        raise DomainError("max_truncation must be nonnegative")
+    max_truncation = _quantum_number(max_truncation, "max_truncation")
     if isinstance(state, NumberState):
         exact = purity_number(sys, state.m, state.n)
     elif isinstance(state, Superposition):

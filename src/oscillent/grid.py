@@ -37,9 +37,10 @@ coherent states and spreading packets in complex128.  The sample matrix is
 filled in blocks of rows of at least 2^14 cells each (one block when the
 grid is smaller), so the Hermite rows and temporaries of one block stay in
 cache and no full-size temporary is made; every sample is computed by the
-same arithmetic as one call over the whole grid, bit for bit.  Sampling is capped by a predicted peak memory, checked
-on the number of points actually used, and raises ResourceCapError before
-allocating.
+same arithmetic as one call over the whole grid, bit for bit.  Sampling is
+capped by a predicted peak memory (the whole-grid arrays of the sampling
+and the Gram product, plus one block's Hermite rows), checked on the number
+of points actually used, and raises ResourceCapError before allocating.
 
 Purity and the two checks need only the Gram matrix.  The Schmidt spectrum
 and the entropy are computed from it when first read, so a caller that reads
@@ -79,7 +80,7 @@ import numpy as np
 from .errors import (DomainError, NumericalConsistencyError, ResourceCapError,
                      UnsupportedStateError)
 from .system import (Coherent, NumberState, OscillatorSystem, Superposition,
-                     UnboundGaussian)
+                     UnboundGaussian, _quantum_number)
 
 __all__ = [
     "GridSpec",
@@ -92,8 +93,12 @@ __all__ = [
     "density_grid",
 ]
 
-# predicted peak bytes of one sampling; 1024^2 on |4,4> needs about 1/10 of it
+# predicted peak bytes of one sampling; 1024^2 on |4,4> predicts 35 MiB
 _SAMPLE_BYTES_CAP = 2 ** 30
+# bytes per cell of a sampling block besides its Hermite rows: the
+# coordinates and temporaries, at most 8 float64 cells (a coherent state) as
+# measured with tracemalloc, held at 12
+_BLOCK_EXTRA_BYTES = 12 * 8
 # fewest cells per sampling block: a block's coordinates, Hermite rows and
 # temporaries (128 KiB each in float64) fit in a core's L2 cache.  It is also
 # the size (256 KiB of complex128) from which numpy's temporary elision
@@ -179,15 +184,16 @@ class SchmidtResult:
 
     def check(self) -> None:
         """Raise NumericalConsistencyError unless the norm defect is at most
-        1e-3 and then the grid defect at most 1e-6; a NaN defect fails."""
+        1e-3 and then the grid defect at most 1e-6; a NaN defect fails.  The
+        remedies name the :class:`GridSpec` fields."""
         if not self.norm_defect <= _NORM_TOL:
             raise NumericalConsistencyError(
-                f"grid norm defect {self.norm_defect:.3e} exceeds 1e-3; enlarge --extent "
-                f"if the window is too narrow or raise --n-points if the grid is too coarse")
+                f"grid norm defect {self.norm_defect:.3e} exceeds 1e-3; enlarge extent_sigmas "
+                f"if the window is too narrow or raise n_points if the grid is too coarse")
         if not self.grid_defect <= _GRID_TOL:
             raise NumericalConsistencyError(
                 f"grid defect {self.grid_defect:.3e} (purity at {self.n_points} points against "
-                f"every second point) exceeds 1e-6; raise --n-points, or leave it unset "
+                f"every second point) exceeds 1e-6; raise n_points, or leave it unset "
                 f"to size the grid from the state")
 
     @cached_property
@@ -225,8 +231,7 @@ def hermite_functions(u: np.ndarray, nmax: int) -> np.ndarray:
     renormalized recurrence
     h_{n+1} = sqrt(2/(n+1)) u h_n - sqrt(n/(n+1)) h_{n-1}.
     """
-    if nmax < 0:
-        raise DomainError("nmax must be nonnegative")
+    nmax = _quantum_number(nmax, "nmax")
     u = np.asarray(u, dtype=float)
     out = np.empty((nmax + 1,) + u.shape)
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * u * u)
@@ -284,8 +289,7 @@ def eval_wavefunction(sys: OscillatorSystem, state, x1, x2) -> np.ndarray:
         rel = _mode_function(state.m, r, sys.gamma)
         return rel * _spreading_packet(X, state.tau, sys.Gamma)
     if isinstance(state, Superposition):
-        mmax = max(m for (m, _, _) in state.terms)
-        nmax = max(n for (_, n, _) in state.terms)
+        mmax, nmax = _max_orders(state)
         h_rel = hermite_functions(sys.gamma * r, mmax)
         h_com = hermite_functions(sys.Gamma * X, nmax)
         amp = math.sqrt(sys.gamma * sys.Gamma)
@@ -361,27 +365,36 @@ def _sized_points(sys: OscillatorSystem, half1: float, half2: float) -> int:
     return max(_MIN_POINTS, _POINTS_STEP * steps)
 
 
-def _check_sample_cap(state, n_points: int):
-    """Raise ResourceCapError when sampling ``state`` on an n_points^2 grid
-    is predicted to need more than the byte budget.
+def _blocks(n: int) -> int:
+    """Row blocks of an n^2 sampling, each of at least _BLOCK_CELLS cells
+    (one block when the grid is smaller)."""
+    return max(1, n // math.ceil(_BLOCK_CELLS / n))
 
-    The estimate counts n_points^2 cells for each Hermite row of both stacks
-    (orders 0..m and 0..n), the coordinate arrays and temporaries around
-    them (four float64 cells), and three cells of the sample dtype (the
-    samples, their Gram matrix and one temporary).  Sampling allocates the
-    Hermite rows and coordinates one row block at a time, so this is a
-    conservative upper bound; formula and budget are kept so that the same
-    grids are refused whether or not they are sampled in blocks.
+
+def _check_sample_cap(state, n_points: int) -> int:
+    """The predicted peak bytes of sampling ``state`` on an n_points^2 grid
+    and taking its Gram matrix; ResourceCapError when they exceed the byte
+    budget.
+
+    The whole grid holds, in n_points^2 cells of the sample dtype each: W,
+    the copy of W that :func:`_scaled_gram` scales when tr(G) would leave the
+    float range, W's conjugate when W is complex, and G; and |G|^2 in
+    float64.  One block holds the Hermite rows of both stacks (orders 0..m
+    and 0..n) in float64 and its coordinates and temporaries.  The two are
+    added, although a block is freed before the Gram product.  Reading the
+    spectrum afterwards holds G and its factor, which is less.
     """
     m_eff, n_eff = _max_orders(state)
-    itemsize = 8 if _is_real(state) else 16
-    cells = n_points * n_points
-    need = cells * (8 * (m_eff + n_eff + 2 + 4) + 3 * itemsize)
+    itemsize, copies = (8, 3) if _is_real(state) else (16, 4)
+    block_cells = math.ceil(n_points / _blocks(n_points)) * n_points
+    need = (n_points * n_points * (copies * itemsize + 8)
+            + block_cells * (8 * (m_eff + n_eff + 2) + _BLOCK_EXTRA_BYTES))
     if need > _SAMPLE_BYTES_CAP:
         raise ResourceCapError(
             f"a {n_points}^2 grid for this state needs about {need / 2 ** 20:.0f} MiB, "
             f"above the {_SAMPLE_BYTES_CAP / 2 ** 20:.0f} MiB budget; lower the grid points"
         )
+    return need
 
 
 def _sample(sys: OscillatorSystem, state, grid: GridSpec):
@@ -394,7 +407,7 @@ def _sample(sys: OscillatorSystem, state, grid: GridSpec):
     x2 = np.linspace(c2 - half2, c2 + half2, n)
     W = np.empty((n, n), dtype=float if _is_real(state) else complex)
     # rows split evenly into blocks of at least _BLOCK_CELLS cells each
-    blocks = max(1, n // math.ceil(_BLOCK_CELLS / n))
+    blocks = _blocks(n)
     for b in range(blocks):
         i, j = b * n // blocks, (b + 1) * n // blocks
         W[i:j] = eval_wavefunction(sys, state, x1[i:j, None], x2[None, :])
@@ -431,6 +444,7 @@ def _scaled_gram(W: np.ndarray) -> tuple[np.ndarray, float, float, int]:
         G, total, square = _gram(W)
     if _TINY <= square and total * total < math.inf:
         return G, total, square / (total * total), 0
+    del G  # room for the scaled copy, as _check_sample_cap counts it
     big = float(np.maximum(np.max(np.abs(W.real)), np.max(np.abs(W.imag))))
     if not big < math.inf:
         # an infinite trace would put the pivoted factor's stop at inf, and
@@ -443,12 +457,6 @@ def _scaled_gram(W: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     half = -e // 2
     G, total, square = _gram(W * 2.0 ** half * 2.0 ** (-e - half))
     return G, total, square / (total * total), e
-
-
-def _gram_purity(W: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """G, tr(G) and ||G||_F^2 / tr(G)^2 of W, scaled as :func:`_scaled_gram`
-    scales it."""
-    return _scaled_gram(W)[:3]
 
 
 def _spectrum(G: np.ndarray, total: float) -> tuple[np.ndarray, float, float]:
@@ -520,7 +528,7 @@ def schmidt_analyze(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -
     _, _, W, dx1, dx2 = _sample(sys, state, grid)
     norm = float(np.sum(_abs2(W)) * dx1 * dx2)
     G, total, purity, e = _scaled_gram(W)
-    coarse = _gram_purity(W[::2, ::2])[2]
+    coarse = _scaled_gram(W[::2, ::2])[2]
     return SchmidtResult(purity=purity, norm_defect=abs(1.0 - norm),
                          grid_defect=abs(purity - coarse), n_points=W.shape[0], gram=G,
                          trace=total, scale_exp=e)

@@ -217,12 +217,16 @@ class Coherent:
             object.__setattr__(self, name, value)
 
 
-def _quantum_number(value) -> int:
-    """Any integral value (int, numpy integer, ...) as a Python int."""
+def _quantum_number(value, name: str) -> int:
+    """A nonnegative integral value (int, numpy integer, ...) as a Python int;
+    the one check of every count the package takes, ``name`` naming it."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
-        raise DomainError(f"quantum numbers must be integers, got {value!r}") from None
+        count = -1
+    if count < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -234,11 +238,8 @@ class NumberState:
     n: int
 
     def __post_init__(self):
-        m, n = _quantum_number(self.m), _quantum_number(self.n)
-        if m < 0 or n < 0:
-            raise DomainError(f"quantum numbers must be nonnegative, got ({m}, {n})")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", _quantum_number(self.m, "m"))
+        object.__setattr__(self, "n", _quantum_number(self.n, "n"))
 
 
 @dataclass(frozen=True)
@@ -251,13 +252,10 @@ class Superposition:
     terms: tuple
 
     def __post_init__(self):
-        terms = tuple((_quantum_number(m), _quantum_number(n), complex(cf))
+        terms = tuple((_quantum_number(m, "m"), _quantum_number(n, "n"), complex(cf))
                       for (m, n, cf) in self.terms)
         if not terms:
             raise DomainError("superposition needs at least one term")
-        for (m, n, _) in terms:
-            if m < 0 or n < 0:
-                raise DomainError(f"quantum numbers must be nonnegative, got ({m}, {n})")
         if len({(m, n) for (m, n, _) in terms}) != len(terms):
             raise DomainError("duplicate (m, n) labels in superposition")
         # a product overflows to inf where ** would raise OverflowError
@@ -285,12 +283,9 @@ class UnboundGaussian:
     tau: float
 
     def __post_init__(self):
-        m = _quantum_number(self.m)
-        if m < 0:
-            raise DomainError(f"vibrational index must be a nonnegative integer, got {m}")
+        object.__setattr__(self, "m", _quantum_number(self.m, "m"))
         if not math.isfinite(self.tau):
             raise DomainError("tau must be finite")
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "tau", float(self.tau))
 
 

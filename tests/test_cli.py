@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -102,6 +103,11 @@ class TestPurityCommand:
         assert cli.run(["purity", "--g", "2", "--mu1", "0.5", "--state", "number:1,1",
                         "--method", "fock", "--jmax", "180"]) == 3
         assert "lower the truncation" in capsys.readouterr().err
+
+    def test_negative_truncation_exits_one_naming_it(self, capsys):
+        assert cli.run(["purity", "--g", "5", "--mu1", "0.3", "--state", "number:1,1",
+                        "--method", "fock", "--jmax", "-1"]) == 1
+        assert capsys.readouterr().err == "error: jmax must be a nonnegative integer, got -1\n"
 
     def test_fock_record_from_one_density_matrix(self, capsys, monkeypatch):
         sys_ = OscillatorSystem.from_dimensionless(3.0, 0.3)
@@ -573,10 +579,30 @@ class TestOracleCompare:
 
         monkeypatch.setattr(acceptance, "oracle_residuals", recorded)
         assert acceptance.criterion_5_oracle_equivalence()[0]
-        assert [len(seen), len(seen[0])] == [1, len(acceptance.oracle_cases())]
+        rows, worst = seen[0]
+        assert [len(seen), len(rows)] == [1, len(acceptance.oracle_cases())]
+        assert worst == max(diff for (*_, diff) in rows)
         assert cli.run(["oracle-compare"]) == 0
         assert capsys.readouterr().out.splitlines()[2:] == [
-            ",".join([label, *map(cli._fmt, values)]) for (label, *values) in seen[0]]
+            ",".join([label, *map(cli._fmt, values)]) for (label, *values) in rows]
+
+    def test_a_nan_residual_fails_the_gate(self, capsys, monkeypatch):
+        real = grid.schmidt_analyze
+        _, first_sys, first_state = acceptance.oracle_cases()[0]
+
+        def nan_for_the_first_case(sys_, state, spec):
+            res = real(sys_, state, spec)
+            if (sys_, state) == (first_sys, first_state):
+                return dataclasses.replace(res, purity=math.nan)
+            return res
+
+        monkeypatch.setattr(grid, "schmidt_analyze", nan_for_the_first_case)
+        rows, worst = acceptance.oracle_residuals(grid.GridSpec())
+        assert math.isnan(rows[0][3]) and math.isnan(worst)
+        assert not acceptance.criterion_5_oracle_equivalence()[0]
+        assert cli.run(["oracle-compare"]) == 2
+        assert capsys.readouterr().err == (
+            "error: worst method-vs-oracle residual nan exceeds 1e-06\n")
 
 
 class TestOracleSpectrum:
@@ -638,7 +664,7 @@ class TestOracleSizing:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: grid norm defect") and err.count("\n") == 1
-        assert "--extent" in err and "--n-points" in err
+        assert "extent_sigmas" in err and "n_points" in err and "--" not in err
 
     def test_sized_grid_above_the_cap_exits_three_before_allocating(self, capsys):
         tracemalloc.start()

@@ -16,6 +16,9 @@ from oscillent.errors import NumericalConsistencyError, ResourceCapError
 from oscillent.grid import hermite_functions, schmidt_from_samples
 import oscillent.grid as grid_mod
 
+TRAPPED = OscillatorSystem.from_dimensionless(1.7, 0.37)
+FREE = OscillatorSystem.from_untrapped(0.37, c=2.0)
+
 
 def svd_reference(W):
     """Singular values, purity and entropy from the SVD of W: purity =
@@ -205,8 +208,8 @@ class TestCheck:
         with pytest.raises(NumericalConsistencyError) as err:
             self.result(norm_defect, 0.0).check()
         assert str(err.value) == (
-            f"grid norm defect {norm_defect:.3e} exceeds 1e-3; enlarge --extent if the "
-            f"window is too narrow or raise --n-points if the grid is too coarse")
+            f"grid norm defect {norm_defect:.3e} exceeds 1e-3; enlarge extent_sigmas if the "
+            f"window is too narrow or raise n_points if the grid is too coarse")
 
     @pytest.mark.parametrize("grid_defect", [1.1e-6, math.nan, math.inf])
     def test_grid_gate_alone(self, grid_defect):
@@ -214,7 +217,7 @@ class TestCheck:
             self.result(0.0, grid_defect).check()
         assert str(err.value) == (
             f"grid defect {grid_defect:.3e} (purity at 48 points against every second "
-            f"point) exceeds 1e-6; raise --n-points, or leave it unset to size the grid "
+            f"point) exceeds 1e-6; raise n_points, or leave it unset to size the grid "
             f"from the state")
 
     def test_norm_gate_comes_first(self):
@@ -244,9 +247,34 @@ class TestSampleCap:
         grid_mod._check_sample_cap(state, 1024)
 
     def test_cap_grows_with_the_hermite_order(self):
+        # a block of a 2048^2 grid has 16384 cells; a stack of 9001 Hermite
+        # rows over it alone takes 1.1 GiB
         grid_mod._check_sample_cap(NumberState(0, 0), 2048)
+        grid_mod._check_sample_cap(NumberState(60, 60), 2048)
         with pytest.raises(ResourceCapError):
-            grid_mod._check_sample_cap(NumberState(60, 60), 2048)
+            grid_mod._check_sample_cap(NumberState(9000, 9000), 2048)
+
+    @pytest.mark.parametrize("sys, state, n, entropy", [
+        (TRAPPED, NumberState(0, 0), 128, False),
+        (TRAPPED, NumberState(0, 0), 128, True),
+        (TRAPPED, Superposition(((0, 60, 0.6), (60, 0, 0.8))), 128, True),
+        (TRAPPED, Superposition(((0, 60, 0.6), (60, 0, 0.8j))), 256, True),
+        (FREE, UnboundGaussian(60, 3.0), 512, False),
+        (TRAPPED, Coherent(0.3 + 0.2j, -0.1 + 0.4j), 1024, True),
+        (TRAPPED, NumberState(4, 4), 2048, True),
+    ], ids=["0,0-128", "0,0-128-entropy", "real-60-128-entropy", "complex-60-256-entropy",
+            "unbound-60-512", "coherent-1024-entropy", "4,4-2048-entropy"])
+    def test_prediction_covers_the_measured_peak(self, sys, state, n, entropy):
+        tracemalloc.start()
+        try:
+            res = schmidt_analyze(sys, state, GridSpec(n, 8.0))
+            if entropy:
+                assert res.entropy >= 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_points == n
+        assert grid_mod._check_sample_cap(state, n) >= peak
 
 
 class TestSchmidtAnalyze:
@@ -308,7 +336,7 @@ class TestSchmidtAnalyze:
         assert res.norm_defect > 1e-3
         with pytest.raises(NumericalConsistencyError, match="norm defect") as err:
             res.check()
-        assert "--extent" in str(err.value) and "--n-points" in str(err.value)
+        assert "extent_sigmas" in str(err.value) and "n_points" in str(err.value)
 
     def test_coarse_grid_reports_both_defects_without_warning(self):
         # the 32-point grid of the command line's norm-gate example
@@ -463,9 +491,6 @@ class TestSizedGrid:
         assert peak < 2 ** 20
 
 
-TRAPPED = OscillatorSystem.from_dimensionless(1.7, 0.37)
-
-
 class TestBlockedSampling:
     @pytest.mark.parametrize("n", [17, 33, 1000])
     @pytest.mark.parametrize("sys, state", [
@@ -583,7 +608,7 @@ class TestEntropy:
         W = rng.normal(size=(300, 300))
         if complex_:
             W = W + 1j * rng.normal(size=W.shape)
-        G, total, _ = grid_mod._gram_purity(W)
+        G, total, _, _ = grid_mod._scaled_gram(W)
         s, entropy, defect = grid_mod._spectrum(G, total)
         w = np.linalg.eigvalsh(G)
         p = w / total

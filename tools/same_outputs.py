@@ -9,7 +9,8 @@ empty directory, so the files it writes are compared by their names
 relative to that directory.  The list covers purity on every route and
 state kind, sweeps in every gauge and on every route, covariance,
 oracle-compare, fig1-fig7 and the commands that exit 1, 2 or 3, among them
-a 10^5-point sweep whose flags name two gauges.  The line number in a
+a 10^5-point sweep whose flags name two gauges, a sweep whose second point
+fails, a negative truncation and the oracle gate's failing path.  The line number in a
 warning's ``<tree>/...py:LINE`` is masked, so moving code does not count as
 a difference.  Prints one line per command and exits 1 if any command
 differs.  Standard library only.
@@ -95,6 +96,7 @@ COMMANDS = [
     ["purity", *G5, "--state", "superposition:0,1,0.6;1,0,-inf", "--method", "oracle"],
     ["purity", *G5, "--state", "superposition:0,0,1e200;1,0,0"],
     ["purity", *G5, "--state", "superposition:0,1,0.9;1,0,0.9"],
+    ["purity", *G5, "--state", "number:1,1", "--method", "fock", "--jmax", "-1"],
     ["sweep", "--param", "theta", "--range", "0:nan:3", "--g", "2", "--mu1", "0.3"],
     # flags of two gauges, or --mu1 beside the physical gauge
     ["purity", "--g", "5", "--c", "2", "--mu1", "0.2", "--state", "number:1,1"],
@@ -115,9 +117,12 @@ COMMANDS = [
     # inputs a command cannot use
     ["selftest", "--criteria", "99"],
     ["sweep", "--param", "tau", "--range", "0:1:2", *FREE, "--state", "number:1,1"],
+    # a point that fails mid-sweep: the second, mu1 = 1, is outside (0, 1)
+    ["sweep", "--param", "mu1", "--range", "0.5:1.5:3", "--g", "2", "--state", "number:1,1"],
     # exit 2: numerical consistency
     ["purity", *G5, "--state", "number:2,2", "--method", "oracle", "--n-points", "48"],
     ["purity", *G5, "--state", "number:2,2", "--method", "oracle", "--n-points", "32"],
+    ["oracle-compare", "--n-points", "32"],
     # exit 3: resource caps
     ["purity", "--g", "2", "--mu1", "0.5", "--state", "number:9,9"],
     ["purity", "--g", "2", "--mu1", "0.5", "--state", "number:5,4"],
