@@ -83,6 +83,8 @@ def _parse_angle(text: str) -> float:
         num = float(n)
     if t != "pi":
         raise _UsageError(f"cannot parse angle {text!r}")
+    if den == 0:
+        raise _UsageError(f"angle {text!r} divides by zero")
     return sign * num * math.pi / den
 
 

@@ -22,7 +22,9 @@ det(M) = 1/256 for every parameter choice.
 
 The untrapped pair reuses the machinery with a complex, time-dependent A
 whose center-of-mass width follows the spreading packet; the resulting
-purities are real up to roundoff, which is asserted.
+purities are real up to roundoff, which is asserted.  At tau = 0 that A is
+the static one, and M reads only gamma, Gamma and mu1, so a trapped pair's
+M is the Gaussian integral of its untrapped twin at tau = 0.
 
 The order caps are fixed: m + n <= 8 for a number state and unbound index
 m <= 8, and a total order of at most 16 over the four slots of a
@@ -33,7 +35,7 @@ mu1 = 0.5 reads 4.197).  Inside them the symmetries g <-> 1/g,
 mu1 <-> mu2 and (m, n) <-> (n, m) hold to about 1e-15 for g up to 1e6, and
 every box has at most 5^8 cells (3 MiB).  Each cap is decided from the
 state's numbers before anything is built (4 max(m + n) over a
-superposition's terms with c != 0) and raises ResourceCapError; number
+superposition's terms) and raises ResourceCapError; number
 states and the untrapped pair share one read.  All functions are pure;
 superposition sums iterate in a fixed order so results are bit-stable.
 """
@@ -50,7 +52,7 @@ import numpy as np
 # boxes are built through the module attribute, so a rebinding of
 # taylor.exp_taylor_box (for tracing, say) sees every one
 from . import taylor
-from .errors import DomainError, NumericalConsistencyError, ResourceCapError
+from .errors import NumericalConsistencyError, ResourceCapError
 from .gaussian import purity_coherent
 from .system import OscillatorSystem, Superposition, _quantum_number
 from .taylor import taylor_coefficient
@@ -58,13 +60,11 @@ from .taylor import taylor_coefficient
 __all__ = [
     "GaussianIntegralData",
     "QuadraticGenerator",
-    "build_A",
     "build_At",
     "build_M",
     "build_M_from_A",
     "purity_number",
     "purity_number_unbound",
-    "purity_cross",
     "purity_superposition",
 ]
 
@@ -139,30 +139,6 @@ def _chain_Lmap(sys: OscillatorSystem) -> np.ndarray:
     return math.sqrt(2.0) * L
 
 
-def build_A(sys: OscillatorSystem) -> GaussianIntegralData:
-    """Static kernel quadratic form.
-
-    Diagonal gamma^2 + Gamma^2 mu_i^2, off-diagonal blocks filled with
-    y = (-gamma^2 + Gamma^2 mu1 mu2) / 2.
-    """
-    gam2 = sys.gamma ** 2
-    Gam2 = sys.Gamma ** 2
-    y = 0.5 * (-gam2 + Gam2 * sys.mu1 * sys.mu2)
-    a = gam2 + Gam2 * sys.mu1 ** 2
-    b = gam2 + Gam2 * sys.mu2 ** 2
-    A = np.array([
-        [a, 0.0, y, y],
-        [0.0, a, y, y],
-        [y, y, b, 0.0],
-        [y, y, 0.0, b],
-    ])
-    return GaussianIntegralData(
-        A=A,
-        Lmap=_chain_Lmap(sys),
-        norm_const=(sys.gamma * sys.Gamma) ** 2 / math.pi ** 2,
-    )
-
-
 def build_At(sys: OscillatorSystem, tau: float) -> GaussianIntegralData:
     """Time-dependent kernel quadratic form for the untrapped pair.
 
@@ -170,11 +146,11 @@ def build_At(sys: OscillatorSystem, tau: float) -> GaussianIntegralData:
     w = Gamma^2 (1 + i tau) / (1 + tau^2) of the spreading packet (its
     conjugate in the conjugated factors), so the diagonal picks up
     mu_i^2 Gamma^2 / (1 + tau^2) and the off-diagonal entries split into a
-    conjugate pair z_w = (-gamma^2 + w mu1 mu2) / 2.  At tau = 0 this
-    reduces entrywise to :func:`build_A`.
+    conjugate pair z_w = (-gamma^2 + w mu1 mu2) / 2.  At tau = 0 it is the
+    real static form, diagonal gamma^2 + Gamma^2 mu_i^2 and off-diagonal
+    blocks y = (-gamma^2 + Gamma^2 mu1 mu2) / 2.
     """
-    if sys.is_trapped:
-        raise DomainError("build_At needs an untrapped system (Omega = 0)")
+    sys.check_untrapped()
     T = 1.0 + tau * tau
     gam2 = sys.gamma ** 2
     w = sys.Gamma ** 2 * (1.0 + 1j * tau) / T
@@ -286,11 +262,6 @@ def _check_number_cap(total: int):
         )
 
 
-def _check_cross_cap(total: int):
-    if total > _CROSS_CAP:
-        raise ResourceCapError(f"total order {total} exceeds the cross-term cap {_CROSS_CAP}")
-
-
 def _number_read(gen: QuadraticGenerator, m: int, n: int):
     """P_0 (m! n!)^2 c, with c the coefficient of prod alpha_i^m beta_i^n of
     the exponential of ``gen`` and P_0 its prefactor."""
@@ -336,43 +307,27 @@ def _cross_value(gen: QuadraticGenerator, box: np.ndarray, orders) -> float:
     return float(gen.prefactor * math.sqrt(fac) * box[orders])
 
 
-def purity_cross(sys: OscillatorSystem, quadruple) -> float:
-    """Cross term P({m_i, n_i}) of the superposition purity sum.
-
-    ``quadruple`` holds four (m_i, n_i) pairs, one per kernel factor in the
-    cyclic order (slots 2 and 4 are the conjugated factors).  The value is
-    P_coherent * sqrt(prod m_i! n_i!) * coefficient, and it vanishes exactly
-    whenever sum (m_i + n_i) is odd because the generator exponential has
-    only even terms.
-    """
-    quad = [(_quantum_number(m, "m"), _quantum_number(n, "n")) for (m, n) in quadruple]
-    if len(quad) != 4:
-        raise DomainError("quadruple must contain exactly four (m, n) pairs")
-    orders = tuple(m for (m, _) in quad) + tuple(n for (_, n) in quad)
-    _check_cross_cap(sum(orders))
-    if sum(orders) % 2 == 1:
-        return 0.0
-    gen = build_M(sys)
-    return _cross_value(gen, taylor.exp_taylor_box(gen.Mmat, orders), orders)
-
-
 def purity_superposition(sys: OscillatorSystem, state: Superposition) -> float:
     """Exact purity of a finite normalized superposition of number states.
 
     Sums c_1 c_2* c_3 c_4* P({m_i, n_i}) over all index quadruples drawn
-    from the terms with c != 0, in ``product(terms, repeat=4)`` order.  The
-    largest quadruple repeats the term of largest m + n, so the cap is
-    checked on 4 max(m + n), and one box at caps (max m,)*4 + (max n,)*4
-    covers every cross term.
+    from the terms, in ``product(terms, repeat=4)`` order.  A cross term
+    P({m_i, n_i}) is P_coherent * sqrt(prod m_i! n_i!) times the coefficient
+    of prod alpha_i^m_i beta_i^n_i, slots 2 and 4 being the conjugated
+    factors; it vanishes whenever sum (m_i + n_i) is odd.  The largest
+    quadruple repeats the term of largest m + n, so the cap is checked on
+    4 max(m + n), and one box at the state's orders (m,)*4 + (n,)*4 covers
+    every cross term.
     """
-    terms = [(m, n, c) for (m, n, c) in state.terms if c != 0]
-    _check_cross_cap(4 * max(m + n for (m, n, _) in terms))
+    order = 4 * max(m + n for (m, n, _) in state.terms)
+    if order > _CROSS_CAP:
+        raise ResourceCapError(f"total order {order} exceeds the cross-term cap {_CROSS_CAP}")
     gen = build_M(sys)
-    caps = (max(m for (m, _, _) in terms),) * 4 + (max(n for (_, n, _) in terms),) * 4
-    box = taylor.exp_taylor_box(gen.Mmat, caps)
+    mmax, nmax = state.orders
+    box = taylor.exp_taylor_box(gen.Mmat, (mmax,) * 4 + (nmax,) * 4)
 
     total = 0j
-    for (m1, n1, c1), (m2, n2, c2), (m3, n3, c3), (m4, n4, c4) in product(terms, repeat=4):
+    for (m1, n1, c1), (m2, n2, c2), (m3, n3, c3), (m4, n4, c4) in product(state.terms, repeat=4):
         orders = (m1, m2, m3, m4, n1, n2, n3, n4)
         total += c1 * c2.conjugate() * c3 * c4.conjugate() * _cross_value(gen, box, orders)
     if not abs(total.imag) <= _SUPERPOSITION_IMAG_TOL:

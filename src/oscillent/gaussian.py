@@ -78,8 +78,7 @@ def purity_unbound_gaussian(sys: OscillatorSystem, tau: float) -> float:
     Strictly decreasing in |tau|; the maximum sits at the minimum-uncertainty
     instant tau = 0 where it reduces to :func:`purity_coherent`.
     """
-    if sys.is_trapped:
-        raise DomainError("purity_unbound_gaussian needs an untrapped system (Omega = 0)")
+    sys.check_untrapped()
     gam, Gam = sys.gamma, sys.Gamma
     mu1, mu2 = sys.mu1, sys.mu2
     under = (gam * gam + Gam * Gam * mu1 * mu1) * (gam * gam + Gam * Gam * mu2 * mu2)

@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import (DomainError, NumericalConsistencyError, ResourceCapError,
                      UnsupportedStateError)
-from .system import (Coherent, NumberState, OscillatorSystem, Superposition,
+from .system import (Coherent, NumberState, OscillatorSystem, StateSpec, Superposition,
                      UnboundGaussian, _quantum_number)
 
 __all__ = [
@@ -284,44 +284,20 @@ def eval_wavefunction(sys: OscillatorSystem, state, x1, x2) -> np.ndarray:
         com = _coherent_mode(X, state.beta, sys.Gamma, sys.hbar)
         return rel * com
     if isinstance(state, UnboundGaussian):
-        if sys.is_trapped:
-            raise DomainError("spreading-packet states need an untrapped system (Omega = 0)")
+        sys.check_untrapped()
         rel = _mode_function(state.m, r, sys.gamma)
         return rel * _spreading_packet(X, state.tau, sys.Gamma)
     if isinstance(state, Superposition):
-        mmax, nmax = _max_orders(state)
+        mmax, nmax = state.orders
         h_rel = hermite_functions(sys.gamma * r, mmax)
         h_com = hermite_functions(sys.Gamma * X, nmax)
         amp = math.sqrt(sys.gamma * sys.Gamma)
-        real = _is_real(state)
+        real = state.is_real
         out = np.zeros(np.broadcast(x1, x2).shape, dtype=float if real else complex)
         for (m, n, cf) in state.terms:
             out += (cf.real if real else cf) * amp * h_rel[m] * h_com[n]
         return out
     raise UnsupportedStateError(f"cannot evaluate state kind {type(state).__name__}")
-
-
-def _is_real(state) -> bool:
-    """Whether the state's wavefunction is real-valued (sampled in float64)."""
-    if isinstance(state, NumberState):
-        return True
-    if isinstance(state, Superposition):
-        return all(cf.imag == 0 for (_, _, cf) in state.terms)
-    return False
-
-
-def _max_orders(state) -> tuple[int, int]:
-    """Largest relative and center-of-mass oscillator orders of a state."""
-    if isinstance(state, NumberState):
-        return state.m, state.n
-    if isinstance(state, Coherent):
-        return 0, 0
-    if isinstance(state, UnboundGaussian):
-        return state.m, 0
-    if isinstance(state, Superposition):
-        return (max(m for (m, _, _) in state.terms),
-                max(n for (_, n, _) in state.terms))
-    raise UnsupportedStateError(f"cannot size a grid for state kind {type(state).__name__}")
 
 
 def _window(sys: OscillatorSystem, state, extent_sigmas: float):
@@ -330,7 +306,7 @@ def _window(sys: OscillatorSystem, state, extent_sigmas: float):
     gam2 = sys.gamma ** 2
     Gam2 = sys.Gamma ** 2
     mu1, mu2 = sys.mu1, sys.mu2
-    m_eff, n_eff = _max_orders(state)
+    m_eff, n_eff = state.orders
     c1 = c2 = 0.0
     spread_X = 2 * n_eff + 1
     if isinstance(state, Coherent):
@@ -384,8 +360,8 @@ def _check_sample_cap(state, n_points: int) -> int:
     added, although a block is freed before the Gram product.  Reading the
     spectrum afterwards holds G and its factor, which is less.
     """
-    m_eff, n_eff = _max_orders(state)
-    itemsize, copies = (8, 3) if _is_real(state) else (16, 4)
+    m_eff, n_eff = state.orders
+    itemsize, copies = (8, 3) if state.is_real else (16, 4)
     block_cells = math.ceil(n_points / _blocks(n_points)) * n_points
     need = (n_points * n_points * (copies * itemsize + 8)
             + block_cells * (8 * (m_eff + n_eff + 2) + _BLOCK_EXTRA_BYTES))
@@ -398,6 +374,8 @@ def _check_sample_cap(state, n_points: int) -> int:
 
 
 def _sample(sys: OscillatorSystem, state, grid: GridSpec):
+    if not isinstance(state, StateSpec):
+        raise UnsupportedStateError(f"cannot size a grid for state kind {type(state).__name__}")
     c1, c2, half1, half2 = _window(sys, state, grid.extent_sigmas)
     # sized even when the points are given, so an unbounded window is refused
     sized = _sized_points(sys, half1, half2)
@@ -405,7 +383,7 @@ def _sample(sys: OscillatorSystem, state, grid: GridSpec):
     _check_sample_cap(state, n)
     x1 = np.linspace(c1 - half1, c1 + half1, n)
     x2 = np.linspace(c2 - half2, c2 + half2, n)
-    W = np.empty((n, n), dtype=float if _is_real(state) else complex)
+    W = np.empty((n, n), dtype=float if state.is_real else complex)
     # rows split evenly into blocks of at least _BLOCK_CELLS cells each
     blocks = _blocks(n)
     for b in range(blocks):

@@ -17,6 +17,9 @@ The equilibrium separation of the pair is fixed to zero: shifting it is a
 local unitary in either coordinate system and cannot change any entanglement
 quantity, so no API accepts it.
 
+Every state kind has ``orders``, its highest relative and center-of-mass
+oscillator orders, and ``is_real``, whether its wavefunction is real.
+
 All objects here are frozen dataclasses; they are safe to share across
 threads without coordination.
 """
@@ -178,6 +181,12 @@ class OscillatorSystem:
     def is_trapped(self) -> bool:
         return self.Omega > 0
 
+    def check_untrapped(self) -> None:
+        """Raise DomainError for a trapped system: the one refusal of the
+        spreading center-of-mass packet, which only a free pair has."""
+        if self.is_trapped:
+            raise DomainError("the spreading packet needs an untrapped system (Omega = 0)")
+
     @property
     def g(self) -> float:
         """Frequency ratio omega/Omega; defined only for trapped systems."""
@@ -216,6 +225,9 @@ class Coherent:
                 raise DomainError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
 
+    orders = (0, 0)
+    is_real = False
+
 
 def _quantum_number(value, name: str) -> int:
     """A nonnegative integral value (int, numpy integer, ...) as a Python int;
@@ -241,12 +253,20 @@ class NumberState:
         object.__setattr__(self, "m", _quantum_number(self.m, "m"))
         object.__setattr__(self, "n", _quantum_number(self.n, "n"))
 
+    is_real = True
+
+    @property
+    def orders(self) -> tuple[int, int]:
+        return self.m, self.n
+
 
 @dataclass(frozen=True)
 class Superposition:
     """Finite superposition sum_k c_k |m_k, n_k> with sum |c_k|^2 = 1.
 
-    ``terms`` is a tuple of (m, n, coefficient) triples.
+    ``terms`` is a tuple of (m, n, coefficient) triples.  A term with c = 0
+    is not part of the state: it is dropped once the labels and the norm are
+    checked, so every route sizes and sums the weighted terms only.
     """
 
     terms: tuple
@@ -262,11 +282,21 @@ class Superposition:
         norm = sum(abs(cf) * abs(cf) for (_, _, cf) in terms)
         if not abs(norm - 1.0) <= _NORMALIZATION_TOL:
             raise DomainError(f"superposition is not normalized: sum |c|^2 = {norm!r}")
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", tuple((m, n, cf) for (m, n, cf) in terms if cf != 0))
+
+    @property
+    def orders(self) -> tuple[int, int]:
+        return (max(m for (m, _, _) in self.terms), max(n for (_, n, _) in self.terms))
+
+    @property
+    def is_real(self) -> bool:
+        return all(cf.imag == 0 for (_, _, cf) in self.terms)
 
     @classmethod
     def two_mode_mix(cls, theta: float) -> "Superposition":
         """The one-excitation family cos(theta)|0,1> + sin(theta)|1,0>."""
+        if not math.isfinite(theta):
+            raise DomainError(f"theta must be finite, got {theta!r}")
         return cls(((0, 1, math.cos(theta)), (1, 0, math.sin(theta))))
 
 
@@ -276,7 +306,7 @@ class UnboundGaussian:
     Gaussian packet at dimensionless time tau = Gamma^2 * hbar * t / M.
 
     Only meaningful for untrapped systems (Omega = 0); the consuming
-    operations enforce that.
+    operations enforce that through :meth:`OscillatorSystem.check_untrapped`.
     """
 
     m: int
@@ -287,6 +317,12 @@ class UnboundGaussian:
         if not math.isfinite(self.tau):
             raise DomainError("tau must be finite")
         object.__setattr__(self, "tau", float(self.tau))
+
+    is_real = False
+
+    @property
+    def orders(self) -> tuple[int, int]:
+        return self.m, 0
 
 
 StateSpec = Coherent | NumberState | Superposition | UnboundGaussian

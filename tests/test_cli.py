@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oscillent import NumberState, OscillatorSystem, acceptance, cli, fock, grid
+from oscillent import (Coherent, NumberState, OscillatorSystem, Superposition,
+                       UnboundGaussian, acceptance, cli, fock, grid)
 from oscillent.errors import NumericalConsistencyError
 
 
@@ -78,6 +79,40 @@ class TestPurityCommand:
                                       "--state", "sup:pi/6"])
         assert code == 0
         assert rec["purity"] == pytest.approx(1.0, abs=1e-10)
+        sys_ = OscillatorSystem.from_dimensionless(5.0, 0.3)
+        for literal, theta in [("-pi", -math.pi), ("2*pi/3", 2 * math.pi / 3)]:
+            code, rec = run_json(capsys, ["purity", "--g", "5", "--mu1", "0.3",
+                                          "--state", f"sup:{literal}"])
+            assert code == 0
+            assert rec["purity"] == acceptance.method_purity(sys_,
+                                                             Superposition.two_mode_mix(theta))
+
+    @pytest.mark.parametrize("literal, message", [
+        ("inf", "theta must be finite, got inf"),
+        ("nan", "theta must be finite, got nan"),
+        ("pi/0", "angle 'pi/0' divides by zero"),
+        ("2*pi/1e-400", "angle '2*pi/1e-400' divides by zero"),
+    ])
+    def test_angle_refusals_name_the_angle(self, capsys, literal, message):
+        assert cli.run(["purity", "--g", "5", "--mu1", "0.3", "--state", f"sup:{literal}"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("state", [
+        NumberState(2, 3), Coherent(), Coherent(0.7 + 0.4j, -0.3 + 1.1j),
+        UnboundGaussian(3, 0.1), UnboundGaussian(0, 1e300),
+        Superposition(((0, 1, 0.6), (1, 0, 0.8j))), Superposition.two_mode_mix(math.pi / 7),
+    ], ids=repr)
+    def test_a_state_label_parses_back_to_its_state(self, state):
+        assert cli.parse_state(cli._state_label(state)) == state
+
+    def test_spreading_packet_on_a_trapped_system_is_refused_in_one_wording(self, capsys):
+        errors = set()
+        for state, method in [("unbound:1,2", "exact"), ("unbound:0,2", "exact"),
+                              ("unbound:0,2", "analytic"), ("unbound:1,2", "oracle")]:
+            assert cli.run(["purity", "--g", "5", "--mu1", "0.3", "--state", state,
+                            "--method", method]) == 1
+            errors.add(capsys.readouterr().err)
+        assert errors == {"error: the spreading packet needs an untrapped system (Omega = 0)\n"}
 
     def test_unbound_state(self, capsys):
         code, rec = run_json(capsys, ["purity", "--c", "3", "--mu1", "0.5",
@@ -143,24 +178,28 @@ class TestPurityCommand:
         assert peak < 2 ** 20
         assert capsys.readouterr().err.count("lower the grid points") == 2
 
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    # pi/0 and 2*pi/1e-400 are angle literals whose value would divide by zero
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "pi/0", "2*pi/1e-400"])
     def test_non_finite_parameter_exits_one(self, capsys, value):
-        assert cli.run(["purity", "--g", value, "--mu1", "0.3",
-                        "--state", "number:0,1"]) == 1
-        assert cli.run(["purity", "--g", "2", "--mu1", "0.3", "--state", "number:0,1",
-                        "--method", "fock", "--gamma1", value, "--gamma2", "1"]) == 1
-        assert cli.run(["purity", "--m1", "1", "--m2", "2", "--omega", "3",
-                        "--Omega", value, "--state", "number:0,1"]) == 1
-        assert cli.run(["purity", "--g", "2", "--mu1", "0.3", "--state", "number:0,1",
-                        "--method", "oracle", "--extent", value]) == 1
-        assert cli.run(["sweep", "--g", "2", "--mu1", "0.3", "--param", "theta",
-                        "--range", f"0:{value}:3"]) == 1
+        def refused(argv):
+            code = cli.run(argv)
+            out, err = capsys.readouterr()
+            return (code, out, err.startswith("error: "), err.count("\n")) == (1, "", True, 1)
+
+        assert refused(["purity", "--g", value, "--mu1", "0.3", "--state", "number:0,1"])
+        assert refused(["purity", "--g", "2", "--mu1", "0.3", "--state", "number:0,1",
+                        "--method", "fock", "--gamma1", value, "--gamma2", "1"])
+        assert refused(["purity", "--m1", "1", "--m2", "2", "--omega", "3",
+                        "--Omega", value, "--state", "number:0,1"])
+        assert refused(["purity", "--g", "2", "--mu1", "0.3", "--state", "number:0,1",
+                        "--method", "oracle", "--extent", value])
+        assert refused(["sweep", "--g", "2", "--mu1", "0.3", "--param", "theta",
+                        "--range", f"0:{value}:3"])
         for method in ("analytic", "exact", "fock", "oracle"):
             for state in (f"coherent:{value},0", f"sup:{value}",
                           f"superposition:0,1,0.6;1,0,{value}"):
-                assert cli.run(["purity", "--g", "2", "--mu1", "0.3", "--state", state,
-                                "--method", method]) == 1
-        assert capsys.readouterr().out == ""
+                assert refused(["purity", "--g", "2", "--mu1", "0.3", "--state", state,
+                                "--method", method]), (state, method)
 
     def test_overflowing_state_literals(self, capsys):
         # sum |c|^2 overflows to inf, which is not 1
@@ -181,13 +220,30 @@ class TestPurityCommand:
         assert code == 0
         assert rec["purity"] == pytest.approx(2e-300, rel=1e-15, abs=0)
 
-    def test_usage_errors_exit_one(self):
+    def test_usage_errors_exit_one(self, capsys):
         assert cli.run(["purity", "--g", "1", "--state", "number:0,1"]) == 1
         assert cli.run(["purity", "--g", "1", "--mu1", "0.5",
                         "--state", "nonsense:1"]) == 1
         assert cli.run(["purity", "--g", "0", "--mu1", "0.5",
                         "--state", "number:0,1"]) == 1
         assert cli.run(["nonexistent-command"]) == 1
+        capsys.readouterr()
+        # each refusal with its own message
+        for argv, words in [
+            (["purity", "--c", "2", "--state", "unbound:0,1"], "--c/--gamma need --mu1"),
+            (["purity", "--m1", "1", "--m2", "2", "--omega", "3", "--state", "number:0,1"],
+             "physical gauge needs --Omega"),
+            (["purity", "--mu1", "0.3", "--state", "number:0,1"], "specify a system: --g/--mu1, "
+             "--c/--gamma/--mu1, or --m1/--m2/--omega/--Omega"),
+            (["purity", "--g", "2", "--mu1", "0.3", "--state", "number:0,1", "--method", "fock",
+              "--gamma1", "1"], "pass both --gamma1 and --gamma2 or neither"),
+            (["sweep", "--param", "g", "--range", "0:10:5", "--scale", "log", "--mu1", "0.3"],
+             "log scale needs positive endpoints"),
+            (["purity", "--g", "2", "--mu1", "0.3", "--state", "sup:tau"],
+             "cannot parse angle 'tau'"),
+        ]:
+            assert cli.run(argv) == 1
+            assert capsys.readouterr().err == f"error: {words}\n", argv
 
     def test_numerical_consistency_exit_two(self, monkeypatch):
         def broken(*a, **kw):

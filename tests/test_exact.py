@@ -7,8 +7,8 @@ import pytest
 
 from oscillent import (DomainError, NumberState, NumericalConsistencyError,
                        OscillatorSystem, ResourceCapError, Superposition,
-                       build_A, build_At, build_M, build_M_from_A,
-                       purity_coherent, purity_cross, purity_number,
+                       build_At, build_M, build_M_from_A,
+                       purity_coherent, purity_number,
                        purity_number_unbound, purity_superposition,
                        purity_unbound_gaussian, schmidt_analyze)
 from oscillent import exact, taylor
@@ -69,24 +69,27 @@ class TestTaylorEngine:
         assert mixed == pytest.approx(2 * coeff, rel=5e-3)
 
 
+def static_kernel(sys):
+    """The static kernel form of a trapped pair: the time-dependent form at
+    tau = 0 of its untrapped twin, which has the same gamma, Gamma and mu1
+    (all that build_M reads)."""
+    twin = OscillatorSystem.from_untrapped(sys.mu1, Gamma=sys.Gamma, gamma=sys.gamma)
+    return build_At(twin, 0.0)
+
+
 class TestGeneratorConstruction:
     def test_A_is_symmetric_positive_definite(self):
         for (g, mu1) in [(0.3, 0.2), (1.0, 0.5), (12.0, 0.8)]:
-            data = build_A(OscillatorSystem.from_dimensionless(g, mu1))
+            data = static_kernel(OscillatorSystem.from_dimensionless(g, mu1))
             assert np.array_equal(data.A, data.A.T)
+            assert not np.any(data.A.imag)
             assert np.min(np.linalg.eigvalsh(data.A)) > 0
 
     def test_A_off_diagonal_value(self):
         sys = OscillatorSystem.from_dimensionless(1.0, 0.5)
-        data = build_A(sys)
+        data = static_kernel(sys)
         # g = 1 equal masses: y = (-gamma^2 + Gamma^2/4)/2 = 0
         assert data.A[0, 2] == pytest.approx(0.0, abs=1e-15)
-
-    def test_At_reduces_to_A_at_tau_zero(self):
-        sys = OscillatorSystem.from_untrapped(0.3, c=2.0)
-        A0 = build_At(sys, 0.0).A
-        A = build_A(sys).A
-        assert np.max(np.abs(A0 - A)) < 1e-15
 
     def test_At_rejects_trapped(self):
         with pytest.raises(DomainError):
@@ -110,7 +113,7 @@ class TestGeneratorConstruction:
         for (g, mu1) in [(0.2, 0.15), (1.0, 0.5), (5.0, 0.3), (40.0, 0.9)]:
             sys = OscillatorSystem.from_dimensionless(g, mu1)
             direct = build_M(sys)
-            integral = build_M_from_A(build_A(sys))
+            integral = build_M_from_A(static_kernel(sys))
             assert np.max(np.abs(direct.Mmat - integral.Mmat)) < 1e-12
             assert direct.prefactor == pytest.approx(integral.prefactor, rel=1e-12)
 
@@ -261,34 +264,6 @@ class TestPurityUnboundNumber:
                 assert 0.0 < p <= 1.0 + 1e-12
 
 
-class TestPurityCross:
-    def test_all_ground_slots_give_coherent(self):
-        sys = OscillatorSystem.from_dimensionless(3.0, 0.3)
-        assert purity_cross(sys, [(0, 0)] * 4) == pytest.approx(
-            purity_coherent(sys), abs=1e-13)
-
-    def test_odd_total_is_exactly_zero(self):
-        sys = OscillatorSystem.from_dimensionless(3.0, 0.3)
-        assert purity_cross(sys, [(1, 0), (0, 0), (0, 0), (0, 0)]) == 0.0
-        assert purity_cross(sys, [(1, 1), (0, 1), (1, 0), (1, 0)]) == 0.0
-
-    def test_equal_slots_reduce_to_number_purity(self):
-        sys = OscillatorSystem.from_dimensionless(4.0, 0.4)
-        for (m, n) in [(0, 1), (1, 1), (2, 0)]:
-            assert purity_cross(sys, [(m, n)] * 4) == pytest.approx(
-                purity_number(sys, m, n), abs=1e-12)
-
-    def test_cap(self):
-        sys = OscillatorSystem.from_dimensionless(4.0, 0.4)
-        with pytest.raises(ResourceCapError):
-            purity_cross(sys, [(3, 3)] * 4)
-
-    def test_quadruple_shape_validated(self):
-        sys = OscillatorSystem.from_dimensionless(4.0, 0.4)
-        with pytest.raises(DomainError):
-            purity_cross(sys, [(0, 0)] * 3)
-
-
 class TestPuritySuperposition:
     def test_single_term_reduces_to_number(self):
         sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
@@ -338,7 +313,14 @@ class TestPuritySuperposition:
 
     def test_equals_sum_of_cross_terms(self):
         # one box at the per-slot maximum caps gives the same terms as one
-        # box per quadruple
+        # box per quadruple: P_coherent sqrt(prod m_i! n_i!) times the
+        # coefficient of prod alpha_i^m_i beta_i^n_i
+        def cross_term(sys, quadruple):
+            orders = tuple(m for (m, _) in quadruple) + tuple(n for (_, n) in quadruple)
+            gen = build_M(sys)
+            fac = math.prod(math.factorial(t) for t in orders)
+            return gen.prefactor * math.sqrt(fac) * taylor_coefficient(gen.Mmat, orders)
+
         rng = np.random.default_rng(7)
         labels = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 3)]
         for _ in range(3):
@@ -350,7 +332,7 @@ class TestPuritySuperposition:
                 float(10 ** rng.uniform(-0.5, 0.8)), float(rng.uniform(0.2, 0.8)))
             expect = sum(
                 c1 * c2.conjugate() * c3 * c4.conjugate()
-                * purity_cross(sys, [(m1, n1), (m2, n2), (m3, n3), (m4, n4)])
+                * cross_term(sys, [(m1, n1), (m2, n2), (m3, n3), (m4, n4)])
                 for (m1, n1, c1), (m2, n2, c2), (m3, n3, c3), (m4, n4, c4)
                 in itertools.product(terms, repeat=4))
             assert purity_superposition(sys, Superposition(terms)) == pytest.approx(
@@ -361,7 +343,7 @@ class TestPuritySuperposition:
         # |0,5> x 4 reaches total 20 > 16
         with pytest.raises(ResourceCapError, match="total order 20"):
             purity_superposition(sys, Superposition(((0, 0, 0.6), (0, 5, 0.8))))
-        # a zero coefficient weights every quadruple that holds it by 0
+        # a term with a zero coefficient is not part of the state
         st = Superposition(((0, 1, 1.0), (0, 5, 0.0)))
         assert purity_superposition(sys, st) == pytest.approx(
             purity_number(sys, 0, 1), rel=1e-13)

@@ -12,7 +12,8 @@ from oscillent import (Coherent, DomainError, GridSpec, NumberState,
                        schmidt_analyze)
 from oscillent import cli, fock
 from oscillent.acceptance import method_purity
-from oscillent.errors import NumericalConsistencyError, ResourceCapError
+from oscillent.errors import (NumericalConsistencyError, ResourceCapError,
+                              UnsupportedStateError)
 from oscillent.grid import hermite_functions, schmidt_from_samples
 import oscillent.grid as grid_mod
 
@@ -478,6 +479,18 @@ class TestSizedGrid:
         assert res.norm_defect < 1e-6
         assert res.grid_defect > 1e-2
         assert abs(res.purity - purity_number(sys, 2, 2)) > 1e-7
+
+    def test_a_zero_weight_term_does_not_size_the_grid(self):
+        sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
+        res = schmidt_analyze(sys, Superposition(((0, 1, 1.0), (0, 5, 0.0))))
+        ref = schmidt_analyze(sys, NumberState(0, 1))
+        assert res.n_points == ref.n_points == 144
+        assert res.purity == ref.purity
+
+    def test_a_state_that_is_no_state_kind_is_refused(self):
+        with pytest.raises(UnsupportedStateError,
+                           match="^cannot size a grid for state kind object$"):
+            schmidt_analyze(TRAPPED, object())
 
     def test_sized_grid_above_the_cap_raises_before_allocating(self):
         sys = OscillatorSystem.from_dimensionless(1e6, 0.5)

@@ -149,6 +149,12 @@ class TestInvariants:
         with pytest.raises(Exception):
             sys.m1 = 2.0
 
+    def test_check_untrapped(self):
+        OscillatorSystem.from_untrapped(0.3, c=2.0).check_untrapped()
+        with pytest.raises(DomainError, match=r"^the spreading packet needs an untrapped "
+                                              r"system \(Omega = 0\)$"):
+            OscillatorSystem.from_dimensionless(5.0, 0.3).check_untrapped()
+
 
 class TestStateSpecs:
     def test_number_state_validation(self):
@@ -169,6 +175,34 @@ class TestStateSpecs:
     def test_two_mode_mix_is_normalized(self):
         st = Superposition.two_mode_mix(0.71)
         assert sum(abs(c) ** 2 for (_, _, c) in st.terms) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_two_mode_mix_refuses_a_non_finite_angle(self, theta):
+        with pytest.raises(DomainError, match=f"^theta must be finite, got {theta!r}$"):
+            Superposition.two_mode_mix(theta)
+
+    def test_a_zero_weight_term_is_not_part_of_the_state(self):
+        st = Superposition(((0, 1, 1.0), (0, 5, 0.0)))
+        assert st.terms == ((0, 1, 1 + 0j),)
+        assert st.orders == (0, 1)
+        assert st == Superposition(((0, 1, 1.0),))
+        assert Superposition.two_mode_mix(0.0).terms == ((0, 1, 1 + 0j),)
+        # the label and norm checks still see every term
+        with pytest.raises(DomainError, match="duplicate"):
+            Superposition(((0, 1, 1.0), (0, 1, 0.0)))
+        with pytest.raises(DomainError, match="not normalized"):
+            Superposition(((0, 1, 0.0),))
+
+    @pytest.mark.parametrize("state, orders, is_real", [
+        (NumberState(2, 3), (2, 3), True),
+        (Coherent(0.5, 1j), (0, 0), False),
+        (UnboundGaussian(4, 1.5), (4, 0), False),
+        (Superposition(((0, 3, 0.6), (2, 1, 0.8))), (2, 3), True),
+        (Superposition(((0, 3, 0.6), (2, 1, 0.8j))), (2, 3), False),
+        (Superposition(((0, 3, 0.6j), (2, 1, 0.8j))), (2, 3), False),
+    ])
+    def test_orders_and_reality(self, state, orders, is_real):
+        assert (state.orders, state.is_real) == (orders, is_real)
 
     def test_numpy_integers_accepted(self):
         st = NumberState(np.int64(1), np.uint8(2))

@@ -10,7 +10,8 @@ relative to that directory.  The list covers purity on every route and
 state kind, sweeps in every gauge and on every route, covariance,
 oracle-compare, fig1-fig7 and the commands that exit 1, 2 or 3, among them
 a 10^5-point sweep whose flags name two gauges, a sweep whose second point
-fails, a negative truncation and the oracle gate's failing path.  The line number in a
+fails, a negative truncation, an angle that divides by zero and the oracle
+gate's failing path.  The line number in a
 warning's ``<tree>/...py:LINE`` is masked, so moving code does not count as
 a difference.  Prints one line per command and exits 1 if any command
 differs.  Standard library only.
@@ -40,8 +41,12 @@ COMMANDS = [
     ["purity", *G5, "--state", "sup:pi/6"],
     ["purity", *G5, "--state", SUP],
     ["purity", *G5, "--state", "superposition:0,0,0.6;2,2,0.8"],
-    # the zero coefficient's |0,5> does not count toward the cross-term cap
+    # the zero coefficient's |0,5> is not part of the state: it counts toward
+    # neither the cross-term cap nor the oracle grid nor the fock box
     ["purity", *G5, "--state", "superposition:0,1,1;0,5,0"],
+    ["purity", *G5, "--state", "superposition:0,1,1;0,5,0", "--method", "oracle"],
+    ["purity", *G5, "--state", "superposition:0,1,1;0,5,0", "--method", "fock"],
+    ["purity", *G5, "--state", "sup:2*pi/3"],
     ["purity", *FREE, "--state", "unbound:1,5"],
     ["purity", *FREE, "--state", "unbound:8,2"],
     ["purity", *G5, "--state", "coherent:", "--method", "analytic"],
@@ -92,6 +97,7 @@ COMMANDS = [
     ["purity", *G5, "--state", "coherent:inf,0", "--method", "oracle"],
     ["purity", *G5, "--state", "sup:nan"],
     ["purity", *G5, "--state", "sup:inf", "--method", "fock"],
+    ["purity", *G5, "--state", "sup:pi/0"],
     ["purity", *G5, "--state", "superposition:0,1,0.6;1,0,nan"],
     ["purity", *G5, "--state", "superposition:0,1,0.6;1,0,-inf", "--method", "oracle"],
     ["purity", *G5, "--state", "superposition:0,0,1e200;1,0,0"],
@@ -114,7 +120,9 @@ COMMANDS = [
     ["purity", "--m1", "1", "--m2", "2", "--omega", "3", "--Omega", "1", "--Gamma", "5",
      "--state", "number:1,1"],
     ["sweep", "--param", "mu1", "--range", "0.2:0.8:3", "--g", "5", "--hbar", "3"],
-    # inputs a command cannot use
+    # inputs a command cannot use, the spreading packet on a trapped system among them
+    ["purity", *G5, "--state", "unbound:1,2"],
+    ["purity", *G5, "--state", "unbound:1,2", "--method", "oracle"],
     ["selftest", "--criteria", "99"],
     ["sweep", "--param", "tau", "--range", "0:1:2", *FREE, "--state", "number:1,1"],
     # a point that fails mid-sweep: the second, mu1 = 1, is outside (0, 1)
