@@ -22,8 +22,9 @@ point is the purity command with the swept value set, and the sweep's
 ``# params:`` line records every flag that built it.  Each column of
 fig3-fig6 is a mu1 sweep over 0.01:0.99:99, byte for byte.
 
-Sweeps fan out over a pool of up to four threads, one block of points at a
-time; results are written in input order regardless of completion order.
+An exact sweep fans out over a pool of up to four threads, one block of
+points at a time; every other sweep evaluates its points in order in the
+calling thread.  Either way results are written in input order.
 A JSON file passed as --config supplies defaults for any flag, required
 ones included; a flag on the command line wins in any spelling.  Config
 values go through the flag's own type and choices, null stands for the
@@ -364,11 +365,21 @@ def _cmd_sweep(args) -> int:
     state = None if args.param == "theta" else parse_state(args.state)
     if args.param == "tau" and not isinstance(state, UnboundGaussian):
         raise _UsageError("sweeping tau needs --state unbound:M,TAU")
+    # Only exact sweeps run on the pool.  It wins their heavy boxes (|6,2>,
+    # |5,3>, |4,4>, ...) and keeps their light ones steady on a shared
+    # two-core machine: in the calling thread those ran about a quarter
+    # faster, but their times jumped by up to 1.6x with the load on the one
+    # core they held.  Fock points (measured up to |8,8> at jmax
+    # 170), analytic points and oracle points, whose BLAS already uses every
+    # core, run in the calling thread.
+    pooled = args.method == "exact"
     purities = []
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
+    with (ThreadPoolExecutor(max_workers=_threads()) if pooled
+          else contextlib.nullcontext()) as pool:
+        point_map = pool.map if pooled else map
         for start in range(0, len(values), _SWEEP_BLOCK):
             block = values[start:start + _SWEEP_BLOCK].tolist()
-            purities += pool.map(lambda v: _sweep_point(args, state, v), block)
+            purities += point_map(lambda v: _sweep_point(args, state, v), block)
     params = {"param": args.param, "range": args.range, "scale": args.scale,
               "method": args.method, "state": args.state}
     for name in _SWEEP_FLAGS + _METHOD_FLAGS.get(args.method, ()):

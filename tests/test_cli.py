@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -468,6 +469,55 @@ def _cells(lines):
     """The columns of a table's rows, by name."""
     names = lines[0].split(",")
     return dict(zip(names, zip(*(ln.split(",") for ln in lines[1:]))))
+
+
+class TestSweepDispatch:
+    """Only an exact sweep runs on the pool; either way the table is the
+    points computed one by one."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class Recording(cli.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        return made
+
+    @pytest.mark.parametrize("method, param, rng, flags, point, pooled", [
+        ("fock", "mu1", "0.2:0.8:3", ["--g", "5", "--state", "number:2,2", "--jmax", "40"],
+         lambda v: (OscillatorSystem.from_dimensionless(5.0, v), NumberState(2, 2)), False),
+        ("oracle", "g", "1:4:3", ["--mu1", "0.3", "--state", "number:1,1"],
+         lambda v: (OscillatorSystem.from_dimensionless(v, 0.3), NumberState(1, 1)), False),
+        ("exact", "mu1", "0.2:0.8:3", ["--g", "5", "--state", "number:1,1"],
+         lambda v: (OscillatorSystem.from_dimensionless(5.0, v), NumberState(1, 1)), True),
+        ("exact", "theta", "0:3:9", ["--g", "1", "--mu1", "0.4"],
+         lambda v: (OscillatorSystem.from_dimensionless(1.0, 0.4),
+                    Superposition.two_mode_mix(v)), True),
+        ("exact", "tau", "0:8:3", ["--c", "2", "--mu1", "0.3", "--state", "unbound:2,0"],
+         lambda v: (OscillatorSystem.from_untrapped(0.3, c=2.0), UnboundGaussian(2, v)), True),
+        ("exact", "mu1", "0.2:0.8:2", ["--g", "5", "--state", "number:4,4"],
+         lambda v: (OscillatorSystem.from_dimensionless(5.0, v), NumberState(4, 4)), True),
+        ("analytic", "g", "1:4:3", ["--mu1", "0.3", "--state", "number:0,0"],
+         lambda v: (OscillatorSystem.from_dimensionless(v, 0.3), NumberState(0, 0)), False),
+    ], ids=["fock", "oracle", "exact-light", "theta", "tau", "exact-heavy", "analytic"])
+    def test_pool_only_for_exact_sweeps(self, capsys, pools, method, param, rng, flags,
+                                             point, pooled):
+        assert cli.run(["sweep", "--method", method, "--param", param, "--range", rng,
+                        *flags]) == 0
+        table = capsys.readouterr().out.splitlines(keepends=True)[2:]
+        assert pools == ([{"max_workers": cli._threads()}] if pooled else [])
+        start, stop, count = rng.split(":")
+        args = argparse.Namespace(jmax=40, kmax=40, gamma1=None, gamma2=None, n_points=None,
+                                  extent=grid.GridSpec.extent_sigmas)
+        expected = []
+        for v in np.linspace(float(start), float(stop), int(count)).tolist():
+            purity = cli.compute_purity(*point(v), method, args, entropy=False)["purity"]
+            expected.append(f"{cli._fmt(v)},{cli._fmt(purity)}\n")
+        assert "".join(table) == "".join(expected)
 
 
 class TestSweepPointIsThePurityCommand:

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oscillent import cli
-from oscillent import (BasisParams, DomainError, NumberState,
+from oscillent import cli, fock
+from oscillent import (BasisParams, Coherent, DomainError, NumberState,
                        OscillatorSystem, ResourceCapError, Superposition,
                        coefficient_table, convergence_run, default_basis,
-                       entropy_truncated, purity_number, purity_truncated,
+                       entropy_truncated, purity_number, purity_superposition,
+                       purity_truncated,
                        reduced_density_truncated, schmidt_analyze)
 from oscillent.errors import UnsupportedStateError
 from oscillent.grid import hermite_functions
+from oscillent.taylor import exp_taylor_box
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -82,6 +84,52 @@ class TestTransformCoefficients:
         with pytest.raises(ResourceCapError):
             coefficient_table(sys, BasisParams(1.0, 1.0, 2, 2), 0, 200)
 
+    def test_factorial_weights_are_shared_and_read_only(self):
+        weights = fock._sqrt_factorials(170)
+        assert weights is fock._sqrt_factorials(170)
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 2.0
+        assert weights.tolist() == [math.sqrt(math.factorial(i)) for i in range(171)]
+        with pytest.raises(ResourceCapError, match="171"):
+            fock._sqrt_factorials(171)
+
+
+class TestFillOrder:
+    # the table fills its box (m, n, j, k); the kernel's own order for the
+    # generator is (j, k, m, n).  Each order rounds once per recurrence step
+    # on the way to a cell, and the far corner of the box is sum(caps) steps
+    # away: against a 50-digit reference both orders are 2-50 eps * max off
+    # at jmax 12 and 40, so they can agree no closer than that.
+    STATES = [NumberState(0, 1), NumberState(2, 2), NumberState(4, 4), NumberState(8, 0),
+              Superposition.two_mode_mix(math.pi / 6)]
+
+    @pytest.mark.parametrize("jmax", [12, 40, 170])
+    @pytest.mark.parametrize("g", [1e-3, 1.0, 5.0, 100.0, 1e4])
+    def test_tables_match_the_unpermuted_box(self, g, jmax):
+        sys = OscillatorSystem.from_dimensionless(g, 0.3)
+        basis = default_basis(sys, jmax=jmax)
+        G, pref = fock._generator(sys, basis.gamma1, basis.gamma2)
+        # a coefficient does not depend on the box it is read from, so one
+        # box covers every state
+        box = exp_taylor_box(G, (jmax, jmax, 8, 4))
+        w = np.array([math.sqrt(math.factorial(i)) for i in range(jmax + 1)])
+
+        def plane(m, n):
+            return pref * w[m] * w[n] * box[:, :, m, n] * np.outer(w, w)
+
+        for state in self.STATES:
+            if isinstance(state, NumberState):
+                got = coefficient_table(sys, basis, state.m, state.n).values
+                want = plane(state.m, state.n)
+            else:
+                got = fock._state_coefficients(sys, state, basis)
+                want = sum(cf * plane(m, n) for (m, n, cf) in state.terms)
+            assert got.shape == (jmax + 1, jmax + 1)
+            steps = sum(state.orders) + 2 * jmax
+            tol = steps * np.finfo(float).eps * np.max(np.abs(got))
+            assert np.max(np.abs(got - want)) <= tol, state
+
 
 class TestReducedDensity:
     def test_separable_ground_state_is_rank_one(self):
@@ -121,7 +169,6 @@ class TestReducedDensity:
     def test_unsupported_state(self):
         sys = OscillatorSystem.from_dimensionless(4.0, 0.4)
         basis = default_basis(sys)
-        from oscillent import Coherent
         with pytest.raises(UnsupportedStateError):
             reduced_density_truncated(sys, Coherent(), basis)
 
@@ -221,6 +268,23 @@ class TestConvergenceRun:
                                    [(SQ2, 1.0), (1.0, SQ2)], max_truncation=5)
             err = {(r[0], r[1]): r[5] for r in rows if r[2] == 5}
             assert err[(SQ2, 1.0)] < err[(1.0, SQ2)]
+
+    def test_superposition_is_measured_against_its_exact_purity(self):
+        sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
+        state = Superposition(((0, 1, 0.6), (2, 1, 0.8j)))
+        pairs = [(SQ2, SQ2), (0.9, 1.2)]
+        rows = convergence_run(sys, state, pairs, max_truncation=10)
+        assert len(rows) == 2 * 11
+        exact = purity_superposition(sys, state)
+        assert all(r[5] == abs(r[4] - exact) for r in rows)
+        for (g1, g2) in pairs:
+            final = [r[4] for r in rows if (r[0], r[1], r[2]) == (g1, g2, 10)]
+            assert final == [purity_truncated(sys, state, BasisParams(g1, g2, 10, 10))]
+
+    def test_a_state_without_an_exact_reference_is_refused(self):
+        sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
+        with pytest.raises(UnsupportedStateError, match="Coherent"):
+            convergence_run(sys, Coherent(), [(SQ2, SQ2)], max_truncation=3)
 
     def test_csv_writer(self, tmp_path, capsys):
         assert cli.run(["figure", "fig7", "--outdir", str(tmp_path)]) == 0

@@ -7,7 +7,8 @@ Each tree is a checkout of this repository; its package is imported from
 TREE/src.  Every command runs as ``python -m oscillent.cli ...`` in a fresh
 empty directory, so the files it writes are compared by their names
 relative to that directory.  The list covers purity on every route and
-state kind, sweeps in every gauge and on every route, covariance,
+state kind, sweeps in every gauge and on every route (exact sweeps on the
+thread pool, the others in the calling thread), covariance,
 oracle-compare, fig1-fig7 and the commands that exit 1, 2 or 3, among them
 a 10^5-point sweep whose flags name two gauges, a sweep whose second point
 fails, a negative truncation, an angle that divides by zero and the oracle
@@ -56,6 +57,9 @@ COMMANDS = [
     ["purity", *G5, "--state", SUP, "--method", "fock", "--jmax", "20"],
     ["purity", *G5, "--state", "number:0,1", "--method", "fock", "--jmax", "6",
      "--kmax", "8", "--gamma1", "0.8", "--gamma2", "1.2"],
+    ["purity", "--g", "100", "--mu1", "0.3", "--state", "number:2,2", "--method", "fock",
+     "--jmax", "40"],
+    ["purity", *G5, "--state", "sup:1.0", "--method", "fock", "--jmax", "40"],
     ["purity", "--g", "3", "--mu1", "0.35", "--state", "number:2,2", "--method", "oracle"],
     ["purity", *G5, "--state", "coherent:0.7+0.4j,-0.3+1.1j", "--method", "oracle"],
     ["purity", *G5, "--state", SUP, "--method", "oracle"],
@@ -67,6 +71,9 @@ COMMANDS = [
     # sweeps
     ["sweep", "--param", "mu1", "--range", "0.01:0.99:25", "--g", "5",
      "--state", "number:4,4", "-o", "s.csv"],
+    # a 2-point exact sweep of a heavy box and a 9-point theta sweep, both on the pool
+    ["sweep", "--param", "mu1", "--range", "0.2:0.8:2", "--g", "5", "--state", "number:4,4"],
+    ["sweep", "--param", "theta", "--range", "0:3:9", *G5],
     ["sweep", "--param", "g", "--range", "0.1:100:20", "--scale", "log", "--mu1", "0.3",
      "--state", "number:1,1"],
     ["sweep", "--param", "tau", "--range", "0:10:20", "--c", "2", "--mu1", "0.3",
