@@ -211,7 +211,7 @@ def criterion_7_convergence_basis_independence():
     sys = OscillatorSystem.from_dimensionless(5.0, 0.5)
     state = NumberState(0, 1)
     pairs = [(1 / math.sqrt(2), 1 / math.sqrt(2)), (1.0, 1.0)]
-    rows = fock.convergence_run(sys, state, pairs, max_truncation=20)
+    rows, = fock.convergence_run([sys], state, pairs, max_truncation=20)
     finals = {}
     decreasing = True
     for (g1, g2) in pairs:

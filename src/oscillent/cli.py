@@ -458,10 +458,10 @@ def _cmd_figure(args) -> int:
                       [(f"P_theta_{lbl}", functools.partial(OscillatorSystem.from_dimensionless, g),
                         Superposition.two_mode_mix(th)) for (lbl, th) in _FIG6_THETA])
     else:  # fig7
-        for (g, mu1) in _FIG7_CASES:
-            sys_ = OscillatorSystem.from_dimensionless(g, mu1)
-            rows = fock.convergence_run(sys_, NumberState(0, 1), _FIG7_PAIRS,
-                                        max_truncation=5)
+        runs = fock.convergence_run(
+            [OscillatorSystem.from_dimensionless(g, mu1) for (g, mu1) in _FIG7_CASES],
+            NumberState(0, 1), _FIG7_PAIRS, max_truncation=5)
+        for (g, mu1), rows in zip(_FIG7_CASES, runs):
             _write_csv(outpath(f"fig7_g{g:g}_mu{mu1:g}.csv"),
                        {"g": g, "mu1": mu1, "state": "number:0,1"},
                        ["gamma1", "gamma2", "jmax", "kmax", "purity", "abs_error"], rows)

@@ -35,7 +35,11 @@ holds it, and a superposition reads all its terms from one box.  The box
 is filled with its short (m, n) axes outermost and its long (j, k)
 truncation axes innermost: the Taylor kernel's numpy calls per slab grow
 with the number of later axes, so this order makes about half the calls of
-the (j, k, m, n) one at the truncations the CLI uses.
+the (j, k, m, n) one at the truncations the CLI uses.  A convergence run
+fills the tables of all its (system, basis) pairs from one stacked box, the
+Taylor kernel taking their generators side by side, and takes the purities
+of every table's truncated blocks one truncation at a time, all tables in
+one stacked product; each number is the one a table of its own gives.
 """
 
 from __future__ import annotations
@@ -158,23 +162,30 @@ _FILL_ORDER = [2, 3, 0, 1]
 
 def _planes(sys: OscillatorSystem, basis: BasisParams, labels) -> list[np.ndarray]:
     """Weighted (j, k) planes {j, k | m, n> for each (m, n) in ``labels``,
-    all read from one (max m, max n, jmax, kmax) box.
+    all read from one (max m, max n, jmax, kmax) box."""
+    G, pref = _generator(sys, basis.gamma1, basis.gamma2)
+    return _weighted_planes(G, pref, labels, basis.jmax, basis.kmax)
 
-    The box is filled truncation axes innermost: the kernel's numpy calls per
+
+def _weighted_planes(G, pref, labels, jmax: int, kmax: int) -> list[np.ndarray]:
+    """``pref * sqrt(j! k! m! n!) * box[..., m, n, :, :]`` for each (m, n) in
+    ``labels``, where box is the (max m, max n, jmax, kmax) Taylor box of G.
+
+    G is one generator, or an (S, 4, 4) stack with ``pref`` shaped (S, 1, 1);
+    a stack fills one box and each plane keeps its leading member axis.  The
+    box is filled truncation axes innermost: the kernel's numpy calls per
     slab grow with the number of later axes, and each plane box[m, n] is
     contiguous.
     """
     mmax = max(m for (m, _) in labels)
     nmax = max(n for (_, n) in labels)
-    jw = _sqrt_factorials(basis.jmax)
-    kw = _sqrt_factorials(basis.kmax)
+    jw = _sqrt_factorials(jmax)
+    kw = _sqrt_factorials(kmax)
     mw = _sqrt_factorials(mmax)
     nw = _sqrt_factorials(nmax)
-    G, pref = _generator(sys, basis.gamma1, basis.gamma2)
-    box = exp_taylor_box(G[np.ix_(_FILL_ORDER, _FILL_ORDER)],
-                         (mmax, nmax, basis.jmax, basis.kmax))
+    box = exp_taylor_box(G[..., _FILL_ORDER, :][..., _FILL_ORDER], (mmax, nmax, jmax, kmax))
     outer = np.outer(jw, kw)
-    return [pref * mw[m] * nw[n] * box[m, n] * outer for (m, n) in labels]
+    return [pref * mw[m] * nw[n] * box[..., m, n, :, :] * outer for (m, n) in labels]
 
 
 def coefficient_table(sys: OscillatorSystem, basis: BasisParams,
@@ -187,19 +198,32 @@ def coefficient_table(sys: OscillatorSystem, basis: BasisParams,
     return CoeffTable(basis=basis, m=m, n=n, values=_planes(sys, basis, [(m, n)])[0])
 
 
+def _labels(state) -> list[tuple[int, int]]:
+    """The (m, n) of each term of a state the truncated basis can expand."""
+    if isinstance(state, NumberState):
+        return [(state.m, state.n)]
+    if isinstance(state, Superposition):
+        return [(m, n) for (m, n, _) in state.terms]
+    raise UnsupportedStateError(
+        f"truncated-basis methods support number states and superpositions, not {type(state).__name__}"
+    )
+
+
+def _amplitudes(state, planes) -> np.ndarray:
+    """{j, k | state> amplitudes from the weighted planes of ``_labels(state)``."""
+    if isinstance(state, NumberState):
+        return planes[0].astype(complex)
+    C = np.zeros(planes[0].shape, dtype=complex)
+    for (_, _, cf), plane in zip(state.terms, planes):
+        C += cf * plane
+    return C
+
+
 def _state_coefficients(sys: OscillatorSystem, state, basis: BasisParams) -> np.ndarray:
     """(jmax+1, kmax+1) matrix of {j, k | state> amplitudes."""
     if isinstance(state, NumberState):
         return coefficient_table(sys, basis, state.m, state.n).values.astype(complex)
-    if isinstance(state, Superposition):
-        planes = _planes(sys, basis, [(m, n) for (m, n, _) in state.terms])
-        C = np.zeros((basis.jmax + 1, basis.kmax + 1), dtype=complex)
-        for (_, _, cf), plane in zip(state.terms, planes):
-            C += cf * plane
-        return C
-    raise UnsupportedStateError(
-        f"truncated-basis methods support number states and superpositions, not {type(state).__name__}"
-    )
+    return _amplitudes(state, _planes(sys, basis, _labels(state)))
 
 
 def reduced_density_truncated(sys: OscillatorSystem, state, basis: BasisParams) -> np.ndarray:
@@ -213,9 +237,13 @@ def reduced_density_truncated(sys: OscillatorSystem, state, basis: BasisParams) 
     return rho
 
 
-def purity_from_density(rho: np.ndarray) -> float:
-    """tr(rho^2) of a Hermitian density matrix, as sum |rho_ij|^2."""
-    return float(np.sum(np.abs(rho) ** 2))
+def purity_from_density(rho: np.ndarray) -> float | np.ndarray:
+    """tr(rho^2) of a Hermitian density matrix, as sum |rho_ij|^2.
+
+    For a stack of matrices on the last two axes, an array of their purities.
+    """
+    purity = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
+    return purity if purity.ndim else float(purity)
 
 
 def entropy_from_density(rho: np.ndarray) -> float:
@@ -247,30 +275,38 @@ def entropy_truncated(sys: OscillatorSystem, state, basis: BasisParams) -> float
     return entropy_from_density(reduced_density_truncated(sys, state, basis))
 
 
-def convergence_run(sys: OscillatorSystem, state, basis_list, max_truncation: int):
-    """Purity error sequences over growing square truncations.
+def convergence_run(systems, state, basis_list, max_truncation: int) -> list[list[tuple]]:
+    """Purity error sequences over growing square truncations, for each system.
 
-    For each (gamma1, gamma2) pair the full coefficient matrix is computed
-    once at max_truncation and the truncated purity is read off every
-    sub-block, so a run costs one expansion per basis.  Rows come back as
-    (gamma1, gamma2, jmax, kmax, purity, abs_error) against the exact value
-    from the generating-function method.
+    Every (system, (gamma1, gamma2)) coefficient table is filled at
+    max_truncation from one stacked generating-function box, and at each
+    truncation the purities of every table's sub-block come from one
+    stacked product, so a run costs one box however many systems and bases
+    it holds.  Returns one list of rows per system, in the order given:
+    (gamma1, gamma2, jmax, kmax, purity, abs_error) for each basis and each
+    truncation, against that system's exact value from the
+    generating-function method.
     """
     max_truncation = _quantum_number(max_truncation, "max_truncation")
     if isinstance(state, NumberState):
-        exact = purity_number(sys, state.m, state.n)
+        exacts = [purity_number(sys, state.m, state.n) for sys in systems]
     elif isinstance(state, Superposition):
-        exact = purity_superposition(sys, state)
+        exacts = [purity_superposition(sys, state) for sys in systems]
     else:
         raise UnsupportedStateError(
             f"no exact reference for state kind {type(state).__name__}"
         )
-    rows = []
-    for (g1, g2) in basis_list:
-        basis = BasisParams(gamma1=g1, gamma2=g2, jmax=max_truncation, kmax=max_truncation)
-        C = _state_coefficients(sys, state, basis)
-        for tr in range(max_truncation + 1):
-            block = C[: tr + 1, : tr + 1]
-            purity = purity_from_density(block @ block.conj().T)
-            rows.append((g1, g2, tr, tr, purity, abs(purity - exact)))
-    return rows
+    bases = [BasisParams(gamma1=g1, gamma2=g2, jmax=max_truncation, kmax=max_truncation)
+             for (g1, g2) in basis_list]
+    if not (systems and bases):
+        return [[] for _ in systems]
+    gens, prefs = zip(*(_generator(sys, b.gamma1, b.gamma2) for sys in systems for b in bases))
+    C = _amplitudes(state, _weighted_planes(np.stack(gens), np.array(prefs)[:, None, None],
+                                            _labels(state), max_truncation, max_truncation))
+    # purities[tr][i * len(bases) + j]: system i, basis j, truncation tr
+    purities = [purity_from_density(block @ block.conj().transpose(0, 2, 1)).tolist()
+                for block in (C[:, : tr + 1, : tr + 1] for tr in range(max_truncation + 1))]
+    return [[(g1, g2, tr, tr, purities[tr][s], abs(purities[tr][s] - exact))
+             for s, (g1, g2) in enumerate(basis_list, start=i * len(bases))
+             for tr in range(max_truncation + 1)]
+            for i, exact in enumerate(exacts)]

@@ -18,6 +18,12 @@ one box of memory, ``prod(c_i + 1)`` coefficients of 8 bytes (16 for a
 complex M), plus two slabs of scratch.  A box above 128 MiB raises
 ResourceCapError before anything is allocated.
 
+The recurrence is linear in each generator's entries, so a stack of S
+generators of one size fills S boxes side by side: the stack runs along
+the last axis of every slab, each member by the same operations as its own
+box, and the numpy calls per slab are those of one box.  Many small boxes
+then cost the calls of one.  The 128 MiB budget counts the whole stack.
+
 Because the form is purely quadratic the series has only even total degrees;
 the coefficient of any odd-degree monomial is exactly zero.  Each cell is
 computed from cells of smaller exponents only, by the same operations
@@ -38,18 +44,21 @@ __all__ = ["exp_taylor_box", "taylor_coefficient"]
 _BOX_BYTES_CAP = 2 ** 27  # 128 MiB: 16.7M real or 8.4M complex coefficients
 
 
-def _prepend_axis(inner: np.ndarray, row: np.ndarray, cap: int) -> np.ndarray:
+def _prepend_axis(inner: np.ndarray, row: np.ndarray, cap: int,
+                  coupled: list[bool] | None = None) -> np.ndarray:
     """Box over variables (a, a+1, ...) from the box ``inner`` over (a+1, ...).
 
-    ``row`` is M[a, a:].  Slab t_a = 0 is ``inner``; slab k + 1 follows from
-    the recurrence at t_a = k, each M_ab (b > a) as slab k shifted one step
-    along axis b.
+    ``row`` is M[a, a:].  For a stack, each entry holds the members' values
+    along the last axis of ``inner``, and ``coupled[b]`` says whether
+    M[a, a+1+b] is nonzero in some member; one generator's own entries say
+    it.  Slab t_a = 0 is ``inner``; slab k + 1 follows from the recurrence
+    at t_a = k, each coupling as slab k shifted one step along axis b.
     """
     out = np.zeros((cap + 1,) + inner.shape, inner.dtype)
     out[0] = inner
     shifts = []
     for b, q in enumerate(row[1:]):
-        if q != 0 and inner.shape[b] > 1:
+        if (q != 0 if coupled is None else coupled[b]) and inner.shape[b] > 1:
             lead = (slice(None),) * b
             shifts.append((lead + (slice(1, None),), lead + (slice(None, -1),), q))
     for k in range(cap):
@@ -62,50 +71,75 @@ def _prepend_axis(inner: np.ndarray, row: np.ndarray, cap: int) -> np.ndarray:
     return out
 
 
+def _checked(M, caps) -> tuple[np.ndarray, tuple[int, ...]]:
+    """M as an array of one (d, d) generator or an (S, d, d) stack, and
+    caps as d ints; ValueError otherwise."""
+    caps = tuple(int(c) for c in caps)
+    if any(c < 0 for c in caps):
+        raise ValueError(f"caps must be nonnegative, got {caps}")
+    M = np.asarray(M)
+    dim = len(caps)
+    if M.ndim not in (2, 3) or M.shape[-2:] != (dim, dim):
+        raise ValueError(f"matrix shape {M.shape} does not match caps {caps}: "
+                         f"expected ({dim}, {dim}) or (S, {dim}, {dim})")
+    return M, caps
+
+
 def exp_taylor_box(M: np.ndarray, caps) -> np.ndarray:
     """Taylor coefficients of exp(z^T M z) for every exponent <= caps.
 
     Parameters
     ----------
-    M : (d, d) array
-        Symmetric matrix, real or complex.
+    M : (d, d) or (S, d, d) array
+        Symmetric matrix, real or complex, or a stack of S of them.  Each
+        member of a stack gets the box its own (d, d) call would give, cell
+        for cell.
     caps : sequence of int
-        Per-variable maximum exponents.
+        Per-variable maximum exponents, shared by a stack.
 
     Returns
     -------
-    ndarray of shape (caps[0]+1, ..., caps[d-1]+1)
-        ``out[t]`` is the coefficient of ``prod z_i ** t_i``.
+    ndarray of shape (caps[0]+1, ..., caps[d-1]+1), or (S, caps[0]+1, ...)
+        ``out[t]`` (``out[s, t]`` for member s) is the coefficient of
+        ``prod z_i ** t_i``.
 
     Raises
     ------
+    ValueError
+        When a cap is negative or M is not (d, d) or (S, d, d) for d caps.
     ResourceCapError
-        When the box would exceed 128 MiB.
+        When the box, over the whole stack, would exceed 128 MiB.
     """
-    caps = tuple(int(c) for c in caps)
-    if any(c < 0 for c in caps):
-        raise ValueError(f"caps must be nonnegative, got {caps}")
-    M = np.asarray(M)
-    dim = M.shape[0]
-    if M.shape != (dim, dim) or dim != len(caps):
-        raise ValueError(f"matrix shape {M.shape} does not match caps {caps}")
+    M, caps = _checked(M, caps)
     dtype = np.dtype(complex if np.iscomplexobj(M) else float)
-    nbytes = math.prod(c + 1 for c in caps) * dtype.itemsize
+    nbytes = math.prod(M.shape[:-2]) * math.prod(c + 1 for c in caps) * dtype.itemsize
     if nbytes > _BOX_BYTES_CAP:
         raise ResourceCapError(
             f"coefficient box at caps {caps} needs {nbytes / 2 ** 20:.0f} MiB, above the "
             f"{_BOX_BYTES_CAP / 2 ** 20:.0f} MiB budget; lower the quantum numbers or truncation"
         )
 
-    box = np.ones((), dtype)
-    for a in range(dim - 1, -1, -1):
-        box = _prepend_axis(box, M[a, a:], caps[a])
-    return box
+    if M.ndim == 2:
+        rows, coupled, box = M, None, np.ones((), dtype)
+    else:  # a stack: its members on the last axis, where every slab keeps them
+        rows = np.ascontiguousarray(M.transpose(1, 2, 0))
+        coupled = np.any(M != 0, axis=0).tolist()
+        box = np.ones(M.shape[:1], dtype)
+    for a in range(len(caps) - 1, -1, -1):
+        box = _prepend_axis(box, rows[a, a:], caps[a],
+                            None if coupled is None else coupled[a][a + 1:])
+    return box if M.ndim == 2 else np.moveaxis(box, -1, 0)
 
 
 def taylor_coefficient(M: np.ndarray, orders) -> complex:
-    """Single mixed Taylor coefficient of exp(z^T M z) at the given orders."""
-    orders = tuple(int(t) for t in orders)
+    """Single mixed Taylor coefficient of exp(z^T M z) at the given orders.
+
+    M is one (d, d) generator; a stack is refused with ValueError, as are
+    orders that are negative or do not match M.
+    """
+    M, orders = _checked(M, orders)
+    if M.ndim != 2:
+        raise ValueError(f"taylor_coefficient takes one (d, d) matrix, got shape {M.shape}")
     if sum(orders) % 2 == 1:
         return 0.0
     return exp_taylor_box(M, orders)[orders]

@@ -37,6 +37,10 @@ STAND_IN = textwrap.dedent("""\
               "peak_rss_mb": 10.0 if seed % 2 else 100.0}}
     print("# stand-in")
     print("env " + json.dumps({{"git_commit": {commit!r}, "seed": seed}}))
+    print(f"slot fig7             n=2   median {{{tail} / 10 + seed:9.1f}} ms (unscaled 1.0 ms)")
+    print(f"slot g_sweep          n=1   median {{seed:9.1f}} ms (unscaled 1.0 ms)")
+    print("commands 3  results 9  loop wall 1.00 s")
+    print(f"probe n=3 median {{seed:.3f}} ms (min 1.000, max 2.000); times scaled by 1.0")
     print("metric lines are not read")
     print(json.dumps({{"correct": True, "attempted": 5, "failed": {failed},
                       "metrics": {{k: {{"value": v, "unit": "u"}} for k, v in values.items()}}}}))
@@ -78,7 +82,7 @@ def test_pairs_alternate_and_the_file_keeps_every_run(tmp_path, capsys):
     assert record["seeds"] == {"w1": [1, 2, 3, 4], "w2": [1, 2, 3, 4]}
     assert [[r["side"], r["workload"], str(r["seed"])] for r in record["runs"]] == expected
     run = record["runs"][0]
-    assert set(run) == {"env", "final", "seed", "side", "workload"}
+    assert set(run) == {"env", "slots", "probe", "final", "seed", "side", "workload"}
     assert run["env"] == {"git_commit": "parent-sha", "seed": 1}
     assert run["final"]["metrics"]["results_per_s"]["value"] == 31.0
 
@@ -92,6 +96,30 @@ def test_pairs_alternate_and_the_file_keeps_every_run(tmp_path, capsys):
     assert rows["peak_rss_mb"][1:4] == ["55", "55", "1.636"]
     assert rows["peak_rss_mb"][-1] == "unresolved"
     assert out[5].startswith("w2: ") and out[-1] == f"wrote {tmp_path / 'BENCH_t.json'}"
+
+
+def test_each_run_keeps_its_slot_lines_and_its_probe_line(tmp_path, capsys):
+    log = tmp_path / "order.log"
+    parent, change = (make_tree(tmp_path, side, log) for side in ("parent", "change"))
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "3-4",
+                             "--label", "t", "--out", str(tmp_path)]) == 0
+    runs = json.loads((tmp_path / "BENCH_t.json").read_text())["runs"]
+    slots = {(r["side"], r["seed"]): [ln.split()[1:5:3] for ln in r["slots"]] for r in runs}
+    assert slots == {("parent", 3): [["fig7", "13.0"], ["g_sweep", "3.0"]],
+                     ("change", 3): [["fig7", "23.0"], ["g_sweep", "3.0"]],
+                     ("change", 4): [["fig7", "24.0"], ["g_sweep", "4.0"]],
+                     ("parent", 4): [["fig7", "14.0"], ["g_sweep", "4.0"]]}
+    assert [r["probe"] for r in runs] == [
+        f"probe n=3 median {seed}.000 ms (min 1.000, max 2.000); times scaled by 1.0"
+        for seed in (3, 3, 4, 4)]
+
+
+def test_a_run_without_its_probe_line_is_an_error(tmp_path):
+    tree = make_tree(tmp_path, "parent", tmp_path / "order.log")
+    run_py = tree / "bench" / "run.py"
+    run_py.write_text(run_py.read_text().replace('print(f"probe', 'print(f"no probe'))
+    with pytest.raises(RuntimeError, match="one probe line"):
+        bench_pairs.run_once(tree, "w", 1)
 
 
 def canned(pairs):

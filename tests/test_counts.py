@@ -29,7 +29,7 @@ SITES = [
     pytest.param("n", lambda v: fock.coefficient_table(TRAPPED, BASIS, 0, v).values,
                  id="13-n"),
     pytest.param("max_truncation",
-                 lambda v: fock.convergence_run(TRAPPED, NumberState(0, 1), [(1.0, 1.0)], v),
+                 lambda v: fock.convergence_run([TRAPPED], NumberState(0, 1), [(1.0, 1.0)], v),
                  id="14-max_truncation"),
     pytest.param("nmax", lambda v: grid.hermite_functions(np.linspace(-1.0, 1.0, 5), v),
                  id="15-nmax"),

@@ -237,8 +237,8 @@ class TestEntropy:
 class TestConvergenceRun:
     def test_error_sequences_decrease_to_zero(self):
         sys = OscillatorSystem.from_dimensionless(5.0, 0.5)
-        rows = convergence_run(sys, NumberState(0, 1),
-                               [(SQ2, SQ2), (1.0, 1.0)], max_truncation=16)
+        rows, = convergence_run([sys], NumberState(0, 1),
+                                [(SQ2, SQ2), (1.0, 1.0)], max_truncation=16)
         for pair in [(SQ2, SQ2), (1.0, 1.0)]:
             errs = [r[5] for r in rows if (r[0], r[1]) == pair]
             assert all(e >= 0 for e in errs)
@@ -247,8 +247,8 @@ class TestConvergenceRun:
 
     def test_basis_independence_at_convergence(self):
         sys = OscillatorSystem.from_dimensionless(5.0, 0.5)
-        rows = convergence_run(sys, NumberState(0, 1),
-                               [(SQ2, SQ2), (1.0, 1.0)], max_truncation=20)
+        rows, = convergence_run([sys], NumberState(0, 1),
+                                [(SQ2, SQ2), (1.0, 1.0)], max_truncation=20)
         finals = [r[4] for r in rows if r[2] == 20]
         assert abs(finals[0] - finals[1]) < 1e-6
         exact = purity_number(sys, 0, 1)
@@ -256,16 +256,16 @@ class TestConvergenceRun:
 
     def test_small_g_prefers_small_scales(self):
         sys = OscillatorSystem.from_dimensionless(1.0, 0.1)
-        rows = convergence_run(sys, NumberState(0, 1),
-                               [(SQ2, SQ2), (1.0, 1.0)], max_truncation=5)
+        rows, = convergence_run([sys], NumberState(0, 1),
+                                [(SQ2, SQ2), (1.0, 1.0)], max_truncation=5)
         err = {(r[0], r[1]): r[5] for r in rows if r[2] == 5}
         assert err[(SQ2, SQ2)] < err[(1.0, 1.0)]
 
     def test_light_first_particle_prefers_ascending_scales(self):
         for g in (1.0, 5.0):
             sys = OscillatorSystem.from_dimensionless(g, 0.1)
-            rows = convergence_run(sys, NumberState(0, 1),
-                                   [(SQ2, 1.0), (1.0, SQ2)], max_truncation=5)
+            rows, = convergence_run([sys], NumberState(0, 1),
+                                    [(SQ2, 1.0), (1.0, SQ2)], max_truncation=5)
             err = {(r[0], r[1]): r[5] for r in rows if r[2] == 5}
             assert err[(SQ2, 1.0)] < err[(1.0, SQ2)]
 
@@ -273,7 +273,7 @@ class TestConvergenceRun:
         sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
         state = Superposition(((0, 1, 0.6), (2, 1, 0.8j)))
         pairs = [(SQ2, SQ2), (0.9, 1.2)]
-        rows = convergence_run(sys, state, pairs, max_truncation=10)
+        rows, = convergence_run([sys], state, pairs, max_truncation=10)
         assert len(rows) == 2 * 11
         exact = purity_superposition(sys, state)
         assert all(r[5] == abs(r[4] - exact) for r in rows)
@@ -281,10 +281,31 @@ class TestConvergenceRun:
             final = [r[4] for r in rows if (r[0], r[1], r[2]) == (g1, g2, 10)]
             assert final == [purity_truncated(sys, state, BasisParams(g1, g2, 10, 10))]
 
+    @pytest.mark.parametrize("state", [NumberState(1, 2),
+                                       Superposition(((0, 1, 0.6), (2, 1, 0.8j)))],
+                             ids=["number", "superposition"])
+    def test_many_systems_match_one_system_runs_bit_for_bit(self, state):
+        systems = [OscillatorSystem.from_dimensionless(g, mu1)
+                   for (g, mu1) in [(1.0, 0.5), (5.0, 0.3), (0.4, 0.8)]]
+        pairs = [(SQ2, SQ2), (0.9, 1.2), (1.0, SQ2)]
+        runs = convergence_run(systems, state, pairs, max_truncation=7)
+        assert repr(runs) == repr([convergence_run([sys], state, pairs, max_truncation=7)[0]
+                                   for sys in systems])
+        for sys, rows in zip(systems, runs):
+            assert len(rows) == 3 * 8
+            # each purity is the one its own unstacked table gives
+            for (g1, g2, j, k, purity, _) in rows:
+                assert purity == purity_truncated(sys, state, BasisParams(g1, g2, j, k))
+
+    def test_no_systems_or_no_bases_give_no_rows(self):
+        sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
+        assert convergence_run([], NumberState(0, 1), [(SQ2, SQ2)], max_truncation=3) == []
+        assert convergence_run([sys], NumberState(0, 1), [], max_truncation=3) == [[]]
+
     def test_a_state_without_an_exact_reference_is_refused(self):
         sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
         with pytest.raises(UnsupportedStateError, match="Coherent"):
-            convergence_run(sys, Coherent(), [(SQ2, SQ2)], max_truncation=3)
+            convergence_run([sys], Coherent(), [(SQ2, SQ2)], max_truncation=3)
 
     def test_csv_writer(self, tmp_path, capsys):
         assert cli.run(["figure", "fig7", "--outdir", str(tmp_path)]) == 0
@@ -292,6 +313,6 @@ class TestConvergenceRun:
         assert lines[0] == '# params: {"g": 1.0, "mu1": 0.5, "state": "number:0,1"}'
         assert lines[1] == "gamma1,gamma2,jmax,kmax,purity,abs_error"
         sys = OscillatorSystem.from_dimensionless(1.0, 0.5)
-        rows = convergence_run(sys, NumberState(0, 1), cli._FIG7_PAIRS, max_truncation=5)
+        rows, = convergence_run([sys], NumberState(0, 1), cli._FIG7_PAIRS, max_truncation=5)
         assert len(lines) == 2 + len(rows) == 2 + 4 * 6
         assert [tuple(map(float, ln.split(","))) for ln in lines[2:]] == rows

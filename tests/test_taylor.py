@@ -134,3 +134,90 @@ def test_diagonal_form_factorizes():
             expect = math.prod(d[a] ** (t[a] // 2) / math.factorial(t[a] // 2)
                                for a in range(4))
         assert box[t] == pytest.approx(expect, rel=1e-14, abs=1e-300)
+
+
+def random_stack(seed, members, dim, complex_):
+    rng = np.random.default_rng(seed)
+    return np.stack([random_symmetric(rng, dim, complex_) for _ in range(members)])
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("caps", [(2, 0, 5, 7), (1, 1, 12, 12), (0, 0, 0, 3),
+                                  (2, 1, 0, 2, 1, 2, 2, 0), (2,) * 8])
+def test_each_stack_member_is_its_own_box_bit_for_bit(caps, complex_):
+    Ms = random_stack(len(caps) + sum(caps), 5, len(caps), complex_)
+    box = exp_taylor_box(Ms, caps)
+    assert box.shape == (5,) + tuple(c + 1 for c in caps)
+    assert box.dtype == (complex if complex_ else float)
+    for M, member in zip(Ms, box):
+        assert member.tobytes() == exp_taylor_box(M, caps).tobytes()
+
+
+def test_a_coupling_zero_in_one_member_only():
+    # the stack takes the coupling for every member, so the member where it
+    # is zero adds 0 times a slab: the same numbers, though a zero cell may
+    # change sign
+    Ms = random_stack(11, 3, 4, False)
+    Ms[1, 0, 2] = Ms[1, 2, 0] = 0.0
+    Ms[2, 1, 3] = Ms[2, 3, 1] = 0.0
+    caps = (2, 3, 6, 5)
+    box = exp_taylor_box(Ms, caps)
+    for M, member in zip(Ms, box):
+        assert np.array_equal(member, exp_taylor_box(M, caps))
+
+
+def test_a_coupling_zero_in_every_member_is_skipped_bit_for_bit():
+    Ms = random_stack(12, 4, 4, True)
+    Ms[:, 0, 3] = Ms[:, 3, 0] = 0.0
+    Ms[:, 1, 2] = Ms[:, 2, 1] = 0.0
+    box = exp_taylor_box(Ms, (3, 2, 4, 4))
+    for M, member in zip(Ms, box):
+        assert member.tobytes() == exp_taylor_box(M, (3, 2, 4, 4)).tobytes()
+
+
+def test_a_stack_of_one_is_the_unstacked_box():
+    M = random_symmetric(np.random.default_rng(13), 8, False)
+    caps = (1, 2, 0, 1, 2, 1, 1, 2)
+    single = exp_taylor_box(M, caps)
+    stacked = exp_taylor_box(M[np.newaxis], caps)
+    assert stacked.shape == (1,) + single.shape
+    assert stacked[0].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("shape, caps", [
+    ((4, 4), (1, 1, 1)),            # one generator of the wrong size
+    ((3, 3, 3), (1, 1, 1, 1)),      # a stack of the wrong size
+    ((2, 4, 3), (1, 1, 1)),         # not square
+    ((2, 2, 3, 3), (1, 1, 1)),      # more axes than a stack
+    ((3,), (1, 1, 1)),
+])
+def test_rejects_a_matrix_that_is_not_one_generator_or_a_stack_for_the_caps(shape, caps):
+    with pytest.raises(ValueError, match="does not match caps"):
+        exp_taylor_box(np.zeros(shape), caps)
+
+
+def test_stack_above_memory_budget_raises_before_allocating():
+    # one member, 64^3 * 2 cells of 8 bytes, takes 4 MiB; 33 of them take 132
+    caps = (63, 63, 63, 1)
+    M = 0.1 * np.eye(4)
+    exp_taylor_box(M, caps)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="132 MiB"):
+            exp_taylor_box(np.stack([M] * 33), caps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("M, orders", [
+    (np.eye(3), (1, 0)),            # odd order, too few variables
+    (np.eye(2), (-1, 0)),           # odd order, negative
+    (np.eye(2), (2, -1)),
+    (np.stack([np.eye(2)] * 2), (1, 1)),   # a stack
+    (np.stack([np.eye(2)] * 2), (1, 0)),
+])
+def test_coefficient_checks_its_input_before_answering(M, orders):
+    with pytest.raises(ValueError):
+        taylor_coefficient(M, orders)

@@ -8,7 +8,10 @@ Each tree is a checkout of this repository.  For every workload (the flag
 repeats) and every seed in the inclusive range, both trees run
 ``bench/run.py --workload W --seed S --trace 0`` as a fresh subprocess, for
 the run length ``bench/run.py`` sets: the first seed runs the parent first,
-the next the change first, and so on.  From each run the env line and the final JSON line are kept.
+the next the change first, and so on.  From each run the env line, the
+``slot`` lines (each slot's median command time), the ``probe`` line (the
+machine-speed probes and the scale they gave) and the final JSON line are
+kept, so a BENCH file shows which slot moved and whether the probe moved it.
 After every pair the runs so far are written to ``BENCH_<label>.json`` in
 the directory given by ``--out`` (default: the current one), in the layout
 of the BENCH files committed beside this tool.
@@ -38,8 +41,8 @@ SIDES = ("parent", "change")
 ABOUT = ("Benchmark runs of the parent commit and of the change, in alternating pairs "
          "(per workload, the first seed runs the parent first, the next seed the change "
          "first, and so on; runs are listed in the order they ran). Each run holds the env "
-         "line and the final JSON line printed by the command below, from a fresh "
-         "subprocess in each tree.")
+         "line, the slot lines, the probe line and the final JSON line printed by the "
+         "command below, from a fresh subprocess in each tree.")
 
 
 def seed_range(text: str) -> list[int]:
@@ -59,7 +62,8 @@ def bench_argv(workload: str, seed) -> list[str]:
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """The env line and the final JSON line of one benchmark run in ``tree``."""
+    """The env line, slot lines, probe line and final JSON line of one
+    benchmark run in ``tree``."""
     proc = subprocess.run([sys.executable, *bench_argv(workload, seed)], cwd=tree,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -67,9 +71,12 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
                            f"{proc.stderr.strip()[-2000:]}")
     lines = proc.stdout.splitlines()
     env = [json.loads(ln[len("env "):]) for ln in lines if ln.startswith("env ")]
-    if len(env) != 1 or not lines or not lines[-1].startswith("{"):
-        raise RuntimeError(f"{tree}: expected one env line and a final JSON line")
-    return {"env": env[0], "final": json.loads(lines[-1])}
+    probe = [ln for ln in lines if ln.startswith("probe ")]
+    if len(env) != 1 or len(probe) != 1 or not lines or not lines[-1].startswith("{"):
+        raise RuntimeError(f"{tree}: expected one env line, one probe line and a final "
+                           "JSON line")
+    return {"env": env[0], "slots": [ln for ln in lines if ln.startswith("slot ")],
+            "probe": probe[0], "final": json.loads(lines[-1])}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
