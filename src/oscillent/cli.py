@@ -10,7 +10,11 @@ oracle-compare  method-vs-oracle residual table
 selftest        run the acceptance criteria
 
 Exit codes: 0 success, 1 usage error, 2 numerical-consistency failure,
-3 resource cap exceeded.
+3 resource cap exceeded.  Every command runs under one floating-point rule:
+an overflow, an invalid value or a division by zero, in numpy or in Python
+arithmetic, and a failed linear-algebra routine stop the command with exit 2
+and one ``error:`` line; underflow stays silent.  The rule is numpy's error
+state, which is per thread, so each pooled sweep point sets it again.
 
 This is the only module that reads flags or writes files, and every table
 goes through one writer.  Every emitted file is deterministic byte for byte
@@ -337,7 +341,8 @@ def _sweep_values(args) -> np.ndarray:
 
 def _sweep_point(args, state, value: float) -> float:
     """The purity of one sweep point of the parsed --state ``state``, built as
-    the purity command builds it with the swept flag set to ``value``."""
+    the purity command builds it with the swept flag set to ``value``, under
+    the floating-point rule in whichever thread it runs."""
     point = argparse.Namespace(**vars(args))
     if args.param == "tau":
         state = UnboundGaussian(state.m, value)
@@ -345,8 +350,9 @@ def _sweep_point(args, state, value: float) -> float:
         state = Superposition.two_mode_mix(value)
     else:
         setattr(point, args.param, value)
-    return compute_purity(build_system(point), state, args.method, args,
-                          entropy=False)["purity"]
+    with np.errstate(**_FP_RULE):  # a pool thread starts with numpy's default
+        return compute_purity(build_system(point), state, args.method, args,
+                              entropy=False)["purity"]
 
 
 # the flags a sweep's header records when they are set, and those of each route
@@ -488,7 +494,7 @@ def _print_criterion_json(num, title, ok, seconds, detail):
 
 def _cmd_selftest(args) -> int:
     selection = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             selection = [int(tok) for tok in args.criteria.split(",")]
         except ValueError:
@@ -628,32 +634,41 @@ def _apply_config(args, argv, command_parser: argparse.ArgumentParser):
 _REQUIRED = {"purity": ("state",), "sweep": ("param", "range")}
 
 
+# numpy's error state for every command; underflow keeps its silent default
+_FP_RULE = {"divide": "raise", "over": "raise", "invalid": "raise"}
+
+
 def run(argv=None) -> int:
     argv = list(_sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        # looked up per call, so a rebinding of a _cmd_* function (for
-        # tracing, say) takes effect although the parser is built only once
-        command = globals()["_cmd_" + args.command.replace("-", "_")]
-        if getattr(args, "config", None) is not None:
-            args = _apply_config(args, argv, parser.commands[args.command])
-        missing = [f"--{dest}" for dest in _REQUIRED.get(args.command, ())
-                   if getattr(args, dest) is None]
-        if missing:
-            raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
-        if getattr(args, "kmax", None) is None and hasattr(args, "jmax"):
-            args.kmax = args.jmax
-        return command(args)
+        with np.errstate(**_FP_RULE):
+            args = parser.parse_args(argv)
+            # looked up per call, so a rebinding of a _cmd_* function (for
+            # tracing, say) takes effect although the parser is built only once
+            command = globals()["_cmd_" + args.command.replace("-", "_")]
+            if getattr(args, "config", None) is not None:
+                args = _apply_config(args, argv, parser.commands[args.command])
+            missing = [f"--{dest}" for dest in _REQUIRED.get(args.command, ())
+                       if getattr(args, dest) is None]
+            if missing:
+                raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+            if getattr(args, "kmax", None) is None and hasattr(args, "jmax"):
+                args.kmax = args.jmax
+            return command(args)
     except ResourceCapError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 3
+        code, message = 3, exc
     except NumericalConsistencyError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
+        code, message = 2, exc
+    # ArithmeticError: numpy's FloatingPointError and Python's OverflowError
+    # and ZeroDivisionError; LinAlgError is a ValueError, so it comes first
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # Python's OverflowError carries (errno, text); the text is the message
+        code, message = 2, f"floating-point failure: {(exc.args or [exc])[-1]}"
     except (OscillentError, OSError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
+        code, message = 1, exc
+    print(f"error: {message}", file=_sys.stderr)
+    return code
 
 
 def main():

@@ -21,4 +21,4 @@ class ResourceCapError(OscillentError):
 
 class NumericalConsistencyError(OscillentError):
     """An internal cross-check failed (imaginary residue, determinant identity,
-    singular linear system)."""
+    a kernel form too ill-conditioned to invert, an oracle grid's bounds)."""

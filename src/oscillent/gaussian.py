@@ -45,6 +45,7 @@ __all__ = [
 # separable boundary); anything measurably below 1 is a hard error.
 _ACOSH_SNAP = 1e-14
 _ACOSH_UNDERFLOW = 1e-9
+_NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
 
 
 def arccosh_guarded(x: float) -> float:
@@ -56,6 +57,33 @@ def arccosh_guarded(x: float) -> float:
     return math.log(x + math.sqrt(x * x - 1.0))
 
 
+def _gaussian_purity(sys: OscillatorSystem, tau: float) -> float:
+    """gamma Gamma / sqrt(U + gamma^4 tau^2), with
+    U = (gamma^2 + Gamma^2 mu1^2)(gamma^2 + Gamma^2 mu2^2).
+
+    The root is taken directly while the sum under it is a positive finite
+    float and gamma^4 is a normal one (or tau is 0), so those purities keep
+    their bits.  Past that (g = 1e300, c = 1e-100, or c = 1e100 with
+    tau = 1e300, where gamma^4 = 1e-400 underflows to 0 and drops a
+    gamma^4 tau^2 of 1e200) it is a b / hypot(1, tau a gamma / h2), with
+    h_i = hypot(gamma, Gamma mu_i), a = gamma / h1 and b = Gamma / h2:
+    ratios of at most 1 / mu2, which leave the float range only where the
+    purity does."""
+    gam, Gam = sys.gamma, sys.Gamma
+    mu1, mu2 = sys.mu1, sys.mu2
+    try:  # gam ** 4 raises where a product would give inf
+        quartic = gam ** 4
+    except OverflowError:
+        quartic = math.inf
+    under = ((gam * gam + Gam * Gam * mu1 * mu1) * (gam * gam + Gam * Gam * mu2 * mu2)
+             + quartic * tau * tau)
+    if 0.0 < under < math.inf and (quartic >= _NORMAL_MIN or not tau):
+        return gam * Gam / math.sqrt(under)
+    h1, h2 = math.hypot(gam, Gam * mu1), math.hypot(gam, Gam * mu2)
+    a = gam / h1
+    return a * (Gam / h2) / math.hypot(1.0, tau * a * (gam / h2))
+
+
 def purity_coherent(sys: OscillatorSystem) -> float:
     """Reduced-state purity of the ground state or of any two-mode coherent
     state, which all coincide because displacements are local unitaries.
@@ -64,11 +92,7 @@ def purity_coherent(sys: OscillatorSystem) -> float:
     (0, 1]; equals 1 exactly when gamma^2 = Gamma^2 mu1 mu2 (g = 1 for a
     trapped system).
     """
-    gam, Gam = sys.gamma, sys.Gamma
-    mu1, mu2 = sys.mu1, sys.mu2
-    return gam * Gam / math.sqrt(
-        (gam * gam + Gam * Gam * mu1 * mu1) * (gam * gam + Gam * Gam * mu2 * mu2)
-    )
+    return _gaussian_purity(sys, 0.0)
 
 
 def purity_unbound_gaussian(sys: OscillatorSystem, tau: float) -> float:
@@ -79,15 +103,7 @@ def purity_unbound_gaussian(sys: OscillatorSystem, tau: float) -> float:
     instant tau = 0 where it reduces to :func:`purity_coherent`.
     """
     sys.check_untrapped()
-    gam, Gam = sys.gamma, sys.Gamma
-    mu1, mu2 = sys.mu1, sys.mu2
-    under = (gam * gam + Gam * Gam * mu1 * mu1) * (gam * gam + Gam * Gam * mu2 * mu2)
-    spread = gam ** 4 * tau * tau
-    if not math.isfinite(spread):
-        # the square overflows (tau = 1e300, say): take the root of the sum
-        # divided by gam^4, so tau enters unsquared
-        return Gam / (gam * math.hypot(math.sqrt(under) / (gam * gam), tau))
-    return gam * Gam / math.sqrt(under + spread)
+    return _gaussian_purity(sys, tau)
 
 
 # ----------------------------------------------------------------------

@@ -73,6 +73,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -347,6 +348,13 @@ def _blocks(n: int) -> int:
     return max(1, n // math.ceil(_BLOCK_CELLS / n))
 
 
+def _mib(nbytes: int) -> int:
+    """``nbytes`` in MiB, rounded half to even: what ``f"{nbytes / 2 ** 20:.0f}"``
+    prints below 2^53 bytes, and no OverflowError where that quotient leaves
+    the float range."""
+    return round(Fraction(nbytes, 2 ** 20))
+
+
 def _check_sample_cap(state, n_points: int) -> int:
     """The predicted peak bytes of sampling ``state`` on an n_points^2 grid
     and taking its Gram matrix; ResourceCapError when they exceed the byte
@@ -367,7 +375,7 @@ def _check_sample_cap(state, n_points: int) -> int:
             + block_cells * (8 * (m_eff + n_eff + 2) + _BLOCK_EXTRA_BYTES))
     if need > _SAMPLE_BYTES_CAP:
         raise ResourceCapError(
-            f"a {n_points}^2 grid for this state needs about {need / 2 ** 20:.0f} MiB, "
+            f"a {n_points}^2 grid for this state needs about {_mib(need)} MiB, "
             f"above the {_SAMPLE_BYTES_CAP / 2 ** 20:.0f} MiB budget; lower the grid points"
         )
     return need

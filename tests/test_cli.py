@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -824,7 +825,7 @@ class TestSelftest:
         assert cli.run(["selftest", "--criteria", criteria]) == 1
         assert capsys.readouterr() == ("", f"error: no criterion numbered {unknown}\n")
 
-    @pytest.mark.parametrize("criteria", ["a", "1,", "1;6"])
+    @pytest.mark.parametrize("criteria", ["a", "1,", "1;6", ""])
     def test_malformed_criteria_name_the_flag(self, capsys, criteria):
         assert cli.run(["selftest", "--criteria", criteria]) == 1
         assert capsys.readouterr() == (
@@ -978,3 +979,63 @@ class TestConfigFile:
         assert captured.err == f"error: the following arguments are required: {missing}\n"
         assert cli.run(argv + ["--g", "2", "--mu1", "0.3"]) == 1
         assert "required: --" in capsys.readouterr().err
+
+
+class TestOneRuleForANumericalFailure:
+    """Overflow, an invalid value, a division by zero, a failed linear-algebra
+    routine and an ill-conditioned kernel form each end a command with one
+    error line.  The suite turns a warning into an exception that cli.run
+    does not catch, so a warning from any thread fails these tests."""
+
+    @pytest.mark.parametrize("argv, code, text", [
+        (["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e8"], 2,
+         "condition number"),
+        (["sweep", "--method", "fock", "--param", "g", "--range", "1e199:1e200:2",
+          "--mu1", "0.5", "--state", "number:1,1"], 2, "floating-point failure"),
+        (["purity", "--method", "fock", "--g", "1e200", "--mu1", "0.5",
+          "--state", "number:1,1"], 2, "floating-point failure"),
+        (["purity", "--m1", "1", "--m2", "1", "--omega", "1", "--Omega", "1",
+          "--hbar", "1e300", "--state", "number:1,1"], 2, "floating-point failure"),
+        (["purity", "--method", "fock", "--g", "5", "--mu1", "0.3", "--state", "number:0,1",
+          "--gamma1", "1e300", "--gamma2", "1"], 2, "floating-point failure"),
+        (["purity", "--g", "1e300", "--mu1", "0.5", "--state", "number:1,1"], 2,
+         "floating-point failure"),
+        (["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e200"], 2,
+         "condition number"),
+        # an exact sweep: its points fail in the pool's threads
+        (["sweep", "--param", "g", "--range", "1e299:1e300:2", "--mu1", "0.5",
+          "--state", "number:1,1"], 2, "floating-point failure"),
+        # caps whose byte count would overflow a float while the message is formatted
+        (["purity", "--method", "oracle", "--g", "5", "--mu1", "0.3", "--state", "number:0,1",
+          "--extent", "1e300"], 3, "MiB budget"),
+        (["purity", "--method", "oracle", "--g", "5", "--mu1", "0.3", "--state", "number:0,1",
+          "--n-points", "1" + "0" * 200], 3, "MiB budget"),
+    ], ids=["unbound-1e8", "fock-sweep", "fock-g", "hbar", "gamma1", "exact-g",
+            "unbound-1e200", "pooled-sweep", "cap-extent", "cap-points"])
+    def test_one_error_line(self, capsys, argv, code, text):
+        assert cli.run(argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and text in err
+        assert "Warning" not in err and "Traceback" not in err
+
+    def test_pool_threads_carry_the_rule(self, monkeypatch, tmp_path):
+        # each point records the thread it runs in and that thread's error state
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append((threading.current_thread(), np.geterr()))
+            return {"purity": 0.5}
+
+        monkeypatch.setattr(cli, "compute_purity", record)
+        assert cli.run(["sweep", "--param", "g", "--range", "1:2:8", "--mu1", "0.5",
+                        "--state", "number:1,1", "-o", str(tmp_path / "s.csv")]) == 0
+        assert len(seen) == 8
+        assert all(thread is not threading.main_thread() for (thread, _) in seen)
+        assert all(state == {"divide": "raise", "over": "raise", "under": "ignore",
+                             "invalid": "raise"} for (_, state) in seen)
+
+    def test_rule_ends_with_the_command(self):
+        before = np.geterr()
+        cli.run(["purity", "--g", "1e300", "--mu1", "0.5", "--state", "number:1,1"])
+        assert np.geterr() == before

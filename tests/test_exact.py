@@ -256,6 +256,24 @@ class TestPurityUnboundNumber:
         assert purity_number_unbound(sys, 1, 5.0) == pytest.approx(
             0.26573643221888493, abs=1e-6)
 
+    # 90-digit evaluations of the same Gaussian integral; the double-precision
+    # read loses about 0.1 cond(A) eps, cond(A) growing as tau^2
+    @pytest.mark.parametrize("tau, ref", [
+        (1e2, 0.014995002099100385),
+        (1e3, 0.0014999950000209999),
+        (1e4, 0.00014999999500000021),
+    ])
+    def test_accuracy_below_the_condition_bound(self, tau, ref):
+        sys = OscillatorSystem.from_untrapped(0.5, c=2.0)
+        assert purity_number_unbound(sys, 1, tau) == pytest.approx(ref, rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("tau", [1e6, 1e8])
+    def test_ill_conditioned_form_is_refused(self, tau):
+        # at tau = 1e8 the read gave 2.01e-8 against 1.50e-8
+        sys = OscillatorSystem.from_untrapped(0.5, c=2.0)
+        with pytest.raises(NumericalConsistencyError, match="condition number"):
+            purity_number_unbound(sys, 1, tau)
+
     def test_result_is_real_and_in_range(self):
         sys = OscillatorSystem.from_untrapped(0.3, c=4.0)
         for m in (0, 1, 2):

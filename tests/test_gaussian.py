@@ -35,6 +35,34 @@ class TestPurityCoherent:
                 assert abs(p - p_ginv) < 1e-12
                 assert abs(p - p_muswap) < 1e-12
 
+    @pytest.mark.parametrize("mu1", [0.5, 0.3, 0.05])
+    def test_g_inverse_symmetry_at_the_float_range_edge(self, mu1):
+        # at g = 1e300 the product under the root overflows and used to give 0
+        p = purity_coherent(OscillatorSystem.from_dimensionless(1e300, mu1))
+        p_inv = purity_coherent(OscillatorSystem.from_dimensionless(1e-300, mu1))
+        assert p == pytest.approx(p_inv, rel=1e-15, abs=0)
+        assert p == pytest.approx(1e-150 / math.sqrt(mu1 * (1 - mu1)), rel=1e-15, abs=0)
+
+    def test_tiny_c(self):
+        # P = c / (1 + c^2 / 4) at mu1 = 1/2; gamma = 1e100 overflows the product
+        sys = OscillatorSystem.from_untrapped(0.5, c=1e-100)
+        assert purity_coherent(sys) == pytest.approx(1e-100, rel=1e-15, abs=0)
+
+    def test_underflowing_product(self):
+        # hbar = 1e300 puts gamma and Gamma near 1e-150, and the product under
+        # the root underflows to 0; the purity does not depend on hbar
+        sys = OscillatorSystem.from_physical(1.0, 2.0, 3.0, 1.0, hbar=1e300)
+        ref = OscillatorSystem.from_physical(1.0, 2.0, 3.0, 1.0)
+        assert purity_coherent(sys) == pytest.approx(purity_coherent(ref), rel=1e-15)
+
+    def test_finite_product_keeps_the_direct_bits(self):
+        for g in (1e-150, 1e-3, 0.7, 5.0, 1e3, 1e150):
+            for mu1 in (0.01, 0.3, 0.5):
+                sys = OscillatorSystem.from_dimensionless(g, mu1)
+                gam, Gam, mu2 = sys.gamma, sys.Gamma, sys.mu2
+                assert purity_coherent(sys) == gam * Gam / math.sqrt(
+                    (gam * gam + Gam * Gam * mu1 * mu1) * (gam * gam + Gam * Gam * mu2 * mu2))
+
     def test_displacement_independence_against_oracle(self):
         rng = np.random.default_rng(11)
         sys = OscillatorSystem.from_dimensionless(5.0, 0.35)
@@ -75,6 +103,21 @@ class TestPurityUnbound:
         sys = OscillatorSystem.from_dimensionless(2.0, 0.5)
         with pytest.raises(DomainError):
             purity_unbound_gaussian(sys, 1.0)
+
+    def test_tiny_c(self):
+        # gamma = 1e100: gamma ** 4 raised OverflowError before the old
+        # fallback for an overflowing tau^2 was reached
+        sys = OscillatorSystem.from_untrapped(0.5, c=1e-100)
+        assert purity_unbound_gaussian(sys, 0.0) == pytest.approx(1e-100, rel=1e-15, abs=0)
+        assert purity_unbound_gaussian(sys, 3.0) == pytest.approx(1e-100 / math.sqrt(10.0),
+                                                                  rel=1e-15, abs=0)
+
+    def test_huge_c_and_tau(self):
+        # gamma = 1e-100: gamma^4 underflows to 0 and dropped a gamma^4 tau^2 of
+        # 1e200, so the direct root read 4e-100
+        sys = OscillatorSystem.from_untrapped(0.5, c=1e100)
+        assert purity_unbound_gaussian(sys, 1e300) == pytest.approx(1e-200, rel=1e-15, abs=0)
+        assert purity_unbound_gaussian(sys, 0.0) == pytest.approx(4e-100, rel=1e-15, abs=0)
 
     def test_tau_whose_square_overflows(self):
         # far out the purity is c/|tau|, c = Gamma/gamma = 2; tau^2 overflows

@@ -247,6 +247,16 @@ class TestSampleCap:
     def test_largest_grid_in_use_passes(self, state):
         grid_mod._check_sample_cap(state, 1024)
 
+    def test_cap_message_past_the_float_range(self):
+        # need / 2 ** 20 raised OverflowError while the message was formatted
+        with pytest.raises(ResourceCapError, match=r"needs about 30517578125\d* MiB"):
+            grid_mod._check_sample_cap(NumberState(0, 1), 10 ** 200)
+
+    @pytest.mark.parametrize("nbytes", [0, 2 ** 19, 3 * 2 ** 19, 5 * 2 ** 19 + 1,
+                                        305188 * 2 ** 20 - 7, 2 ** 52 + 2 ** 19])
+    def test_mib_prints_as_the_float_quotient(self, nbytes):
+        assert str(grid_mod._mib(nbytes)) == f"{nbytes / 2 ** 20:.0f}"
+
     def test_cap_grows_with_the_hermite_order(self):
         # a block of a 2048^2 grid has 16384 cells; a stack of 9001 Hermite
         # rows over it alone takes 1.1 GiB

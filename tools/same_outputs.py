@@ -11,10 +11,17 @@ state kind, sweeps in every gauge and on every route (exact sweeps on the
 thread pool, the others in the calling thread), covariance,
 oracle-compare, fig1-fig7 and the commands that exit 1, 2 or 3, among them
 a 10^5-point sweep whose flags name two gauges, a sweep whose second point
-fails, a negative truncation, an angle that divides by zero and the oracle
-gate's failing path.  The line number in a
-warning's ``<tree>/...py:LINE`` is masked, so moving code does not count as
-a difference.  Prints one line per command and exits 1 if any command
+fails, a negative truncation, an angle that divides by zero, an empty
+``--criteria`` and the oracle gate's failing path.  It also holds inputs at
+the edges of the float range: grid caps whose byte count overflows a float,
+closed forms whose direct root overflows or drops an underflowed term, an
+oracle Gram matrix that is rescaled, and the floating-point failures that
+exit 2 with one error line (an overflow or invalid value in numpy, in
+Python arithmetic and in the exact sweep pool's threads, and a spreading
+packet's ill-conditioned kernel form), so a warning, a traceback or a NaN
+that comes back shows as a difference.  The line number in a warning's
+``<tree>/...py:LINE`` is masked, so moving code does not count as a
+difference.  Prints one line per command and exits 1 if any command
 differs.  Standard library only.
 """
 
@@ -148,6 +155,35 @@ COMMANDS = [
     ["purity", *FREE, "--state", "unbound:1,1e200", "--method", "oracle"],
     ["purity", *FREE, "--state", "unbound:1,1e200", "--method", "oracle", "--n-points", "64"],
     ["sweep", "--param", "g", "--range", "1:2:2000000", "--mu1", "0.3"],
+    # a cap whose byte count would overflow a float: exit 3 with the budget message
+    ["purity", *G5, "--state", "number:0,1", "--method", "oracle", "--extent", "1e300"],
+    ["purity", *G5, "--state", "number:0,1", "--method", "oracle", "--n-points", "1" + "0" * 200],
+    # an empty selection is a usage error, as --criteria , is
+    ["selftest", "--criteria", ""],
+    # closed forms whose direct root leaves the float range, or drops a
+    # gamma^4 tau^2 whose gamma^4 underflows: the scaled form
+    ["purity", "--g", "1e300", "--mu1", "0.5", "--state", "coherent:"],
+    ["purity", "--c", "1e-100", "--mu1", "0.5", "--state", "coherent:"],
+    ["purity", "--c", "1e-100", "--mu1", "0.5", "--state", "unbound:0,0"],
+    ["purity", "--c", "1e100", "--mu1", "0.5", "--state", "unbound:0,1e300",
+     "--method", "analytic"],
+    # the oracle's Gram matrix leaves the float range and is rescaled
+    ["purity", "--m1", "1", "--m2", "2", "--omega", "3", "--Omega", "1", "--hbar", "1e-200",
+     "--state", "number:1,1", "--method", "oracle"],
+    # exit 2 with one error line: floating-point failures, in numpy, in Python
+    # arithmetic and in a pooled sweep's threads, and an ill-conditioned kernel form
+    ["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e8"],
+    ["sweep", "--method", "fock", "--param", "g", "--range", "1e199:1e200:2", "--mu1", "0.5",
+     "--state", "number:1,1"],
+    ["purity", "--method", "fock", "--g", "1e200", "--mu1", "0.5", "--state", "number:1,1"],
+    ["purity", "--m1", "1", "--m2", "1", "--omega", "1", "--Omega", "1", "--hbar", "1e300",
+     "--state", "number:1,1"],
+    ["purity", "--method", "fock", *G5, "--state", "number:0,1", "--gamma1", "1e300",
+     "--gamma2", "1"],
+    ["purity", "--g", "1e300", "--mu1", "0.5", "--state", "number:1,1"],
+    ["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e200"],
+    ["sweep", "--param", "g", "--range", "1e299:1e300:2", "--mu1", "0.5",
+     "--state", "number:1,1"],
 ]
 
 
