@@ -279,6 +279,8 @@ def _write_csv(path, params: dict, columns, rows):
     then one LF-terminated line per row, floats written by :func:`_fmt`.
 
     ``rows`` may be any iterable; lines are written as they are formatted.
+    Other values are written by ``str``, so a column the caller formatted
+    once with :func:`_fmt` passes through unchanged.
     """
     with _output(path) as fh:
         fh.write(f"# params: {json.dumps(params, sort_keys=True)}\n")
@@ -435,8 +437,9 @@ def _cmd_figure(args) -> int:
         for (g, mu1) in _FIG12_COMBOS:
             sys_ = OscillatorSystem.from_dimensionless(g, mu1)
             dg = grid.density_grid(sys_, NumberState(m, n), spec)
-            x2 = dg.x2.tolist()
-            rows = ((a, b, d) for a, line in zip(dg.x1.tolist(), dg.density.tolist())
+            # each axis value formatted once, not on each of its n rows
+            x2 = [_fmt(b) for b in dg.x2.tolist()]
+            rows = ((a, b, d) for a, line in zip(map(_fmt, dg.x1.tolist()), dg.density.tolist())
                     for b, d in zip(x2, line))
             _write_csv(outpath(f"{which}_g{g:g}_mu{mu1:g}.csv"),
                        {"g": g, "mu1": mu1, "state": f"number:{m},{n}", "n": args.points},

@@ -28,6 +28,22 @@ reported as the grid defect; ``SchmidtResult.check`` is the one verdict on
 it and on the norm defect.  An explicit number of points overrides the
 sizing; a window that no finite grid resolves is refused either way.
 
+Most states have a parity s (``state.parity``): psi(-x1, -x2) = s psi(x1,
+x2).  On an even number of points n the oracle folds such a state.  It
+mirrors each axis about 0, so x[n-1-i] = -x[i] exactly (the first half is
+np.linspace's, the second its negation), samples only the first h = n/2
+rows W = [A B], and forms the parity blocks M+- = A +- B[:, ::-1].  In the
+basis of column pairs (e_j +- e_{n-1-j}) / sqrt(2) the Gram matrix of the
+whole grid is block-diagonal with blocks G+- = M+-^H M+-, so the purity
+is (||G+||_F^2 + ||G-||_F^2) / (tr G+ + tr G-)^2, the norm is twice the
+sampled half's, the spectrum is the union of the blocks' spectra, and the
+two-grid check reads W[::2, ::2] assembled from the half and its mirror.
+The Gram products cost 3 (n/2)^3 multiply-adds instead of n^3 + (n/2)^3,
+and half the grid is sampled.  The fold uses only that symmetry of the
+sampled function and no formula of the routes it checks.  Coherent
+states, superpositions that mix parities and odd n stay one block; so does
+:func:`density_grid`, which returns the whole grid.
+
 Wavefunctions are evaluated in particle coordinates via the substitution
 psi(x1, x2) = Phi(x1 - x2, mu1 x1 + mu2 x2).  Hermite factors use the
 orthonormal three-term recurrence with the Gaussian weight folded in at
@@ -40,30 +56,37 @@ cache and no full-size temporary is made; every sample is computed by the
 same arithmetic as one call over the whole grid, bit for bit.  Sampling is
 capped by a predicted peak memory (the whole-grid arrays of the sampling
 and the Gram product, plus one block's Hermite rows), checked on the number
-of points actually used, and raises ResourceCapError before allocating.
+of points actually used, and raises ResourceCapError before allocating; a
+folded grid peaks lower (14 MiB against 24 MiB at 1024^2 on |4,4>), and
+the prediction does not count on it.
 
 Purity and the two checks need only the Gram matrix.  The Schmidt spectrum
 and the entropy are computed from it when first read, so a caller that reads
 only the purity never pays for them.  They come from a diagonal-pivoted
 Cholesky factor G ~ L L^H with k columns (Harbrecht, Peters and Schneider,
-Appl. Numer. Math. 62, 428, 2012): each step pivots on the largest diagonal
-entry of the residual G - L L^H, and the factor stops once that entry is at
-most 1e-2 eps tr(G).  The spectrum of a sampled wavefunction is numerically
-of low rank (k = 13 to 31 at 1024^2 on a coherent state, |2,2> and |4,4> at
-g = 1.7; 351 of n = 1696 for |1,1> at g = 1000), so the eigenvalues of the
-k x k matrix L^H L take the place of an n x n eigendecomposition of G.  The
-n - k eigenvalues left out are returned as zeros, and the residual trace
-over tr(G) is kept as the spectrum defect.  An eigendecomposition of G
-would also return about n roundoff eigenvalues of size eps tr(G), each
-adding its -p ln p to the entropy; the factor leaves them out, so the
-entropy is closer to the closed forms, not further.  The factor costs about
-as much as the eigendecomposition at k/n = 0.55 to 0.65 (n = 512 to 1696),
-and three times as much at full rank (246 ms against 82 ms at n = 1024 on a 2-vCPU x86_64 machine).
-Measured k/n: at most 0.036 on 1024^2 and 0.078 on 512^2 grids with
-g <= 5; 0.16 to 0.21 on sized grids at g = 1000 to 4000; and up to 0.43 on
-explicit grids that pass the two-grid check at g = 100 to 1000.  Grids too
-coarse for the state reach k/n = 0.66, where the loop is the slower one,
-but their grid defect is above the 1e-6 that ``SchmidtResult.check`` accepts.
+Appl. Numer. Math. 62, 428, 2012), one factor per parity block: each step
+pivots on the largest diagonal entry of the residual G - L L^H, and the
+factor stops once that entry is at most 1e-2 eps tr(G), with tr(G) the
+whole grid's.  The spectrum of a sampled wavefunction is numerically of low
+rank, so the eigenvalues of the k x k matrix L^H L take the place of an
+n x n eigendecomposition of G.  Measured k at g = 1.7, mu1 = 0.37 on
+1024^2: 13 + 7 for |2,2> (22 as one block), 15 + 13 for |4,4> (31), 10 + 7
+for |1,1> (19), and 13 for a coherent state, which is one block; 184 + 185
+of 880 + 880 for |1,1> at g = 1000, mu1 = 0.5 on its sized 1760^2 grid (365
+of 1760 as one block).  The n - k eigenvalues left out are returned as
+zeros, and the residual trace over tr(G) is kept as the spectrum defect.
+An eigendecomposition of G would also return about n roundoff eigenvalues
+of size eps tr(G), each adding its -p ln p to the entropy; the factor
+leaves them out, so the entropy is closer to the closed forms, not
+further.  The factor costs about as much as the eigendecomposition at
+k/n = 0.55 to 0.65 (n = 512 to 1696), and three times as much at full rank
+(246 ms against 82 ms at n = 1024 on a 2-vCPU x86_64 machine).  Measured
+k/n with G factored as one block: at most 0.036 on 1024^2 and 0.078 on
+512^2 grids with g <= 5; 0.16 to 0.21 on sized grids at g = 1000 to 4000;
+and up to 0.43 on explicit grids that pass the two-grid check at g = 100
+to 1000.  Grids too coarse for the state reach k/n = 0.66, where the loop
+is the slower one, but their grid defect is above the 1e-6 that
+``SchmidtResult.check`` accepts.
 
 Every call is independent; nothing here mutates shared state.
 """
@@ -104,8 +127,10 @@ _BLOCK_EXTRA_BYTES = 12 * 8
 # temporaries (128 KiB each in float64) fit in a core's L2 cache.  It is also
 # the size (256 KiB of complex128) from which numpy's temporary elision
 # evaluates ``scalar * temporary`` in place as ``temporary *= scalar``; the
-# two orders round complex products differently, so a smaller block of a
-# larger grid would not reproduce the bits of one call over the whole grid.
+# two orders round complex products differently.  The spreading packet, the
+# one such product whose bits it changed, multiplies array first, so the
+# half of a folded grid, which may hold fewer cells than the whole grid,
+# has the bits of one call over the whole grid too.
 _BLOCK_CELLS = 2 ** 14
 # sized grids: points per unit of the window-to-width ratio R, the fewest
 # points, and the step n is rounded up to
@@ -173,13 +198,19 @@ class SchmidtResult:
     two 2^-e that W was scaled by before its Gram product (0 unless tr(G)
     would leave the float range); ``gram`` and ``trace`` are those of the
     scaled W, and the singular values are in the units of W.
+
+    ``gram`` is a tuple of the diagonal blocks of G: the two (n/2) x (n/2)
+    blocks M+^H M+ and M-^H M- of a grid folded by parity (see the module
+    docstring), or G itself, n x n, for a grid sampled as one block.
+    ``trace`` is the trace of the whole G, and every block's factor stops
+    against it.
     """
 
     purity: float
     norm_defect: float
     grid_defect: float
     n_points: int
-    gram: np.ndarray = field(repr=False)
+    gram: tuple[np.ndarray, ...] = field(repr=False)
     trace: float
     scale_exp: int = 0
 
@@ -199,7 +230,7 @@ class SchmidtResult:
 
     @cached_property
     def _schmidt(self) -> tuple[np.ndarray, float, float]:
-        s, entropy, defect = _spectrum(self.gram, self.trace)
+        s, entropy, defect = _spectra(self.gram, self.trace)
         return np.ldexp(s, self.scale_exp), entropy, defect
 
     @property
@@ -252,7 +283,11 @@ def _spreading_packet(x: np.ndarray, tau: float, Gamma: float) -> np.ndarray:
     """Free Gaussian packet at dimensionless time tau, unit normalized."""
     T = 1.0 + tau * tau
     pref = (1.0 + 1j * tau) ** -0.5 * (Gamma ** 2 / math.pi) ** 0.25
-    return pref * np.exp(-Gamma ** 2 * x * x * (1.0 + 1j * tau) / (2.0 * T))
+    # the array is the left factor: numpy evaluates a large enough
+    # ``scalar * temporary`` in place as ``temporary * scalar``, which rounds
+    # complex products differently, so the other order would make the bits
+    # depend on the number of points in the call
+    return np.exp(-Gamma ** 2 * x * x * (1.0 + 1j * tau) / (2.0 * T)) * pref
 
 
 def _coherent_mode(x: np.ndarray, disp: complex, scale: float, hbar: float) -> np.ndarray:
@@ -342,10 +377,10 @@ def _sized_points(sys: OscillatorSystem, half1: float, half2: float) -> int:
     return max(_MIN_POINTS, _POINTS_STEP * steps)
 
 
-def _blocks(n: int) -> int:
-    """Row blocks of an n^2 sampling, each of at least _BLOCK_CELLS cells
-    (one block when the grid is smaller)."""
-    return max(1, n // math.ceil(_BLOCK_CELLS / n))
+def _blocks(rows: int, cols: int) -> int:
+    """Row blocks of a rows x cols sampling, each of at least _BLOCK_CELLS
+    cells (one block when the sampling is smaller)."""
+    return max(1, rows // math.ceil(_BLOCK_CELLS / cols))
 
 
 def _mib(nbytes: int) -> int:
@@ -366,11 +401,15 @@ def _check_sample_cap(state, n_points: int) -> int:
     float64.  One block holds the Hermite rows of both stacks (orders 0..m
     and 0..n) in float64 and its coordinates and temporaries.  The two are
     added, although a block is freed before the Gram product.  Reading the
-    spectrum afterwards holds G and its factor, which is less.
+    spectrum afterwards holds G and its factor, which is less.  A grid
+    folded by parity holds half the samples and two Gram blocks of a
+    quarter of G each, so for it the prediction overstates the peak
+    (34.8 MiB predicted, 14 MiB measured at 1024^2 on |4,4>); it is kept
+    as it is so that every refusal is the same for folded and whole grids.
     """
     m_eff, n_eff = state.orders
     itemsize, copies = (8, 3) if state.is_real else (16, 4)
-    block_cells = math.ceil(n_points / _blocks(n_points)) * n_points
+    block_cells = math.ceil(n_points / _blocks(n_points, n_points)) * n_points
     need = (n_points * n_points * (copies * itemsize + 8)
             + block_cells * (8 * (m_eff + n_eff + 2) + _BLOCK_EXTRA_BYTES))
     if need > _SAMPLE_BYTES_CAP:
@@ -381,7 +420,24 @@ def _check_sample_cap(state, n_points: int) -> int:
     return need
 
 
-def _sample(sys: OscillatorSystem, state, grid: GridSpec):
+def _axis(center: float, half: float, n: int, mirror: bool) -> np.ndarray:
+    """n points from center - half to center + half.  ``mirror`` (for a
+    window centered at 0) keeps np.linspace's first half and negates it into
+    the second, so x[n-1-i] = -x[i] exactly."""
+    x = np.linspace(center - half, center + half, n)
+    if mirror:
+        x[n // 2:] = -x[n // 2 - 1::-1]
+    return x
+
+
+def _sample(sys: OscillatorSystem, state, grid: GridSpec, fold: bool = False):
+    """Axes x1, x2, samples W[i, j] = psi(x1_i, x2_j) and spacings dx1, dx2.
+
+    With ``fold``, a state of definite parity s sampled on an even number of
+    points n gets mirrored axes (see :func:`_axis`; its window is centered at
+    0), and W holds only the first n/2 rows: psi(-x1, -x2) = s psi(x1, x2)
+    makes the other half s W[::-1, ::-1], bit for bit.
+    """
     if not isinstance(state, StateSpec):
         raise UnsupportedStateError(f"cannot size a grid for state kind {type(state).__name__}")
     c1, c2, half1, half2 = _window(sys, state, grid.extent_sigmas)
@@ -389,13 +445,15 @@ def _sample(sys: OscillatorSystem, state, grid: GridSpec):
     sized = _sized_points(sys, half1, half2)
     n = sized if grid.n_points is None else grid.n_points
     _check_sample_cap(state, n)
-    x1 = np.linspace(c1 - half1, c1 + half1, n)
-    x2 = np.linspace(c2 - half2, c2 + half2, n)
-    W = np.empty((n, n), dtype=float if state.is_real else complex)
+    mirror = fold and state.parity is not None and n % 2 == 0
+    x1 = _axis(c1, half1, n, mirror)
+    x2 = _axis(c2, half2, n, mirror)
+    rows = n // 2 if mirror else n
+    W = np.empty((rows, n), dtype=float if state.is_real else complex)
     # rows split evenly into blocks of at least _BLOCK_CELLS cells each
-    blocks = _blocks(n)
+    blocks = _blocks(rows, n)
     for b in range(blocks):
-        i, j = b * n // blocks, (b + 1) * n // blocks
+        i, j = b * rows // blocks, (b + 1) * rows // blocks
         W[i:j] = eval_wavefunction(sys, state, x1[i:j, None], x2[None, :])
     dx1 = x1[1] - x1[0]
     dx2 = x2[1] - x2[0]
@@ -418,19 +476,47 @@ def _gram(W: np.ndarray) -> tuple[np.ndarray, float, float]:
     return G, float(np.trace(G).real), float(np.sum(_abs2(G)))
 
 
-def _scaled_gram(W: np.ndarray) -> tuple[np.ndarray, float, float, int]:
-    """G, tr(G) and the purity ||G||_F^2 / tr(G)^2 of 2^-e W, and e.
+def _fold(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parity blocks M+ and M- of the n x n grid whose first h = n/2 rows
+    are W = [A B] and whose other rows are s W[::-1, ::-1] for s = 1 or -1.
+
+    M+- = A +- B[:, ::-1].  In the orthonormal basis of column pairs
+    (e_j +- e_{n-1-j}) / sqrt(2), j < h, the grid's Gram matrix is
+    block-diagonal with blocks M+^H M+ and M-^H M-, whatever s is.
+    """
+    h = W.shape[0]
+    A, B = W[:, :h], W[:, ::-1][:, :h]
+    return A + B, A - B
+
+
+def _grams(W: np.ndarray, fold: bool) -> tuple[tuple[np.ndarray, ...], float, float]:
+    """The Gram matrices of W's two parity blocks (see :func:`_fold`) with
+    ``fold``, else of W alone, and tr(G) and ||G||_F^2 summed over them."""
+    grams, total, square = [], 0.0, 0.0
+    for M in _fold(W) if fold else (W,):
+        G, t, q = _gram(M)
+        grams.append(G)
+        total += t
+        square += q
+    return tuple(grams), total, square
+
+
+def _scaled_gram(W: np.ndarray, fold: bool = False
+                 ) -> tuple[tuple[np.ndarray, ...], float, float, int]:
+    """The Gram matrices of 2^-e W (one, or W's two parity blocks with
+    ``fold``; see :func:`_grams`), tr(G), the purity ||G||_F^2 / tr(G)^2, and e.
 
     e is 0 unless tr(G) or ||G||_F^2 of W itself would leave the normal
     float range; then it is the exponent of the largest entry of W, so the
-    scaled entries are at most 1 and the purity, a ratio, is unchanged.  A W
-    holding inf or NaN, or only zeros, is refused.
+    scaled entries are at most 1 and the purity, a ratio, is unchanged.  W
+    is scaled before it is folded.  A W holding inf or NaN, or only zeros,
+    is refused.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        G, total, square = _gram(W)
+        grams, total, square = _grams(W, fold)
     if _TINY <= square and total * total < math.inf:
-        return G, total, square / (total * total), 0
-    del G  # room for the scaled copy, as _check_sample_cap counts it
+        return grams, total, square / (total * total), 0
+    del grams  # room for the scaled copy, as _check_sample_cap counts it
     big = float(np.maximum(np.max(np.abs(W.real)), np.max(np.abs(W.imag))))
     if not big < math.inf:
         # an infinite trace would put the pivoted factor's stop at inf, and
@@ -441,8 +527,8 @@ def _scaled_gram(W: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     e = math.frexp(big)[1]
     # two steps, since 2^-e itself overflows for e below -1023
     half = -e // 2
-    G, total, square = _gram(W * 2.0 ** half * 2.0 ** (-e - half))
-    return G, total, square / (total * total), e
+    grams, total, square = _grams(W * 2.0 ** half * 2.0 ** (-e - half), fold)
+    return grams, total, square / (total * total), e
 
 
 def _spectrum(G: np.ndarray, total: float) -> tuple[np.ndarray, float, float]:
@@ -485,6 +571,30 @@ def _spectrum(G: np.ndarray, total: float) -> tuple[np.ndarray, float, float]:
     return np.sqrt(w), float(-np.sum(pos * np.log(pos))), defect
 
 
+def _spectra(grams: tuple[np.ndarray, ...], total: float) -> tuple[np.ndarray, float, float]:
+    """:func:`_spectrum` of each diagonal block of a block-diagonal G whose
+    trace is ``total``: the singular values of all blocks, descending, and
+    the sums of their entropies and spectrum defects.  Every block stops its
+    factor against the whole tr(G).  One block's result is returned as it is.
+    """
+    parts = [_spectrum(G, total) for G in grams]
+    if len(parts) == 1:
+        return parts[0]
+    s = np.sort(np.concatenate([p[0] for p in parts]))[::-1]
+    return s, sum(p[1] for p in parts), sum(p[2] for p in parts)
+
+
+def _coarse(W: np.ndarray, parity: int) -> np.ndarray:
+    """Every second sample in each direction, [::2, ::2], of the n x n grid
+    whose first n/2 rows are W and whose other rows are
+    parity * W[::-1, ::-1]."""
+    h = W.shape[0]
+    # rows h + t of the grid are row t of the turned half; h + t is even
+    # when t has h's parity
+    lower = W[::-1, ::-1][h % 2::2, ::2]
+    return np.concatenate((W[::2, ::2], lower if parity > 0 else -lower))
+
+
 def schmidt_from_samples(W: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Singular values, purity and entropy of a sample matrix, real or complex.
 
@@ -497,8 +607,8 @@ def schmidt_from_samples(W: np.ndarray) -> tuple[np.ndarray, float, float]:
     ||G||_F^2 would leave the float range, W is first scaled by a power of
     two, and the singular values are scaled back.
     """
-    G, total, purity, e = _scaled_gram(W)
-    s, entropy, _ = _spectrum(G, total)
+    grams, total, purity, e = _scaled_gram(W)
+    s, entropy, _ = _spectra(grams, total)
     return np.ldexp(s, e), purity, entropy
 
 
@@ -506,17 +616,22 @@ def schmidt_analyze(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -
     """Sample the wavefunction and take the purity from the Gram matrix of
     the samples, with the two-grid check from the same samples; the entropy
     and the Schmidt spectrum are computed when the result's fields are
-    first read.
+    first read.  A state of definite parity on an even number of points is
+    folded: half the grid is sampled and G is taken as two parity blocks
+    (see the module docstring).
 
     Reports the norm and grid defects and refuses neither; that is
     :meth:`SchmidtResult.check`'s verdict.
     """
-    _, _, W, dx1, dx2 = _sample(sys, state, grid)
-    norm = float(np.sum(_abs2(W)) * dx1 * dx2)
-    G, total, purity, e = _scaled_gram(W)
-    coarse = _scaled_gram(W[::2, ::2])[2]
+    _, _, W, dx1, dx2 = _sample(sys, state, grid, fold=True)
+    n = W.shape[1]
+    # a folded sampling holds half the rows, and its mirror the same weight
+    folded = W.shape[0] < n
+    norm = float(np.sum(_abs2(W)) * dx1 * dx2) * (2.0 if folded else 1.0)
+    grams, total, purity, e = _scaled_gram(W, folded)
+    coarse = _scaled_gram(_coarse(W, state.parity) if folded else W[::2, ::2])[2]
     return SchmidtResult(purity=purity, norm_defect=abs(1.0 - norm),
-                         grid_defect=abs(purity - coarse), n_points=W.shape[0], gram=G,
+                         grid_defect=abs(purity - coarse), n_points=n, gram=grams,
                          trace=total, scale_exp=e)
 
 

@@ -18,7 +18,11 @@ local unitary in either coordinate system and cannot change any entanglement
 quantity, so no API accepts it.
 
 Every state kind has ``orders``, its highest relative and center-of-mass
-oscillator orders, and ``is_real``, whether its wavefunction is real.
+oscillator orders, ``is_real``, whether its wavefunction is real, and
+``parity``, the sign s with psi(-x1, -x2) = s psi(x1, x2) when the kind
+guarantees one and None otherwise.  The relative and center-of-mass
+coordinates both change sign under (x1, x2) -> (-x1, -x2), and the mode
+function of order k has parity (-1)^k, so |m, n> has parity (-1)^(m+n).
 
 All objects here are frozen dataclasses; they are safe to share across
 threads without coordination.
@@ -227,6 +231,8 @@ class Coherent:
 
     orders = (0, 0)
     is_real = False
+    # None for every displacement, zero included, though the undisplaced state is even
+    parity = None
 
 
 def _quantum_number(value, name: str) -> int:
@@ -258,6 +264,10 @@ class NumberState:
     @property
     def orders(self) -> tuple[int, int]:
         return self.m, self.n
+
+    @property
+    def parity(self) -> int:
+        return -1 if (self.m + self.n) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -292,6 +302,12 @@ class Superposition:
     def is_real(self) -> bool:
         return all(cf.imag == 0 for (_, _, cf) in self.terms)
 
+    @property
+    def parity(self) -> int | None:
+        """The terms' common parity, or None when they mix parities."""
+        signs = {-1 if (m + n) % 2 else 1 for (m, n, _) in self.terms}
+        return signs.pop() if len(signs) == 1 else None
+
     @classmethod
     def two_mode_mix(cls, theta: float) -> "Superposition":
         """The one-excitation family cos(theta)|0,1> + sin(theta)|1,0>."""
@@ -323,6 +339,11 @@ class UnboundGaussian:
     @property
     def orders(self) -> tuple[int, int]:
         return self.m, 0
+
+    @property
+    def parity(self) -> int:
+        # the spreading packet is even in the center-of-mass coordinate
+        return -1 if self.m % 2 else 1
 
 
 StateSpec = Coherent | NumberState | Superposition | UnboundGaussian

@@ -728,10 +728,12 @@ class TestOracleSpectrum:
     def test_purity_reads_the_spectrum_once(self, capsys, spectra):
         code, rec = run_json(capsys, ["purity", "--g", "1.7", "--mu1", "0.37", "--state",
                                       "number:2,1", "--method", "oracle", "--n-points", "128"])
-        assert code == 0 and spectra == [(128, 128)]
+        # one factor for each of the odd state's two parity blocks
+        assert code == 0 and spectra == [(64, 64), (64, 64)]
         sys_ = OscillatorSystem.from_dimensionless(1.7, 0.37)
-        W = grid._sample(sys_, NumberState(2, 1), grid.GridSpec(128, 8.0))[2]
-        _, purity, entropy = grid.schmidt_from_samples(W)
+        W = grid._sample(sys_, NumberState(2, 1), grid.GridSpec(128, 8.0), fold=True)[2]
+        grams, total, purity, _ = grid._scaled_gram(W, fold=True)
+        entropy = grid._spectra(grams, total)[1]
         assert (rec["purity"], rec["entropy"]) == (purity, entropy)
 
     def test_sweep_and_oracle_compare_never_read_it(self, tmp_path, spectra):

@@ -564,15 +564,18 @@ class TestSpectrumOnDemand:
         assert calls == []
         s, entropy = res.singular_values, res.entropy
         assert res.entropy == entropy and res.singular_values is s
-        assert calls == [(128, 128)]
-        _, _, W, _, _ = grid_mod._sample(sys, NumberState(2, 1), GridSpec(128, 8.0))
-        s_ref, purity_ref, entropy_ref = schmidt_from_samples(W)
+        # |2,1> is odd: one factor for each of the two 64 x 64 parity blocks
+        assert calls == [(64, 64), (64, 64)]
+        _, _, W, _, _ = grid_mod._sample(sys, NumberState(2, 1), GridSpec(128, 8.0), fold=True)
+        grams, total, purity_ref, e = grid_mod._scaled_gram(W, fold=True)
+        s_ref, entropy_ref, _ = grid_mod._spectra(grams, total)
         assert (res.purity, res.entropy) == (purity_ref, entropy_ref)
-        assert np.array_equal(s, s_ref)
+        assert np.array_equal(s, np.ldexp(s_ref, e))
 
     def test_peak_memory_without_the_spectrum(self):
-        # 8 MiB of samples, the Gram matrix and one n^2 temporary; full-size
-        # Hermite rows alone would add 80 MiB
+        # folded: 4 MiB of samples, 2 MiB for each parity block and each Gram
+        # block, and temporaries (14 MiB measured; 24 MiB as one block);
+        # full-size Hermite rows alone would add 80 MiB
         sys = OscillatorSystem.from_dimensionless(1.7, 0.37)
         tracemalloc.start()
         try:
@@ -582,6 +585,126 @@ class TestSpectrumOnDemand:
             tracemalloc.stop()
         assert res.n_points == 1024
         assert peak < 40 * 2 ** 20
+
+
+FOLDED = [
+    pytest.param(TRAPPED, NumberState(2, 2), id="number-even"),
+    pytest.param(TRAPPED, NumberState(2, 1), id="number-odd"),
+    pytest.param(TRAPPED, NumberState(7, 4), id="number-7,4"),
+    pytest.param(TRAPPED, Superposition.two_mode_mix(0.7), id="real-mix"),
+    pytest.param(TRAPPED, Superposition(((0, 0, 0.6), (1, 1, 0.8))), id="real-even-mix"),
+    pytest.param(TRAPPED, Superposition(((0, 1, 0.6), (1, 0, 0.8j))), id="complex-mix"),
+    pytest.param(FREE, UnboundGaussian(2, 3.0), id="unbound-even"),
+    pytest.param(FREE, UnboundGaussian(1, 5.0), id="unbound-odd"),
+]
+
+
+def mirrored_grid(sys, state, n):
+    """The folded sampling of ``state`` on n^2 points and the samples of
+    one call over its whole mirrored grid."""
+    x1, x2, W, dx1, dx2 = grid_mod._sample(sys, state, GridSpec(n, 8.0), fold=True)
+    return x1, x2, W, dx1, dx2, eval_wavefunction(sys, state, x1[:, None], x2[None, :])
+
+
+class TestParityFold:
+    # 50 points: an odd number of rows in the half; 144: the half holds fewer
+    # than 2^14 cells and the whole grid more
+    @pytest.mark.parametrize("n", [50, 64, 144, 512])
+    @pytest.mark.parametrize("sys, state", FOLDED)
+    def test_folded_samples_are_the_whole_mirrored_grid(self, sys, state, n):
+        x1, x2, W, _, _, whole = mirrored_grid(sys, state, n)
+        assert np.array_equal(x1[::-1], -x1) and np.array_equal(x2[::-1], -x2)
+        assert W.shape == (n // 2, n) and W.dtype == whole.dtype
+        assert np.array_equal(W, whole[:n // 2])
+        turned = whole[::-1, ::-1]
+        assert np.array_equal(turned, whole if state.parity > 0 else -whole)
+        assert np.array_equal(grid_mod._coarse(W, state.parity), whole[::2, ::2])
+
+    def test_first_half_of_each_axis_is_linspace(self):
+        x1, x2, _, dx1, dx2 = grid_mod._sample(TRAPPED, NumberState(2, 2), GridSpec(200, 8.0),
+                                               fold=True)
+        y1, y2, _, ey1, ey2 = grid_mod._sample(TRAPPED, NumberState(2, 2), GridSpec(200, 8.0))
+        assert np.array_equal(x1[:100], y1[:100]) and np.array_equal(x2[:100], y2[:100])
+        assert (dx1, dx2) == (ey1, ey2)
+        assert np.max(np.abs(x1 - y1)) <= 1e-15 * x1[-1]
+
+    @pytest.mark.parametrize("n", [50, 64, 512])
+    @pytest.mark.parametrize("sys, state", FOLDED)
+    def test_folded_result_matches_one_block(self, sys, state, n):
+        _, _, W, dx1, dx2, whole = mirrored_grid(sys, state, n)
+        res = schmidt_analyze(sys, state, GridSpec(n, 8.0))
+        assert len(res.gram) == 2 and all(G.shape == (n // 2, n // 2) for G in res.gram)
+        s_ref, purity_ref, entropy_ref = schmidt_from_samples(whole)
+        assert abs(res.purity - purity_ref) <= 2e-15 * purity_ref
+        assert abs(res.entropy - entropy_ref) <= 1e-12
+        s = res.singular_values
+        assert len(s) == n and np.all(np.diff(s) <= 0)
+        # the squares are the Schmidt weights; a weight at the roundoff floor,
+        # eps tr(G), has a singular value sqrt(eps) of the largest
+        assert np.max(np.abs(s ** 2 - s_ref ** 2)) <= 1e-12 * s_ref[0] ** 2
+        assert np.max(np.abs(s - s_ref)) <= 1e-6 * s_ref[0]
+        norm_ref = float(np.sum(grid_mod._abs2(whole)) * dx1 * dx2)
+        assert abs(res.norm_defect - abs(1.0 - norm_ref)) <= 1e-14
+        coarse_ref = grid_mod._scaled_gram(whole[::2, ::2])[2]
+        assert res.grid_defect == abs(res.purity - coarse_ref)
+
+    @pytest.mark.parametrize("sys, state, n", [
+        (TRAPPED, Coherent(0.3 + 0.2j, -0.1 + 0.4j), 128),
+        (TRAPPED, Coherent(), 128),
+        (TRAPPED, Superposition(((0, 0, 0.6), (0, 1, 0.8))), 128),
+        (TRAPPED, Superposition(((0, 1, 0.6), (2, 0, 0.8j))), 144),
+        (TRAPPED, NumberState(2, 2), 129),
+        (FREE, UnboundGaussian(1, 5.0), 201),
+    ], ids=["coherent", "coherent-ground", "mixed-parity", "complex-mixed-parity",
+            "odd-n", "unbound-odd-n"])
+    def test_states_without_a_fold_keep_one_block(self, sys, state, n):
+        x1, x2, W, dx1, dx2 = grid_mod._sample(sys, state, GridSpec(n, 8.0), fold=True)
+        y1, y2, V, _, _ = grid_mod._sample(sys, state, GridSpec(n, 8.0))
+        assert W.shape == (n, n)
+        assert np.array_equal(W, V) and np.array_equal(x1, y1) and np.array_equal(x2, y2)
+        assert np.array_equal(x1, np.linspace(x1[0], x1[-1], n))
+        res = schmidt_analyze(sys, state, GridSpec(n, 8.0))
+        assert len(res.gram) == 1
+        s_ref, purity_ref, entropy_ref = schmidt_from_samples(W)
+        assert (res.purity, res.entropy) == (purity_ref, entropy_ref)
+        assert np.array_equal(res.singular_values, s_ref)
+        assert res.norm_defect == abs(1.0 - float(np.sum(grid_mod._abs2(W)) * dx1 * dx2))
+        assert res.grid_defect == abs(purity_ref - schmidt_from_samples(W[::2, ::2])[1])
+
+    def test_density_grid_is_never_folded(self):
+        dg = density_grid(TRAPPED, NumberState(2, 2), GridSpec(128, 8.0))
+        x1, x2, W, _, _ = grid_mod._sample(TRAPPED, NumberState(2, 2), GridSpec(128, 8.0))
+        assert dg.density.shape == (128, 128)
+        assert np.array_equal(dg.x1, x1) and np.array_equal(dg.density, W * W)
+
+    @pytest.mark.parametrize("shift", [600, -600])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_power_of_two_rescale_of_a_folded_grid_moves_no_purity_bit(self, shift, complex_):
+        rng = np.random.default_rng(6)
+        W = rng.normal(size=(20, 40))
+        if complex_:
+            W = W + 1j * rng.normal(size=W.shape)
+        grams, total, purity, e = grid_mod._scaled_gram(W, fold=True)
+        shifted = np.ldexp(W.real, shift) + (1j * np.ldexp(W.imag, shift) if complex_ else 0.0)
+        grams2, total2, purity2, e2 = grid_mod._scaled_gram(shifted, fold=True)
+        assert e == 0 and e2 != 0 and purity2 == purity
+        assert len(grams2) == 2
+        s, entropy, _ = grid_mod._spectra(grams, total)
+        s2, entropy2, _ = grid_mod._spectra(grams2, total2)
+        assert entropy2 == pytest.approx(entropy, abs=1e-13)
+        assert np.ldexp(s2, e2 - shift) == pytest.approx(s, rel=1e-12)
+
+    def test_a_folded_grid_whose_trace_leaves_the_float_range(self):
+        # samples near 1e100: tr(G)^2 overflows, so the sampled half is scaled
+        tiny = OscillatorSystem.from_physical(1.0, 2.0, 3.0, 1.0, hbar=1e-200)
+        res = schmidt_analyze(tiny, NumberState(1, 1))
+        assert len(res.gram) == 2 and res.scale_exp > 300
+        ref = schmidt_analyze(OscillatorSystem.from_physical(1.0, 2.0, 3.0, 1.0),
+                              NumberState(1, 1))
+        assert res.n_points == ref.n_points
+        assert res.purity == pytest.approx(ref.purity, rel=1e-13)
+        assert res.entropy == pytest.approx(ref.entropy, abs=1e-12)
+        res.check()
 
 
 def gaussian_entropy(purity):
@@ -631,7 +754,7 @@ class TestEntropy:
         W = rng.normal(size=(300, 300))
         if complex_:
             W = W + 1j * rng.normal(size=W.shape)
-        G, total, _, _ = grid_mod._scaled_gram(W)
+        (G,), total, _, _ = grid_mod._scaled_gram(W)
         s, entropy, defect = grid_mod._spectrum(G, total)
         w = np.linalg.eigvalsh(G)
         p = w / total

@@ -204,6 +204,24 @@ class TestStateSpecs:
     def test_orders_and_reality(self, state, orders, is_real):
         assert (state.orders, state.is_real) == (orders, is_real)
 
+    @pytest.mark.parametrize("state, parity", [
+        (NumberState(0, 0), 1),
+        (NumberState(2, 3), -1),
+        (NumberState(4, 2), 1),
+        (Coherent(), None),
+        (Coherent(0.5, 1j), None),
+        (UnboundGaussian(4, 1.5), 1),
+        (UnboundGaussian(3, 0.0), -1),
+        (Superposition(((0, 3, 0.6), (2, 1, 0.8))), -1),
+        (Superposition(((0, 0, 0.6), (1, 1, 0.8j))), 1),
+        (Superposition(((0, 0, 0.6), (0, 1, 0.8))), None),
+        (Superposition.two_mode_mix(0.3), -1),
+        # the zero-weight |0,4> is not part of the state
+        (Superposition(((0, 1, 1.0), (0, 4, 0.0))), -1),
+    ])
+    def test_parity(self, state, parity):
+        assert state.parity == parity
+
     def test_numpy_integers_accepted(self):
         st = NumberState(np.int64(1), np.uint8(2))
         assert st == NumberState(1, 2)

@@ -21,8 +21,11 @@ Python arithmetic and in the exact sweep pool's threads, and a spreading
 packet's ill-conditioned kernel form), so a warning, a traceback or a NaN
 that comes back shows as a difference.  The line number in a warning's
 ``<tree>/...py:LINE`` is masked, so moving code does not count as a
-difference.  Prints one line per command and exits 1 if any command
-differs.  Standard library only.
+difference.  Oracle purities on an odd number of points, on a
+superposition that mixes parities, on an even superposition and on a
+spreading packet with even m pin down which inputs the oracle folds by
+parity.  Prints one line per command and exits 1 if any command differs.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -170,6 +173,13 @@ COMMANDS = [
     # the oracle's Gram matrix leaves the float range and is rescaled
     ["purity", "--m1", "1", "--m2", "2", "--omega", "3", "--Omega", "1", "--hbar", "1e-200",
      "--state", "number:1,1", "--method", "oracle"],
+    # which oracle inputs are folded by parity: an odd number of points and a
+    # superposition mixing parities stay one block; an even superposition and
+    # a spreading packet with even m are folded
+    ["purity", *G5, "--state", "number:2,2", "--method", "oracle", "--n-points", "201"],
+    ["purity", *G5, "--state", "superposition:0,0,0.6;0,1,0.8", "--method", "oracle"],
+    ["purity", *G5, "--state", "superposition:0,0,0.6;1,1,0.8", "--method", "oracle"],
+    ["purity", *FREE, "--state", "unbound:2,3", "--method", "oracle"],
     # exit 2 with one error line: floating-point failures, in numpy, in Python
     # arithmetic and in a pooled sweep's threads, and an ill-conditioned kernel form
     ["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e8"],
