@@ -79,6 +79,8 @@ _DET_M_TOL = 1e-10
 _COND_MAX = 1e10
 _IMAG_TOL = 1e-8
 _SUPERPOSITION_IMAG_TOL = 1e-10
+# smallest normal float: a generator entry below it has lost bits to underflow
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -174,6 +176,24 @@ def build_At(sys: OscillatorSystem, tau: float) -> GaussianIntegralData:
     )
 
 
+def _generator_entries(gamma: float, Gamma: float, mu1: float, mu2: float) -> tuple:
+    """u, v, w, s, t of :func:`build_M` at the inverse lengths gamma, Gamma."""
+    gam2 = gamma ** 2
+    Gam2 = Gamma ** 2
+    D = 4.0 * (gam2 + Gam2 * mu1 * mu1) * (gam2 + Gam2 * mu2 * mu2)
+    u = (gam2 * gam2 - Gam2 * Gam2 * (mu1 * mu2) ** 2) / D
+    v = (gam2 * gam2 + 2 * gam2 * Gam2 * mu1 * mu1 + Gam2 * Gam2 * (mu1 * mu2) ** 2) / D
+    w = (gam2 * gam2 + 2 * gam2 * Gam2 * mu2 * mu2 + Gam2 * Gam2 * (mu1 * mu2) ** 2) / D
+    s = gamma * Gamma * (gam2 - Gam2 * mu1 * mu2) * (mu1 - mu2) / D
+    t = gamma * Gamma * (gam2 + Gam2 * mu1 * mu2) / D
+    return u, v, w, s, t
+
+
+def _normal(x: float) -> bool:
+    """x is zero or a finite float of normal size."""
+    return x == 0.0 or _TINY <= abs(x) < math.inf
+
+
 def build_M(sys: OscillatorSystem) -> QuadraticGenerator:
     """Assemble the 8 x 8 generator directly from its closed-form entries.
 
@@ -185,17 +205,30 @@ def build_M(sys: OscillatorSystem) -> QuadraticGenerator:
         s = gamma Gamma (gamma^2 - Gamma^2 mu1 mu2)(mu1 - mu2) / D
         t = gamma Gamma (gamma^2 + Gamma^2 mu1 mu2) / D
 
+    Each entry is a ratio of degree 0 in (gamma, Gamma).  Where the entries
+    taken from gamma and Gamma themselves are not all zero or finite normal
+    floats (gamma^4 overflows at g = 1e300, D underflows at hbar = 1e300),
+    they are taken from gamma / s and Gamma / s with s = max(gamma, Gamma),
+    whose powers stay in range; every other input keeps the direct entries.
+    A gamma or Gamma that has itself lost bits to underflow, or rescaled
+    entries that are still out of range, raise NumericalConsistencyError.
     The construction is cross-checked against det(M) = 1/256.
     """
-    gam2 = sys.gamma ** 2
-    Gam2 = sys.Gamma ** 2
-    mu1, mu2 = sys.mu1, sys.mu2
-    D = 4.0 * (gam2 + Gam2 * mu1 * mu1) * (gam2 + Gam2 * mu2 * mu2)
-    u = (gam2 * gam2 - Gam2 * Gam2 * (mu1 * mu2) ** 2) / D
-    v = (gam2 * gam2 + 2 * gam2 * Gam2 * mu1 * mu1 + Gam2 * Gam2 * (mu1 * mu2) ** 2) / D
-    w = (gam2 * gam2 + 2 * gam2 * Gam2 * mu2 * mu2 + Gam2 * Gam2 * (mu1 * mu2) ** 2) / D
-    s = sys.gamma * sys.Gamma * (gam2 - Gam2 * mu1 * mu2) * (mu1 - mu2) / D
-    t = sys.gamma * sys.Gamma * (gam2 + Gam2 * mu1 * mu2) / D
+    gamma, Gamma, mu1, mu2 = sys.gamma, sys.Gamma, sys.mu1, sys.mu2
+    try:
+        entries = _generator_entries(gamma, Gamma, mu1, mu2)
+    except (ZeroDivisionError, OverflowError):
+        entries = (math.nan,)
+    if not all(map(_normal, entries)):
+        scale = max(gamma, Gamma)
+        # an underflowed gamma or Gamma has lost the ratio the entries read
+        entries = (_generator_entries(gamma / scale, Gamma / scale, mu1, mu2)
+                   if _TINY <= min(gamma, Gamma) else (math.nan,))
+        if not all(map(_normal, entries)):
+            raise NumericalConsistencyError(
+                f"generator entries leave the float range at gamma = {gamma:.3e}, "
+                f"Gamma = {Gamma:.3e}")
+    u, v, w, s, t = entries
     M = np.array([
         [u,  v, -u,  w,  s, -t, -s,  t],
         [v,  u,  w, -u, -t,  s,  t, -s],

@@ -57,36 +57,59 @@ same arithmetic as one call over the whole grid, bit for bit.  Sampling is
 capped by a predicted peak memory (the whole-grid arrays of the sampling
 and the Gram product, plus one block's Hermite rows), checked on the number
 of points actually used, and raises ResourceCapError before allocating; a
-folded grid peaks lower (14 MiB against 24 MiB at 1024^2 on |4,4>), and
-the prediction does not count on it.
+folded grid peaks lower (14 MiB against 24 MiB at 1024^2 on |4,4>, and 10
+MiB on the factor route below, which forms no G).  The prediction does not
+count on either: it still counts G, so every refusal is the same on both
+routes.
 
-Purity and the two checks need only the Gram matrix.  The Schmidt spectrum
-and the entropy are computed from it when first read, so a caller that reads
-only the purity never pays for them.  They come from a diagonal-pivoted
-Cholesky factor G ~ L L^H with k columns (Harbrecht, Peters and Schneider,
-Appl. Numer. Math. 62, 428, 2012), one factor per parity block: each step
-pivots on the largest diagonal entry of the residual G - L L^H, and the
-factor stops once that entry is at most 1e-2 eps tr(G), with tr(G) the
-whole grid's.  The spectrum of a sampled wavefunction is numerically of low
-rank, so the eigenvalues of the k x k matrix L^H L take the place of an
-n x n eigendecomposition of G.  Measured k at g = 1.7, mu1 = 0.37 on
-1024^2: 13 + 7 for |2,2> (22 as one block), 15 + 13 for |4,4> (31), 10 + 7
-for |1,1> (19), and 13 for a coherent state, which is one block; 184 + 185
-of 880 + 880 for |1,1> at g = 1000, mu1 = 0.5 on its sized 1760^2 grid (365
-of 1760 as one block).  The n - k eigenvalues left out are returned as
-zeros, and the residual trace over tr(G) is kept as the spectrum defect.
-An eigendecomposition of G would also return about n roundoff eigenvalues
-of size eps tr(G), each adding its -p ln p to the entropy; the factor
-leaves them out, so the entropy is closer to the closed forms, not
-further.  The factor costs about as much as the eigendecomposition at
-k/n = 0.55 to 0.65 (n = 512 to 1696), and three times as much at full rank
-(246 ms against 82 ms at n = 1024 on a 2-vCPU x86_64 machine).  Measured
-k/n with G factored as one block: at most 0.036 on 1024^2 and 0.078 on
-512^2 grids with g <= 5; 0.16 to 0.21 on sized grids at g = 1000 to 4000;
-and up to 0.43 on explicit grids that pass the two-grid check at g = 100
-to 1000.  Grids too coarse for the state reach k/n = 0.66, where the loop
-is the slower one, but their grid defect is above the 1e-6 that
-``SchmidtResult.check`` accepts.
+The Schmidt spectrum and the entropy come from a diagonal-pivoted Cholesky factor G ~ L L^H with
+k columns (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62, 428,
+2012), one factor per parity block: each step pivots on the largest
+diagonal entry of the residual G - L L^H, and the factor stops once that
+entry is at most 1e-2 eps tr(G), with tr(G) the whole grid's.  The spectrum
+of a sampled wavefunction is numerically of low rank, so the eigenvalues of
+the k x k matrix L^H L take the place of an n x n eigendecomposition of G.
+Measured k at g = 1.7, mu1 = 0.37 on 1024^2: 13 + 7 for |2,2> (22 as one
+block), 15 + 13 for |4,4> (31), 10 + 7 for |1,1> (19), and 13 for a
+coherent state, which is one block; 184 + 185 of 880 + 880 for |1,1> at g =
+1000, mu1 = 0.5 on its sized 1760^2 grid (365 of 1760 as one block).  The n
+- k eigenvalues left out are returned as zeros, and the residual trace over
+tr(G) is kept as the spectrum defect.  An eigendecomposition of G would also
+return about n roundoff eigenvalues of size eps tr(G), each adding its -p ln
+p to the entropy; the factor leaves them out, so the entropy is closer to
+the closed forms, not further.  The factor costs about as much as the
+eigendecomposition at k/n = 0.55 to 0.65 (n = 512 to 1696), and three times
+as much at full rank (246 ms against 82 ms at n = 1024 on a 2-vCPU x86_64
+machine).  Measured k/n with G factored as one block: at most 0.036 on
+1024^2 and 0.078 on 512^2 grids with g <= 5; 0.16 to 0.21 on sized grids at
+g = 1000 to 4000; and up to 0.43 on explicit grids that pass the two-grid
+check at g = 100 to 1000.  Grids too coarse for the state reach k/n = 0.66,
+where the loop is the slower one, but their grid defect is above the 1e-6
+that ``SchmidtResult.check`` accepts.
+
+The factor reads G one column at a time, so it runs on either of two
+routes, with the same pivot and stop rules.  On the Gram route, every sized
+grid and every explicit grid with fewer than ``_FACTOR_RATIO`` (3) times the
+points the state's sized grid has, G is formed, a block-diagonal Gram
+product of about (n/2)^3 multiply-adds per block; the purity is ||G||_F^2 /
+tr(G)^2, and the factor is taken from G's columns only when the spectrum or
+the entropy is first read, so a caller that reads only the purity never
+pays for it.  On the factor route, an explicit grid with at least that many
+points, no Gram matrix is formed: column p of each block's G is one
+matrix-vector product M^H M[:, p] with the block M of samples, and the
+diagonal is M's squared column norms, so a block costs k products of about
+(n/2)^2 multiply-adds each.  The purity is then sum ||L^H L||_F^2 / tr(G)^2
+over the blocks, within 2e-15 of the Gram route's on the same samples,
+since the residual trace left out of each factor is below 1e-2 eps tr(G);
+the coarse grid of the two-grid check takes the same route as its grid,
+and the spectrum, entropy and spectrum defect are read off the same k x k
+matrices.  A grid of r times the sized points holds about r times the
+columns its factor needs, so k/n falls as r grows: the crossover, measured
+on random states, lies between r = 2.5 and 3 for a purity alone (see
+``_FACTOR_RATIO``).  A 1024^2 oracle purity with its entropy on |2,2> at g
+= 1.7 (160 sized points) took 42 ms on the Gram route and 31 ms on the
+factor route (in process, median of 15, on a 2-vCPU x86_64 machine), and a
+1024^2 grid on |4,4> peaks at 10 MiB instead of 14 MiB (tracemalloc).
 
 Every call is independent; nothing here mutates shared state.
 """
@@ -144,6 +167,16 @@ _POINTS_STEP = 16
 # packet on 1024^2 was off by 2.4e-12; at eps/100 all twelve stayed within
 # 1e-13.
 _PIVOT_STOP = 1e-2 * np.finfo(float).eps
+# a grid of at least this many times the points _sized_points gives its
+# state takes its pivoted factors from the samples and forms no Gram matrix.
+# schmidt_analyze on 32 random states (number states with m + n <= 6,
+# coherent states and one-excitation mixes; g log-uniform in [0.1, 20], mu1
+# in [0.05, 0.95]), in two sets of 16, at n = r times the sized points: the
+# factor route took a geometric mean of 1.08 and 1.10 of the Gram route's
+# time for a purity alone at r = 2, 0.99 and 1.03 at r = 2.5, 0.88 and 0.91
+# at r = 3, and 0.76 and 0.83 at r = 4; with the entropy read too, 0.93 and
+# 0.94, 0.86 and 0.88, 0.83 and 0.86, 0.72 and 0.77 (2-vCPU x86_64)
+_FACTOR_RATIO = 3
 # smallest normal float: a Gram norm below it has lost bits to underflow
 _TINY = np.finfo(float).tiny
 # the largest norm defect and then grid defect SchmidtResult.check accepts
@@ -176,34 +209,38 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SchmidtResult:
-    """Entanglement of the sampled wavefunction, from the Gram matrix of
+    """Entanglement of the sampled wavefunction, from the Gram matrix G of
     its samples.
 
-    ``purity`` is ||G||_F^2 / tr(G)^2 for the Gram matrix ``gram`` of the
-    sample matrix W, whose trace is ``trace``.  ``norm_defect`` is the
-    deviation of the discrete normalization integral from 1 and flags a
-    too-small window or too few points.  ``grid_defect`` is |P_n - P_sub|,
-    the distance of the purity from the purity of every second point in each
-    direction (the same window at twice the spacing); it overstates the
-    discretization error of the full grid, often by orders of magnitude.
-    ``n_points`` is the number of points per axis used; :meth:`check`
-    judges the two defects.
+    ``purity`` is ||G||_F^2 / tr(G)^2 for the Gram matrix G of the sample
+    matrix W, whose trace is ``trace``.  ``norm_defect`` is the deviation of
+    the discrete normalization integral from 1 and flags a too-small window
+    or too few points.  ``grid_defect`` is |P_n - P_sub|, the distance of
+    the purity from the purity of every second point in each direction (the
+    same window at twice the spacing); it overstates the discretization
+    error of the full grid, often by orders of magnitude.  ``n_points`` is
+    the number of points per axis used; :meth:`check` judges the two
+    defects.
 
     ``singular_values`` (of W, descending: the square roots of the
     eigenvalues of L^H L for the pivoted Cholesky factor L of G, negative
-    roundoff clipped to zero, padded with zeros to the order of G),
-    ``entropy`` and ``spectrum_defect`` (the trace of G left out of the
-    factor, over tr(G)) are computed on first read, by one factorization
-    shared by all three, and cached.  ``scale_exp`` is the e of the power of
-    two 2^-e that W was scaled by before its Gram product (0 unless tr(G)
-    would leave the float range); ``gram`` and ``trace`` are those of the
-    scaled W, and the singular values are in the units of W.
+    roundoff clipped to zero, padded with zeros to n_points), ``entropy``
+    and ``spectrum_defect`` (the trace of G left out of the factor, over
+    tr(G)) are computed on first read, from one factorization shared by all
+    three, and cached.  ``scale_exp`` is the e of the power of two 2^-e that
+    W was scaled by before G was taken (0 unless tr(G) would leave the float
+    range); ``gram``, ``factors`` and ``trace`` are those of the scaled W,
+    and the singular values are in the units of W.
 
-    ``gram`` is a tuple of the diagonal blocks of G: the two (n/2) x (n/2)
-    blocks M+^H M+ and M-^H M- of a grid folded by parity (see the module
-    docstring), or G itself, n x n, for a grid sampled as one block.
-    ``trace`` is the trace of the whole G, and every block's factor stops
-    against it.
+    G is block-diagonal: two (n/2) x (n/2) blocks M+^H M+ and M-^H M- on a
+    grid folded by parity, or G itself, n x n, on a grid sampled as one
+    block (see the module docstring).  On the Gram route ``gram`` is the
+    tuple of those blocks, ``factors`` is empty, and the factors are taken
+    from ``gram`` on first read.  On the factor route, a grid of at least
+    ``_FACTOR_RATIO`` times its state's sized points, ``gram`` is empty and
+    ``factors`` holds, per block, the k x k matrix L^H L and the trace left
+    out of L, which the purity was computed from.  ``trace`` is the trace of
+    the whole G, and every block's factor stops against it.
     """
 
     purity: float
@@ -213,6 +250,7 @@ class SchmidtResult:
     gram: tuple[np.ndarray, ...] = field(repr=False)
     trace: float
     scale_exp: int = 0
+    factors: tuple[tuple[np.ndarray, float], ...] = field(default=(), repr=False)
 
     def check(self) -> None:
         """Raise NumericalConsistencyError unless the norm defect is at most
@@ -230,7 +268,8 @@ class SchmidtResult:
 
     @cached_property
     def _schmidt(self) -> tuple[np.ndarray, float, float]:
-        s, entropy, defect = _spectra(self.gram, self.trace)
+        factors = self.factors or tuple(_gram_factor(G, self.trace) for G in self.gram)
+        s, entropy, defect = _spectra(factors, self.trace, self.n_points)
         return np.ldexp(s, self.scale_exp), entropy, defect
 
     @property
@@ -396,16 +435,18 @@ def _check_sample_cap(state, n_points: int) -> int:
     budget.
 
     The whole grid holds, in n_points^2 cells of the sample dtype each: W,
-    the copy of W that :func:`_scaled_gram` scales when tr(G) would leave the
+    the copy of W that :func:`_scaled` scales when tr(G) would leave the
     float range, W's conjugate when W is complex, and G; and |G|^2 in
     float64.  One block holds the Hermite rows of both stacks (orders 0..m
     and 0..n) in float64 and its coordinates and temporaries.  The two are
     added, although a block is freed before the Gram product.  Reading the
     spectrum afterwards holds G and its factor, which is less.  A grid
     folded by parity holds half the samples and two Gram blocks of a
-    quarter of G each, so for it the prediction overstates the peak
-    (34.8 MiB predicted, 14 MiB measured at 1024^2 on |4,4>); it is kept
-    as it is so that every refusal is the same for folded and whole grids.
+    quarter of G each, and a grid on the factor route forms no G at all, so
+    for them the prediction overstates the peak (34.8 MiB predicted at
+    1024^2 on |4,4>; 14 MiB measured folded on the Gram route, 10 MiB on
+    the factor route).  It still counts G, so that every refusal is the same
+    for folded and whole grids and on both routes.
     """
     m_eff, n_eff = state.orders
     itemsize, copies = (8, 3) if state.is_real else (16, 4)
@@ -467,6 +508,15 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     return x * x if x.dtype.kind == "f" else np.abs(x) ** 2
 
 
+def _column_norms(M: np.ndarray) -> np.ndarray:
+    """Squared 2-norms of M's columns, the diagonal of M^H M, with no
+    temporary of M's size."""
+    norms = np.einsum("ij,ij->j", M.real, M.real)
+    if M.dtype.kind == "c":
+        norms += np.einsum("ij,ij->j", M.imag, M.imag)
+    return norms
+
+
 def _gram(W: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Gram matrix G of W on its shorter side, tr(G) and ||G||_F^2."""
     Wh = W.conj().T
@@ -501,10 +551,33 @@ def _grams(W: np.ndarray, fold: bool) -> tuple[tuple[np.ndarray, ...], float, fl
     return tuple(grams), total, square
 
 
-def _scaled_gram(W: np.ndarray, fold: bool = False
-                 ) -> tuple[tuple[np.ndarray, ...], float, float, int]:
-    """The Gram matrices of 2^-e W (one, or W's two parity blocks with
-    ``fold``; see :func:`_grams`), tr(G), the purity ||G||_F^2 / tr(G)^2, and e.
+def _factors(W: np.ndarray, fold: bool
+             ) -> tuple[tuple[tuple[np.ndarray, float], ...], float, float]:
+    """The :func:`_cholesky` factors of the Gram matrices M^H M of W's two
+    parity blocks M (see :func:`_fold`) with ``fold``, else of M = W, taken
+    from the samples without forming G: column p of G is one matrix-vector
+    product M^H M[:, p], and the diagonal is M's squared column norms.
+    Returns the factors, tr(G) and ||G||_F^2 summed over the blocks as
+    ||L^H L||_F^2.  A trace whose square leaves the normal float range
+    returns no factors and ||G||_F^2 = 0, for the caller to rescale.
+    """
+    # contiguous rows, or each matrix-vector product would copy M
+    blocks = _fold(W) if fold else (np.ascontiguousarray(W),)
+    diagonals = [_column_norms(M) for M in blocks]
+    total = sum(float(np.sum(d)) for d in diagonals)
+    if not _TINY <= total * total < math.inf:
+        return (), total, 0.0
+    # (M[:, p]^H M)^H is M^H M[:, p] without a conjugated copy of M
+    factors = tuple(_cholesky(lambda p, M=M: (M[:, p].conj() @ M).conj(), d, total, M.dtype)
+                    for M, d in zip(blocks, diagonals))
+    return factors, total, sum(float(np.sum(_abs2(K))) for K, _ in factors)
+
+
+def _scaled(W: np.ndarray, fold: bool = False, factor: bool = False
+            ) -> tuple[tuple, float, float, int]:
+    """The blocks of 2^-e W, tr(G), the purity ||G||_F^2 / tr(G)^2, and e:
+    the Gram matrices of :func:`_grams`, or with ``factor`` the pivoted
+    Cholesky factors of :func:`_factors`, one per parity block with ``fold``.
 
     e is 0 unless tr(G) or ||G||_F^2 of W itself would leave the normal
     float range; then it is the exponent of the largest entry of W, so the
@@ -512,11 +585,12 @@ def _scaled_gram(W: np.ndarray, fold: bool = False
     is scaled before it is folded.  A W holding inf or NaN, or only zeros,
     is refused.
     """
+    blocks = _factors if factor else _grams
     with np.errstate(over="ignore", invalid="ignore"):
-        grams, total, square = _grams(W, fold)
+        parts, total, square = blocks(W, fold)
     if _TINY <= square and total * total < math.inf:
-        return grams, total, square / (total * total), 0
-    del grams  # room for the scaled copy, as _check_sample_cap counts it
+        return parts, total, square / (total * total), 0
+    del parts  # room for the scaled copy, as _check_sample_cap counts it
     big = float(np.maximum(np.max(np.abs(W.real)), np.max(np.abs(W.imag))))
     if not big < math.inf:
         # an infinite trace would put the pivoted factor's stop at inf, and
@@ -527,61 +601,69 @@ def _scaled_gram(W: np.ndarray, fold: bool = False
     e = math.frexp(big)[1]
     # two steps, since 2^-e itself overflows for e below -1023
     half = -e // 2
-    grams, total, square = _grams(W * 2.0 ** half * 2.0 ** (-e - half), fold)
-    return grams, total, square / (total * total), e
+    parts, total, square = blocks(W * 2.0 ** half * 2.0 ** (-e - half), fold)
+    return parts, total, square / (total * total), e
 
 
-def _spectrum(G: np.ndarray, total: float) -> tuple[np.ndarray, float, float]:
-    """Singular values of W, descending, the entropy -sum p_k ln p_k with
-    p_k = w_k / tr(G), and the spectrum defect, from a diagonal-pivoted
-    Cholesky factor G ~ L L^H (Harbrecht, Peters and Schneider, Appl. Numer.
-    Math. 62, 428, 2012).
+def _cholesky(column, d: np.ndarray, total: float, dtype) -> tuple[np.ndarray, float]:
+    """The k x k matrix L^H L of a diagonal-pivoted Cholesky factor G ~ L L^H
+    (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62, 428, 2012), and
+    the trace of G left out of it.
 
-    Each step pivots on the largest residual diagonal entry d[p] and stops
-    once ``not d[p] > _PIVOT_STOP * tr(G)``, which also stops on NaN and on
-    negative roundoff.  The eigenvalues w_k of the k x k matrix L^H L are
-    the nonzero eigenvalues of L L^H; the min(W.shape) - k left out are
-    returned as zeros.  The defect is the residual trace left out of the
-    factor over tr(G).
+    ``column(p)`` is column p of G and ``d`` its diagonal, which the loop
+    consumes as the residual diagonal.  Each step pivots on the largest
+    residual diagonal entry d[p] and stops once ``not d[p] > _PIVOT_STOP *
+    tr(G)``, which also stops on NaN and on negative roundoff.  The
+    eigenvalues of L^H L are the nonzero eigenvalues of L L^H, and
+    ||L^H L||_F = ||L L^H||_F.
     """
-    n = G.shape[0]
-    d = G.diagonal().real.copy()
+    n = d.shape[0]
     # row j holds column j of L; zero pages beyond the k rows written stay
     # untouched
-    Lt = np.zeros((n, n), dtype=G.dtype)
+    Lt = np.zeros((n, n), dtype=dtype)
     stop = _PIVOT_STOP * total
     k = 0
     while k < n:
         p = int(np.argmax(d))
         if not d[p] > stop:
             break
-        col = (G[:, p] - Lt[:k, p].conj() @ Lt[:k]) / math.sqrt(d[p])
+        col = (column(p) - Lt[:k, p].conj() @ Lt[:k]) / math.sqrt(d[p])
         Lt[k] = col
         d -= _abs2(col)
         d[p] = 0.0
         k += 1
     L = Lt[:k]
-    w = np.zeros(n)
-    w[:k] = np.clip(np.linalg.eigvalsh(L.conj() @ L.T), 0.0, None)[::-1]
-    # a weight rounded above 1 would make its term, and a rank-one entropy,
-    # negative
-    weights = np.minimum(w[:k] / total, 1.0)
-    pos = weights[weights > 1e-300]
-    defect = float(np.sum(np.maximum(d, 0.0))) / total
-    return np.sqrt(w), float(-np.sum(pos * np.log(pos))), defect
+    return L.conj() @ L.T, float(np.sum(np.maximum(d, 0.0)))
 
 
-def _spectra(grams: tuple[np.ndarray, ...], total: float) -> tuple[np.ndarray, float, float]:
-    """:func:`_spectrum` of each diagonal block of a block-diagonal G whose
-    trace is ``total``: the singular values of all blocks, descending, and
-    the sums of their entropies and spectrum defects.  Every block stops its
-    factor against the whole tr(G).  One block's result is returned as it is.
+def _gram_factor(G: np.ndarray, total: float) -> tuple[np.ndarray, float]:
+    """:func:`_cholesky` of a Gram matrix G, reading its columns."""
+    return _cholesky(lambda p: G[:, p], G.diagonal().real.copy(), total, G.dtype)
+
+
+def _spectra(factors, total: float, n: int) -> tuple[np.ndarray, float, float]:
+    """Singular values of W, descending and padded with zeros to n, the
+    entropy -sum p_k ln p_k with p_k = w_k / tr(G), and the spectrum defect,
+    from the (L^H L, residual trace) pairs of :func:`_cholesky`, one per
+    diagonal block of a block-diagonal G whose trace is ``total``.
+
+    The eigenvalues w_k of every block's L^H L are the nonzero Schmidt
+    weights of W (in units of tr(G)); the n - k left out are returned as
+    zeros.  Entropies and residual traces are summed over the blocks.
     """
-    parts = [_spectrum(G, total) for G in grams]
-    if len(parts) == 1:
-        return parts[0]
-    s = np.sort(np.concatenate([p[0] for p in parts]))[::-1]
-    return s, sum(p[1] for p in parts), sum(p[2] for p in parts)
+    w, entropy, defect = [], 0.0, 0.0
+    for K, residual in factors:
+        wk = np.clip(np.linalg.eigvalsh(K), 0.0, None)[::-1]
+        # a weight rounded above 1 would make its term, and a rank-one
+        # entropy, negative
+        weights = np.minimum(wk / total, 1.0)
+        pos = weights[weights > 1e-300]
+        entropy += float(-np.sum(pos * np.log(pos)))
+        defect += residual / total
+        w.append(wk)
+    s = np.zeros(n)
+    s[:sum(len(wk) for wk in w)] = np.sqrt(np.sort(np.concatenate(w))[::-1])
+    return s, entropy, defect
 
 
 def _coarse(W: np.ndarray, parity: int) -> np.ndarray:
@@ -601,24 +683,27 @@ def schmidt_from_samples(W: np.ndarray) -> tuple[np.ndarray, float, float]:
     Works on the Gram matrix G = W^H W, or W W^H when W has fewer rows, so G
     has min(W.shape) rows.  Purity = ||G||_F^2 / tr(G)^2.  The singular
     values are the square roots of the eigenvalues w_k of L^H L for the k
-    columns of G's pivoted Cholesky factor L (see ``_spectrum``), descending
-    and padded with zeros to min(W.shape); the entropy weights are
+    columns of G's pivoted Cholesky factor L (see :func:`_cholesky`),
+    descending and padded with zeros to min(W.shape); the entropy weights are
     p_k = w_k / tr(G).  Scale invariant by construction: when tr(G) or
     ||G||_F^2 would leave the float range, W is first scaled by a power of
     two, and the singular values are scaled back.
     """
-    grams, total, purity, e = _scaled_gram(W)
-    s, entropy, _ = _spectra(grams, total)
+    (G,), total, purity, e = _scaled(W)
+    s, entropy, _ = _spectra((_gram_factor(G, total),), total, G.shape[0])
     return np.ldexp(s, e), purity, entropy
 
 
 def schmidt_analyze(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -> SchmidtResult:
     """Sample the wavefunction and take the purity from the Gram matrix of
-    the samples, with the two-grid check from the same samples; the entropy
-    and the Schmidt spectrum are computed when the result's fields are
-    first read.  A state of definite parity on an even number of points is
-    folded: half the grid is sampled and G is taken as two parity blocks
-    (see the module docstring).
+    the samples, with the two-grid check from the same samples.  A state of
+    definite parity on an even number of points is folded: half the grid is
+    sampled and G is taken as two parity blocks.  On a grid of at least
+    ``_FACTOR_RATIO`` times the points the state's sized grid has, no Gram
+    matrix is formed: the purity, and the coarse grid's, come from pivoted
+    Cholesky factors built from the samples, which also give the spectrum.
+    Elsewhere the entropy and the Schmidt spectrum are computed from G when
+    the result's fields are first read (see the module docstring).
 
     Reports the norm and grid defects and refuses neither; that is
     :meth:`SchmidtResult.check`'s verdict.
@@ -628,11 +713,14 @@ def schmidt_analyze(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -
     # a folded sampling holds half the rows, and its mirror the same weight
     folded = W.shape[0] < n
     norm = float(np.sum(_abs2(W)) * dx1 * dx2) * (2.0 if folded else 1.0)
-    grams, total, purity, e = _scaled_gram(W, folded)
-    coarse = _scaled_gram(_coarse(W, state.parity) if folded else W[::2, ::2])[2]
+    _, _, half1, half2 = _window(sys, state, grid.extent_sigmas)
+    factor = n >= _FACTOR_RATIO * _sized_points(sys, half1, half2)
+    blocks, total, purity, e = _scaled(W, folded, factor)
+    coarse = _scaled(_coarse(W, state.parity) if folded else W[::2, ::2], factor=factor)[2]
     return SchmidtResult(purity=purity, norm_defect=abs(1.0 - norm),
-                         grid_defect=abs(purity - coarse), n_points=n, gram=grams,
-                         trace=total, scale_exp=e)
+                         grid_defect=abs(purity - coarse), n_points=n,
+                         gram=() if factor else blocks, trace=total, scale_exp=e,
+                         factors=blocks if factor else ())
 
 
 def density_grid(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -> DensityGrid:

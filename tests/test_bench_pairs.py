@@ -90,10 +90,11 @@ def test_pairs_alternate_and_the_file_keeps_every_run(tmp_path, capsys):
     assert out[0] == ("w1: parent failed 0 of 20, correct 4 of 4 runs; "
                       "change failed 4 of 20, correct 4 of 4 runs")
     rows = {ln.split()[0]: ln.split() for ln in out[2:5]}
-    # parent rates 31 32 30 31: median 31, quartiles 30.75 and 31.25
-    assert rows["results_per_s"][1:] == ["31", "61", "0.016", "4/4", "gain"]
-    assert rows["op_ms_tail"][1:] == ["100", "200", "0.000", "0/4", "worse"]
-    assert rows["peak_rss_mb"][1:4] == ["55", "55", "1.636"]
+    # parent rates 31 32 30 31: median 31, quartiles 30.75 and 31.25; the
+    # change's 61 62 60 61; every run of either side took 3 probes
+    assert rows["results_per_s"][1:] == ["31", "61", "0.016", "0.008", "4/4", "3/3", "gain"]
+    assert rows["op_ms_tail"][1:] == ["100", "200", "0.000", "0.000", "0/4", "3/3", "worse"]
+    assert rows["peak_rss_mb"][1:5] == ["55", "55", "1.636", "1.636"]
     assert rows["peak_rss_mb"][-1] == "unresolved"
     assert out[5].startswith("w2: ") and out[-1] == f"wrote {tmp_path / 'BENCH_t.json'}"
 
@@ -112,6 +113,29 @@ def test_each_run_keeps_its_slot_lines_and_its_probe_line(tmp_path, capsys):
     assert [r["probe"] for r in runs] == [
         f"probe n=3 median {seed}.000 ms (min 1.000, max 2.000); times scaled by 1.0"
         for seed in (3, 3, 4, 4)]
+
+
+def test_each_verdict_shows_both_spreads_and_the_probe_counts(tmp_path, capsys):
+    # the change's runs take fewer probes and its rates spread more
+    log = tmp_path / "order.log"
+    parent, change = (make_tree(tmp_path, side, log) for side in ("parent", "change"))
+    run_py = change / "bench" / "run.py"
+    run_py.write_text(run_py.read_text()
+                      .replace("probe n=3", "probe n={1 + seed % 2}")
+                      .replace('"results_per_s": 60.0 + seed % 3', '"results_per_s": 60.0 * seed'))
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1-4",
+                             "--label", "t", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split() == ["metric", "parent", "change", "IQR/median", "(change)", "won",
+                              "probes", "verdict"]
+    runs = json.loads((tmp_path / "BENCH_t.json").read_text())["runs"]
+    assert bench_pairs.median_probes(runs, "w") == {"parent": 3, "change": 1.5}
+    row = bench_pairs.compare(runs, "w", METRICS[0])
+    # change rates 60 120 180 240: quartiles 105 and 195 around a median of 150
+    assert row["change_iqr_over_median"] == pytest.approx(0.6)
+    assert row["parent_iqr_over_median"] == pytest.approx(0.5 / 31)
+    rate = next(ln.split() for ln in out if ln.split()[0] == "results_per_s")
+    assert rate[3:7] == ["0.016", "0.600", "4/4", "3/1.5"]
 
 
 def test_a_run_without_its_probe_line_is_an_error(tmp_path):

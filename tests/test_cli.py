@@ -715,25 +715,43 @@ class TestOracleCompare:
 class TestOracleSpectrum:
     @pytest.fixture
     def spectra(self, monkeypatch):
-        real = grid._spectrum
-        calls = []
+        """The orders of the pivoted factors taken, and the calls that read a
+        spectrum off them."""
+        calls = {"cholesky": [], "spectra": 0}
+        cholesky, spectra = grid._cholesky, grid._spectra
 
-        def counted(G, total):
-            calls.append(G.shape)
-            return real(G, total)
+        def counted_cholesky(column, d, total, dtype):
+            calls["cholesky"].append(d.shape[0])
+            return cholesky(column, d, total, dtype)
 
-        monkeypatch.setattr(grid, "_spectrum", counted)
+        def counted_spectra(*args):
+            calls["spectra"] += 1
+            return spectra(*args)
+
+        monkeypatch.setattr(grid, "_cholesky", counted_cholesky)
+        monkeypatch.setattr(grid, "_spectra", counted_spectra)
         return calls
 
     def test_purity_reads_the_spectrum_once(self, capsys, spectra):
+        # one factor for each of the odd state's two parity blocks, taken
+        # when the spectrum is read
+        self.check_one_read(capsys, spectra, 128, False, [64, 64])
+
+    def test_an_oversampled_purity_reads_the_spectrum_once(self, capsys, spectra):
+        # 3.6 times the sized 144 points: the blocks and the 256^2 coarse
+        # grid are factored for their purities, and the spectrum reuses them
+        self.check_one_read(capsys, spectra, 512, True, [256, 256, 256])
+
+    @staticmethod
+    def check_one_read(capsys, spectra, n, factor, orders):
         code, rec = run_json(capsys, ["purity", "--g", "1.7", "--mu1", "0.37", "--state",
-                                      "number:2,1", "--method", "oracle", "--n-points", "128"])
-        # one factor for each of the odd state's two parity blocks
-        assert code == 0 and spectra == [(64, 64), (64, 64)]
+                                      "number:2,1", "--method", "oracle", "--n-points", str(n)])
+        assert code == 0 and spectra == {"cholesky": orders, "spectra": 1}
         sys_ = OscillatorSystem.from_dimensionless(1.7, 0.37)
-        W = grid._sample(sys_, NumberState(2, 1), grid.GridSpec(128, 8.0), fold=True)[2]
-        grams, total, purity, _ = grid._scaled_gram(W, fold=True)
-        entropy = grid._spectra(grams, total)[1]
+        W = grid._sample(sys_, NumberState(2, 1), grid.GridSpec(n, 8.0), fold=True)[2]
+        blocks, total, purity, _ = grid._scaled(W, fold=True, factor=factor)
+        factors = blocks if factor else tuple(grid._gram_factor(G, total) for G in blocks)
+        entropy = grid._spectra(factors, total, n)[1]
         assert (rec["purity"], rec["entropy"]) == (purity, entropy)
 
     def test_sweep_and_oracle_compare_never_read_it(self, tmp_path, spectra):
@@ -741,7 +759,13 @@ class TestOracleSpectrum:
                         "0.2:0.8:3", "--g", "2", "--state", "number:1,1",
                         "-o", str(tmp_path / "s.csv")]) == 0
         assert cli.run(["oracle-compare", "-o", str(tmp_path / "o.csv")]) == 0
-        assert spectra == []
+        assert spectra == {"cholesky": [], "spectra": 0}
+        # an oversampled sweep factors each point's grids for their purities
+        # and reads no spectrum either
+        assert cli.run(["sweep", "--method", "oracle", "--param", "mu1", "--range",
+                        "0.2:0.8:3", "--g", "2", "--state", "number:1,1", "--n-points", "512",
+                        "-o", str(tmp_path / "f.csv")]) == 0
+        assert len(spectra["cholesky"]) == 9 and spectra["spectra"] == 0
 
 
 class TestOracleSizing:
@@ -996,17 +1020,19 @@ class TestOneRuleForANumericalFailure:
           "--mu1", "0.5", "--state", "number:1,1"], 2, "floating-point failure"),
         (["purity", "--method", "fock", "--g", "1e200", "--mu1", "0.5",
           "--state", "number:1,1"], 2, "floating-point failure"),
-        (["purity", "--m1", "1", "--m2", "1", "--omega", "1", "--Omega", "1",
-          "--hbar", "1e300", "--state", "number:1,1"], 2, "floating-point failure"),
+        # gamma underflows to 0 in the system, so no rescale of the
+        # generator's entries recovers it
+        (["purity", "--m1", "1", "--m2", "1", "--omega", "1e-300", "--Omega", "1",
+          "--hbar", "1e300", "--state", "number:1,1"], 2, "leave the float range"),
         (["purity", "--method", "fock", "--g", "5", "--mu1", "0.3", "--state", "number:0,1",
           "--gamma1", "1e300", "--gamma2", "1"], 2, "floating-point failure"),
-        (["purity", "--g", "1e300", "--mu1", "0.5", "--state", "number:1,1"], 2,
-         "floating-point failure"),
+        (["purity", "--g", "1e-300", "--mu1", "1e-300", "--state", "number:1,1"], 2,
+         "leave the float range"),
         (["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e200"], 2,
          "condition number"),
         # an exact sweep: its points fail in the pool's threads
-        (["sweep", "--param", "g", "--range", "1e299:1e300:2", "--mu1", "0.5",
-          "--state", "number:1,1"], 2, "floating-point failure"),
+        (["sweep", "--param", "g", "--range", "1e-300:1e-299:2", "--mu1", "1e-300",
+          "--state", "number:1,1"], 2, "leave the float range"),
         # caps whose byte count would overflow a float while the message is formatted
         (["purity", "--method", "oracle", "--g", "5", "--mu1", "0.3", "--state", "number:0,1",
           "--extent", "1e300"], 3, "MiB budget"),
@@ -1020,6 +1046,20 @@ class TestOneRuleForANumericalFailure:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and text in err
         assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, ref_argv", [
+        (["--m1", "1", "--m2", "1", "--omega", "1", "--Omega", "1", "--hbar", "1e300"],
+         ["--m1", "1", "--m2", "1", "--omega", "1", "--Omega", "1"]),
+        (["--g", "1e300", "--mu1", "0.3"], ["--g", "1e-300", "--mu1", "0.3"]),
+    ], ids=["hbar-1e300", "g-1e300"])
+    def test_exact_purities_at_the_float_range(self, capsys, argv, ref_argv):
+        # these exited 2 while the generator's entries were taken from gamma
+        # and Gamma themselves; hbar does not enter a purity, and g <-> 1/g
+        # is a symmetry
+        code, rec = run_json(capsys, ["purity", *argv, "--state", "number:1,1"])
+        ref_code, ref = run_json(capsys, ["purity", *ref_argv, "--state", "number:1,1"])
+        assert code == ref_code == 0
+        assert 0.0 < rec["purity"] == pytest.approx(ref["purity"], rel=1e-14, abs=0)
 
     def test_pool_threads_carry_the_rule(self, monkeypatch, tmp_path):
         # each point records the thread it runs in and that thread's error state

@@ -124,6 +124,60 @@ class TestGeneratorConstruction:
             build_M_from_A(data)
 
 
+SUP_PI_6 = Superposition.two_mode_mix(math.pi / 6)
+
+
+def exact_purity(sys, state):
+    if isinstance(state, NumberState):
+        return purity_number(sys, state.m, state.n)
+    return purity_superposition(sys, state)
+
+
+class TestGeneratorOutsideTheDirectRange:
+    """build_M takes its entries from gamma / s and Gamma / s, s = max(gamma,
+    Gamma), where gamma^4 overflows or D underflows; the entries are ratios
+    of degree 0, so the purities are those of the same g and mu1."""
+
+    @pytest.mark.parametrize("hbar", [1e300, 1e-300])
+    @pytest.mark.parametrize("state", [NumberState(1, 1), SUP_PI_6], ids=["1,1", "sup-pi/6"])
+    def test_hbar_invariance(self, hbar, state):
+        ref = exact_purity(OscillatorSystem.from_physical(1.0, 2.0, 3.0, 1.0), state)
+        got = exact_purity(OscillatorSystem.from_physical(1.0, 2.0, 3.0, 1.0, hbar=hbar), state)
+        assert got == pytest.approx(ref, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("mu1", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("state", [NumberState(1, 1), SUP_PI_6], ids=["1,1", "sup-pi/6"])
+    def test_g_and_its_inverse_at_the_float_range(self, mu1, state):
+        big = exact_purity(OscillatorSystem.from_dimensionless(1e300, mu1), state)
+        small = exact_purity(OscillatorSystem.from_dimensionless(1e-300, mu1), state)
+        assert 0.0 < big < 1e-140
+        assert big == pytest.approx(small, rel=1e-14, abs=0)
+
+    def test_entries_in_range_are_taken_directly(self, monkeypatch):
+        # the rescaled entries differ in their last bits; inputs whose direct
+        # entries are in range never take them
+        calls = []
+        real = exact._generator_entries
+        monkeypatch.setattr(exact, "_generator_entries",
+                            lambda *args: calls.append(args) or real(*args))
+        for g in (1e-100, 0.2, 5.0, 1e100):
+            sys = OscillatorSystem.from_dimensionless(g, 0.3)
+            M = build_M(sys).Mmat
+            assert calls[-1] == (sys.gamma, sys.Gamma, 0.3, sys.mu2)
+            assert np.array_equal(M, build_M(sys).Mmat)
+        assert len(calls) == 8
+        calls.clear()
+        build_M(OscillatorSystem.from_dimensionless(1e300, 0.3))
+        assert len(calls) == 2 and max(calls[1][:2]) == 1.0
+
+    def test_an_underflowed_inverse_length_is_refused(self):
+        # gamma = sqrt(mu omega / hbar) is 0: no rescale recovers it
+        sys = OscillatorSystem.from_physical(1.0, 1.0, 1e-300, 1.0, hbar=1e300)
+        assert sys.gamma == 0.0
+        with pytest.raises(NumericalConsistencyError, match="leave the float range"):
+            build_M(sys)
+
+
 class TestPurityNumber:
     def test_ground_state_is_coherent(self):
         for (g, mu1) in [(0.7, 0.25), (3.0, 0.5), (11.0, 0.65)]:

@@ -550,32 +550,63 @@ class TestBlockedSampling:
 
 
 class TestSpectrumOnDemand:
-    def test_computed_once_on_first_read(self, monkeypatch):
-        real = grid_mod._spectrum
-        calls = []
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The orders of the pivoted factors taken, and the calls that read a
+        spectrum off them."""
+        calls = {"cholesky": [], "spectra": 0}
+        cholesky, spectra = grid_mod._cholesky, grid_mod._spectra
 
-        def counted(G, total):
-            calls.append(G.shape)
-            return real(G, total)
+        def counted_cholesky(column, d, total, dtype):
+            calls["cholesky"].append(d.shape[0])
+            return cholesky(column, d, total, dtype)
 
-        monkeypatch.setattr(grid_mod, "_spectrum", counted)
+        def counted_spectra(*args):
+            calls["spectra"] += 1
+            return spectra(*args)
+
+        monkeypatch.setattr(grid_mod, "_cholesky", counted_cholesky)
+        monkeypatch.setattr(grid_mod, "_spectra", counted_spectra)
+        return calls
+
+    def test_computed_once_on_first_read(self, counted):
         sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
         res = schmidt_analyze(sys, NumberState(2, 1), GridSpec(128, 8.0))
-        assert calls == []
+        assert counted == {"cholesky": [], "spectra": 0}
         s, entropy = res.singular_values, res.entropy
         assert res.entropy == entropy and res.singular_values is s
         # |2,1> is odd: one factor for each of the two 64 x 64 parity blocks
-        assert calls == [(64, 64), (64, 64)]
+        assert counted == {"cholesky": [64, 64], "spectra": 1}
         _, _, W, _, _ = grid_mod._sample(sys, NumberState(2, 1), GridSpec(128, 8.0), fold=True)
-        grams, total, purity_ref, e = grid_mod._scaled_gram(W, fold=True)
-        s_ref, entropy_ref, _ = grid_mod._spectra(grams, total)
+        grams, total, purity_ref, e = grid_mod._scaled(W, fold=True)
+        factors = tuple(grid_mod._gram_factor(G, total) for G in grams)
+        s_ref, entropy_ref, _ = grid_mod._spectra(factors, total, 128)
+        assert (res.purity, res.entropy) == (purity_ref, entropy_ref)
+        assert np.array_equal(s, np.ldexp(s_ref, e))
+
+    def test_an_oversampled_grid_factors_once_and_reads_the_spectrum_once(self, counted):
+        # 512 points are 3.6 times the 144 of the sized grid: the factors of
+        # both parity blocks and of the 256^2 coarse grid give the purities
+        sys = OscillatorSystem.from_dimensionless(1.7, 0.37)
+        res = schmidt_analyze(sys, NumberState(2, 1), GridSpec(512, 8.0))
+        assert schmidt_analyze(sys, NumberState(2, 1)).n_points == 144
+        assert counted == {"cholesky": [256, 256, 256], "spectra": 0}
+        assert res.gram == () and len(res.factors) == 2
+        s, entropy = res.singular_values, res.entropy
+        assert res.entropy == entropy and res.singular_values is s
+        assert counted == {"cholesky": [256, 256, 256], "spectra": 1}
+        _, _, W, _, _ = grid_mod._sample(sys, NumberState(2, 1), GridSpec(512, 8.0), fold=True)
+        factors, total, purity_ref, e = grid_mod._scaled(W, fold=True, factor=True)
+        s_ref, entropy_ref, _ = grid_mod._spectra(factors, total, 512)
         assert (res.purity, res.entropy) == (purity_ref, entropy_ref)
         assert np.array_equal(s, np.ldexp(s_ref, e))
 
     def test_peak_memory_without_the_spectrum(self):
-        # folded: 4 MiB of samples, 2 MiB for each parity block and each Gram
-        # block, and temporaries (14 MiB measured; 24 MiB as one block);
-        # full-size Hermite rows alone would add 80 MiB
+        # folded and factored from the samples (1024 points are 4.9 times
+        # the sized 208): 4 MiB of samples, 2 MiB for each parity block, and
+        # temporaries (10 MiB measured; 14 MiB with the two 2 MiB Gram
+        # blocks, 24 MiB as one block); full-size Hermite rows alone would
+        # add 80 MiB
         sys = OscillatorSystem.from_dimensionless(1.7, 0.37)
         tracemalloc.start()
         try:
@@ -597,6 +628,18 @@ FOLDED = [
     pytest.param(FREE, UnboundGaussian(2, 3.0), id="unbound-even"),
     pytest.param(FREE, UnboundGaussian(1, 5.0), id="unbound-odd"),
 ]
+
+
+def oversampled(sys, state, n):
+    """Whether an n^2 grid has at least _FACTOR_RATIO times the points of
+    the state's sized grid, so that it takes the factor route."""
+    return n >= grid_mod._FACTOR_RATIO * schmidt_analyze(sys, state).n_points
+
+
+def factors_of(blocks, total, factor):
+    """The pivoted factors of the blocks ``_scaled`` returned on either
+    route."""
+    return blocks if factor else tuple(grid_mod._gram_factor(G, total) for G in blocks)
 
 
 def mirrored_grid(sys, state, n):
@@ -633,7 +676,11 @@ class TestParityFold:
     def test_folded_result_matches_one_block(self, sys, state, n):
         _, _, W, dx1, dx2, whole = mirrored_grid(sys, state, n)
         res = schmidt_analyze(sys, state, GridSpec(n, 8.0))
-        assert len(res.gram) == 2 and all(G.shape == (n // 2, n // 2) for G in res.gram)
+        factor = oversampled(sys, state, n)
+        if factor:
+            assert res.gram == () and len(res.factors) == 2
+        else:
+            assert len(res.gram) == 2 and all(G.shape == (n // 2, n // 2) for G in res.gram)
         s_ref, purity_ref, entropy_ref = schmidt_from_samples(whole)
         assert abs(res.purity - purity_ref) <= 2e-15 * purity_ref
         assert abs(res.entropy - entropy_ref) <= 1e-12
@@ -645,7 +692,8 @@ class TestParityFold:
         assert np.max(np.abs(s - s_ref)) <= 1e-6 * s_ref[0]
         norm_ref = float(np.sum(grid_mod._abs2(whole)) * dx1 * dx2)
         assert abs(res.norm_defect - abs(1.0 - norm_ref)) <= 1e-14
-        coarse_ref = grid_mod._scaled_gram(whole[::2, ::2])[2]
+        # the coarse grid takes the route of the whole grid
+        coarse_ref = grid_mod._scaled(whole[::2, ::2], factor=factor)[2]
         assert res.grid_defect == abs(res.purity - coarse_ref)
 
     @pytest.mark.parametrize("sys, state, n", [
@@ -680,17 +728,26 @@ class TestParityFold:
     @pytest.mark.parametrize("shift", [600, -600])
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_power_of_two_rescale_of_a_folded_grid_moves_no_purity_bit(self, shift, complex_):
+        self.check_power_of_two_rescale(shift, complex_, factor=False)
+
+    @pytest.mark.parametrize("shift", [600, -600])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_power_of_two_rescale_of_a_factored_grid_moves_no_purity_bit(self, shift, complex_):
+        self.check_power_of_two_rescale(shift, complex_, factor=True)
+
+    @staticmethod
+    def check_power_of_two_rescale(shift, complex_, factor):
         rng = np.random.default_rng(6)
         W = rng.normal(size=(20, 40))
         if complex_:
             W = W + 1j * rng.normal(size=W.shape)
-        grams, total, purity, e = grid_mod._scaled_gram(W, fold=True)
+        blocks, total, purity, e = grid_mod._scaled(W, fold=True, factor=factor)
         shifted = np.ldexp(W.real, shift) + (1j * np.ldexp(W.imag, shift) if complex_ else 0.0)
-        grams2, total2, purity2, e2 = grid_mod._scaled_gram(shifted, fold=True)
+        blocks2, total2, purity2, e2 = grid_mod._scaled(shifted, fold=True, factor=factor)
         assert e == 0 and e2 != 0 and purity2 == purity
-        assert len(grams2) == 2
-        s, entropy, _ = grid_mod._spectra(grams, total)
-        s2, entropy2, _ = grid_mod._spectra(grams2, total2)
+        assert len(blocks2) == 2
+        s, entropy, _ = grid_mod._spectra(factors_of(blocks, total, factor), total, 40)
+        s2, entropy2, _ = grid_mod._spectra(factors_of(blocks2, total2, factor), total2, 40)
         assert entropy2 == pytest.approx(entropy, abs=1e-13)
         assert np.ldexp(s2, e2 - shift) == pytest.approx(s, rel=1e-12)
 
@@ -705,6 +762,85 @@ class TestParityFold:
         assert res.purity == pytest.approx(ref.purity, rel=1e-13)
         assert res.entropy == pytest.approx(ref.entropy, abs=1e-12)
         res.check()
+
+
+# samples near 1e100 at hbar = 1e-200: tr(G)^2 overflows, so W is rescaled
+RESCALED = OscillatorSystem.from_physical(1.0, 2.0, 3.0, 1.0, hbar=1e-200)
+
+
+class TestFactorRoute:
+    # each n is at least three times the state's sized points: 160 for |2,2>,
+    # 144 for |2,1>, 240 for |7,4>, 128 for the mixes and the rescaled |1,1>,
+    # 144 for the mixed-parity mix, 80 for the coherent state, 112 for the packet
+    @pytest.mark.parametrize("sys, state, n", [
+        (TRAPPED, NumberState(2, 2), 480),
+        (TRAPPED, NumberState(2, 1), 432),
+        (TRAPPED, NumberState(7, 4), 720),
+        (TRAPPED, Superposition.two_mode_mix(0.7), 384),
+        (TRAPPED, Superposition(((0, 1, 0.6), (1, 0, 0.8j))), 384),
+        (TRAPPED, Superposition(((0, 1, 0.6), (2, 0, 0.8j))), 432),
+        (TRAPPED, Coherent(0.3 + 0.2j, -0.1 + 0.4j), 240),
+        (TRAPPED, NumberState(2, 2), 481),
+        (FREE, UnboundGaussian(1, 1.0), 336),
+        (RESCALED, NumberState(1, 1), 384),
+    ], ids=["number-even", "number-odd", "number-7,4", "real-mix", "complex-mix",
+            "complex-mixed-parity", "coherent", "odd-n", "unbound", "rescaled"])
+    def test_matches_the_gram_route_on_the_same_samples(self, monkeypatch, sys, state, n):
+        assert oversampled(sys, state, n)
+        res = schmidt_analyze(sys, state, GridSpec(n, 8.0))
+        monkeypatch.setattr(grid_mod, "_FACTOR_RATIO", math.inf)
+        ref = schmidt_analyze(sys, state, GridSpec(n, 8.0))
+        folded = state.parity is not None and n % 2 == 0
+        assert res.gram == () and len(res.factors) == len(ref.gram) == (2 if folded else 1)
+        assert (res.n_points, res.norm_defect) == (ref.n_points, ref.norm_defect)
+        assert res.scale_exp == ref.scale_exp and (res.scale_exp > 300) == (sys is RESCALED)
+        assert abs(res.purity - ref.purity) <= 2e-15 * ref.purity
+        # the coarse grid's purity moves as little
+        assert abs(res.grid_defect - ref.grid_defect) <= 4e-15 * ref.purity
+        assert abs(res.entropy - ref.entropy) <= 1e-12
+        assert 0.0 <= res.spectrum_defect <= 1e-14
+        s, s_ref = res.singular_values, ref.singular_values
+        assert len(s) == n and np.all(np.diff(s) <= 0)
+        assert np.max(np.abs(s ** 2 - s_ref ** 2)) <= 1e-12 * s_ref[0] ** 2
+        res.check()
+
+    @pytest.mark.parametrize("sys, state, n", [
+        (TRAPPED, NumberState(2, 2), None),
+        (TRAPPED, NumberState(2, 2), 478),
+        (TRAPPED, Coherent(0.3 + 0.2j, -0.1 + 0.4j), 224),
+        (FREE, UnboundGaussian(1, 1.0), 200),
+        (RESCALED, NumberState(1, 1), None),
+    ], ids=["sized", "below-the-ratio", "coherent-below-the-ratio", "unbound-below-the-ratio",
+            "rescaled-sized"])
+    def test_other_grids_keep_the_gram_route(self, sys, state, n):
+        res = schmidt_analyze(sys, state, GridSpec(n, 8.0))
+        assert not oversampled(sys, state, res.n_points) and res.factors == ()
+        _, _, W, _, _ = grid_mod._sample(sys, state, GridSpec(n, 8.0), fold=True)
+        folded = W.shape[0] < W.shape[1]
+        grams, total, purity, e = grid_mod._scaled(W, folded)
+        assert len(res.gram) == len(grams) == (2 if folded else 1)
+        assert all(np.array_equal(G, H) for G, H in zip(res.gram, grams))
+        coarse = grid_mod._scaled(grid_mod._coarse(W, state.parity) if folded else W[::2, ::2])[2]
+        assert (res.purity, res.grid_defect, res.trace) == (purity, abs(purity - coarse), total)
+        s, entropy, defect = grid_mod._spectra(factors_of(grams, total, False), total,
+                                               res.n_points)
+        assert (res.entropy, res.spectrum_defect, res.scale_exp) == (entropy, defect, e)
+        assert np.array_equal(res.singular_values, np.ldexp(s, e))
+
+    def test_the_ratio_is_a_point_count(self):
+        sized = schmidt_analyze(TRAPPED, NumberState(2, 2)).n_points
+        at = schmidt_analyze(TRAPPED, NumberState(2, 2), GridSpec(3 * sized, 8.0))
+        below = schmidt_analyze(TRAPPED, NumberState(2, 2), GridSpec(3 * sized - 1, 8.0))
+        assert grid_mod._FACTOR_RATIO == 3
+        assert (len(at.factors), len(at.gram)) == (2, 0)
+        assert (len(below.factors), len(below.gram)) == (0, 1)
+
+    def test_a_zero_block_takes_no_pivot(self):
+        # the ground state at g = 1 is a product whose odd block is 0 exactly
+        sys = OscillatorSystem.from_dimensionless(1.0, 0.5)
+        res = schmidt_analyze(sys, NumberState(0, 0), GridSpec(512, 8.0))
+        assert len(res.factors) == 2 and res.factors[1][0].shape == (0, 0)
+        assert res.purity == pytest.approx(1.0, abs=1e-15) and 0.0 <= res.entropy <= 1e-13
 
 
 def gaussian_entropy(purity):
@@ -748,14 +884,23 @@ class TestEntropy:
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_full_rank_gram_matches_eigvalsh(self, complex_):
+        self.check_full_rank(complex_, factor=False)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_full_rank_factor_from_the_samples_matches_eigvalsh(self, complex_):
+        self.check_full_rank(complex_, factor=True)
+
+    @staticmethod
+    def check_full_rank(complex_, factor):
         # a square Gaussian matrix's eigenvalue spread (about 4 n^2) keeps
         # every pivot above the stop rule, so the factor takes all n columns
         rng = np.random.default_rng(16)
         W = rng.normal(size=(300, 300))
         if complex_:
             W = W + 1j * rng.normal(size=W.shape)
-        (G,), total, _, _ = grid_mod._scaled_gram(W)
-        s, entropy, defect = grid_mod._spectrum(G, total)
+        blocks, total, _, _ = grid_mod._scaled(W, factor=factor)
+        s, entropy, defect = grid_mod._spectra(factors_of(blocks, total, factor), total, 300)
+        (G,) = grid_mod._scaled(W)[0]
         w = np.linalg.eigvalsh(G)
         p = w / total
         reference = float(-np.sum(p * np.log(p)))

@@ -17,9 +17,12 @@ the directory given by ``--out`` (default: the current one), in the layout
 of the BENCH files committed beside this tool.
 
 For each metric named under ``end_to_end`` in the parent tree's
-``BENCHMARK.json`` it prints both medians, the parent's interquartile range
-over its median, and in how many pairs the change read better (ties count
-for neither side).  The verdict is "gain" when the change won at least nine
+``BENCHMARK.json`` it prints both medians, each side's interquartile range
+over its median, in how many pairs the change read better (ties count for
+neither side), and each side's median number of machine-speed probes per
+run (from the probe lines), so that an "unresolved" verdict shows whether
+the parent's spread, the change's spread or a loop too short for its probes
+caused it.  The verdict is "gain" when the change won at least nine
 pairs in ten and the medians differ by more than the parent's interquartile
 range.  Otherwise it is "unresolved" when the parent's spread exceeds the
 metric's bound, unless every run of the change reads better than every run
@@ -100,7 +103,7 @@ def compare(runs: list[dict], workload: str, metric: dict) -> dict:
     change = [p["change"] for p in pairs]
     med_p, med_c = statistics.median(parent), statistics.median(change)
     q1, q3 = quartiles(parent)
-    spread = (q3 - q1) / abs(med_p) if med_p else float("inf")
+    spread = spread_over_median(parent)
     won = sum(c > p if higher else c < p for p, c in zip(parent, change))
     gain = med_c - med_p if higher else med_p - med_c
     apart = min(change) > max(parent) if higher else max(change) < min(parent)
@@ -113,7 +116,24 @@ def compare(runs: list[dict], workload: str, metric: dict) -> dict:
     else:
         verdict = "within bound"
     return {"name": name, "pairs": len(pairs), "parent_median": med_p, "change_median": med_c,
-            "parent_iqr_over_median": spread, "change_won": won, "verdict": verdict}
+            "parent_iqr_over_median": spread,
+            "change_iqr_over_median": spread_over_median(change), "change_won": won,
+            "verdict": verdict}
+
+
+def spread_over_median(values: list[float]) -> float:
+    q1, q3 = quartiles(values)
+    med = statistics.median(values)
+    return (q3 - q1) / abs(med) if med else float("inf")
+
+
+def median_probes(runs: list[dict], workload: str) -> dict[str, float]:
+    """Per side, the median number of machine-speed probes of a run, read
+    from the ``n=`` field of each run's probe line."""
+    return {side: statistics.median(int(r["probe"].split()[1].removeprefix("n="))
+                                    for r in runs
+                                    if r["workload"] == workload and r["side"] == side)
+            for side in SIDES}
 
 
 def summary(runs: list[dict], workload: str, metrics: list[dict]) -> list[str]:
@@ -123,13 +143,16 @@ def summary(runs: list[dict], workload: str, metrics: list[dict]) -> list[str]:
         f"{side} failed {sum(f['failed'] for f in finals)} of "
         f"{sum(f['attempted'] for f in finals)}, correct {sum(f['correct'] for f in finals)} "
         f"of {len(finals)} runs" for side, finals in counts.items())]
+    probes = median_probes(runs, workload)
     lines.append(f"  {'metric':<14} {'parent':>12} {'change':>12} {'IQR/median':>10} "
-                 f"{'won':>7}  verdict")
+                 f"{'(change)':>10} {'won':>7} {'probes':>7}  verdict")
     for metric in metrics:
         row = compare(runs, workload, metric)
         lines.append(f"  {row['name']:<14} {row['parent_median']:>12.6g} "
                      f"{row['change_median']:>12.6g} {row['parent_iqr_over_median']:>10.3f} "
-                     f"{row['change_won']:>3}/{row['pairs']:<3}  {row['verdict']}")
+                     f"{row['change_iqr_over_median']:>10.3f} "
+                     f"{row['change_won']:>3}/{row['pairs']:<3} "
+                     f"{probes['parent']:>3g}/{probes['change']:<3g}  {row['verdict']}")
     return lines
 
 

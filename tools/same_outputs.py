@@ -14,18 +14,21 @@ a 10^5-point sweep whose flags name two gauges, a sweep whose second point
 fails, a negative truncation, an angle that divides by zero, an empty
 ``--criteria`` and the oracle gate's failing path.  It also holds inputs at
 the edges of the float range: grid caps whose byte count overflows a float,
-closed forms whose direct root overflows or drops an underflowed term, an
-oracle Gram matrix that is rescaled, and the floating-point failures that
-exit 2 with one error line (an overflow or invalid value in numpy, in
-Python arithmetic and in the exact sweep pool's threads, and a spreading
-packet's ill-conditioned kernel form), so a warning, a traceback or a NaN
-that comes back shows as a difference.  The line number in a warning's
-``<tree>/...py:LINE`` is masked, so moving code does not count as a
-difference.  Oracle purities on an odd number of points, on a
+closed forms whose direct root overflows or drops an underflowed term, exact
+purities whose generator entries are rescaled (g = 1e300, hbar = 1e300), an
+oracle Gram matrix that is rescaled, and the failures that exit 2 with one
+error line (an overflow or invalid value in numpy and in Python arithmetic,
+a generator out of the float range, also in the exact sweep pool's threads,
+and a spreading packet's ill-conditioned kernel form), so a warning, a
+traceback or a NaN that comes back shows as a difference.  The line number
+in a warning's ``<tree>/...py:LINE`` is masked, so moving code does not
+count as a difference.  Oracle purities on an odd number of points, on a
 superposition that mixes parities, on an even superposition and on a
 spreading packet with even m pin down which inputs the oracle folds by
-parity.  Prints one line per command and exits 1 if any command differs.
-Standard library only.
+parity, and two at 1024^2, a folded number state and a coherent state
+sampled as one block, pin down the factor route of an oversampled grid.
+Prints one line per command and exits 1 if any command differs.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -180,19 +183,32 @@ COMMANDS = [
     ["purity", *G5, "--state", "superposition:0,0,0.6;0,1,0.8", "--method", "oracle"],
     ["purity", *G5, "--state", "superposition:0,0,0.6;1,1,0.8", "--method", "oracle"],
     ["purity", *FREE, "--state", "unbound:2,3", "--method", "oracle"],
-    # exit 2 with one error line: floating-point failures, in numpy, in Python
-    # arithmetic and in a pooled sweep's threads, and an ill-conditioned kernel form
+    # oversampled grids, at least three times the sized points, form no Gram
+    # matrix: a folded number state and a coherent state sampled as one block
+    ["purity", *G5, "--state", "number:2,2", "--method", "oracle", "--n-points", "1024"],
+    ["purity", *G5, "--state", "coherent:0.7+0.4j,-0.3+1.1j", "--method", "oracle",
+     "--n-points", "1024"],
+    # exact purities whose generator entries are taken from gamma / s and
+    # Gamma / s, s = max(gamma, Gamma), also in a pooled sweep's threads
+    ["purity", "--m1", "1", "--m2", "1", "--omega", "1", "--Omega", "1", "--hbar", "1e300",
+     "--state", "number:1,1"],
+    ["purity", "--g", "1e300", "--mu1", "0.5", "--state", "number:1,1"],
+    ["sweep", "--param", "g", "--range", "1e299:1e300:2", "--mu1", "0.5",
+     "--state", "number:1,1"],
+    # exit 2 with one error line: floating-point failures, in numpy and in
+    # Python arithmetic, a generator whose gamma underflowed, also in a pooled
+    # sweep's threads, and an ill-conditioned kernel form
     ["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e8"],
     ["sweep", "--method", "fock", "--param", "g", "--range", "1e199:1e200:2", "--mu1", "0.5",
      "--state", "number:1,1"],
     ["purity", "--method", "fock", "--g", "1e200", "--mu1", "0.5", "--state", "number:1,1"],
-    ["purity", "--m1", "1", "--m2", "1", "--omega", "1", "--Omega", "1", "--hbar", "1e300",
+    ["purity", "--m1", "1", "--m2", "1", "--omega", "1e-300", "--Omega", "1", "--hbar", "1e300",
      "--state", "number:1,1"],
     ["purity", "--method", "fock", *G5, "--state", "number:0,1", "--gamma1", "1e300",
      "--gamma2", "1"],
-    ["purity", "--g", "1e300", "--mu1", "0.5", "--state", "number:1,1"],
+    ["purity", "--g", "1e-300", "--mu1", "1e-300", "--state", "number:1,1"],
     ["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e200"],
-    ["sweep", "--param", "g", "--range", "1e299:1e300:2", "--mu1", "0.5",
+    ["sweep", "--param", "g", "--range", "1e-300:1e-299:2", "--mu1", "1e-300",
      "--state", "number:1,1"],
 ]
 
