@@ -17,8 +17,8 @@ all of them, and a CLI (``oscillent``) for sweeps and figure data.
 
 from .errors import (DomainError, NumericalConsistencyError, OscillentError,
                      ResourceCapError, UnsupportedStateError)
-from .exact import (build_At, build_M, build_M_from_A, purity_number,
-                    purity_number_unbound, purity_superposition)
+from .exact import (build_M, build_M_from_A, purity_number, purity_number_unbound,
+                    purity_superposition)
 from .fock import (BasisParams, coefficient_table, convergence_run,
                    default_basis, entropy_truncated, purity_truncated,
                    reduced_density_truncated)
@@ -39,7 +39,7 @@ __all__ = [
     "purity_coherent", "purity_unbound_gaussian", "CovariancePack",
     "covariance_coherent", "classical_covariance", "sample_classical_covariance",
     "position_covariance",
-    "build_At", "build_M", "build_M_from_A",
+    "build_M", "build_M_from_A",
     "purity_number", "purity_number_unbound", "purity_superposition",
     "BasisParams", "default_basis", "coefficient_table",
     "reduced_density_truncated", "purity_truncated", "entropy_truncated",

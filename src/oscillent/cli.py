@@ -263,7 +263,7 @@ def _output(path):
 
 
 def _emit_json(record: dict, path):
-    text = json.dumps(record, sort_keys=True, default=_json_default)
+    text = json.dumps(record, sort_keys=True, default=_json_default, allow_nan=False)
     with _output(path) as fh:
         fh.write(text + "\n")
 
@@ -282,8 +282,9 @@ def _write_csv(path, params: dict, columns, rows):
     Other values are written by ``str``, so a column the caller formatted
     once with :func:`_fmt` passes through unchanged.
     """
+    header = json.dumps(params, sort_keys=True, allow_nan=False)
     with _output(path) as fh:
-        fh.write(f"# params: {json.dumps(params, sort_keys=True)}\n")
+        fh.write(f"# params: {header}\n")
         fh.write(",".join(columns) + "\n")
         fh.writelines(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
                       for row in rows)

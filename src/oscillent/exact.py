@@ -20,14 +20,19 @@ M is also assembled directly from five rational functions u, v, w, s, t over
 a common denominator D; both constructions agree entrywise and satisfy
 det(M) = 1/256 for every parameter choice.
 
-The untrapped pair reuses the machinery with a complex, time-dependent A
-whose center-of-mass width follows the spreading packet; the resulting
-purities are real up to roundoff, which is asserted.  Its condition number
-grows as tau^2 (1e10 at tau = 1e5 for c = 2, mu1 = 0.5), and the read loses
-about 0.1 cond(A) eps of its value, so a form whose condition number is not
-at most 1e10 is refused with NumericalConsistencyError.  At tau = 0 that A is
-the static one, and M reads only gamma, Gamma and mu1, so a trapped pair's
-M is the Gaussian integral of its untrapped twin at tau = 0.
+The untrapped pair's kernel has a complex, time-dependent A whose
+center-of-mass width follows the spreading packet.  A read of
+``unbound:M,TAU`` touches only the vibrational block M[:4, :4], and that
+block has the closed form of the trapped one with the packet's width
+W = Gamma^2 / (1 + tau^2) beside each mass fraction and a complex u (see
+:func:`_generator_entries`); its prefactor is the packet's Gaussian purity.
+No A is formed or inverted, so no condition number bounds the read: it
+answers within about 1e-14 of 1000-digit evaluations for tau up to 1e100
+and c from 1e-100 to 1e100, where inverting A refused cond(A) > 1e10
+(tau = 1e5 at c = 2, mu1 = 0.5, or c = 1e-5 at tau = 1).  The purities are
+real up to roundoff, which is asserted.  :func:`build_M_from_A` keeps the
+Gaussian integral as an independent construction of M; at tau = 0 it agrees
+with both closed forms.
 
 The order caps are fixed: m + n <= 8 for a number state and unbound index
 m <= 8, and a total order of at most 16 over the four slots of a
@@ -38,8 +43,7 @@ mu1 = 0.5 reads 4.197).  Inside them the symmetries g <-> 1/g,
 mu1 <-> mu2 and (m, n) <-> (n, m) hold to about 1e-15 for g up to 1e6, and
 every box has at most 5^8 cells (3 MiB).  Each cap is decided from the
 state's numbers before anything is built (4 max(m + n) over a
-superposition's terms) and raises ResourceCapError; number
-states and the untrapped pair share one read.  All functions are pure;
+superposition's terms) and raises ResourceCapError.  All functions are pure;
 superposition sums iterate in a fixed order so results are bit-stable.
 """
 
@@ -51,9 +55,10 @@ from itertools import product
 
 import numpy as np
 
-# boxes are built through the module attribute, so a rebinding of
-# taylor.exp_taylor_box (for tracing, say) sees every one
-from . import taylor
+# boxes are built, and the packet's purity taken, through the module
+# attributes, so a rebinding of taylor.exp_taylor_box or
+# gaussian.purity_unbound_gaussian (for tracing, say) sees every call
+from . import gaussian, taylor
 from .errors import NumericalConsistencyError, ResourceCapError
 from .gaussian import purity_coherent
 from .system import OscillatorSystem, Superposition, _quantum_number
@@ -62,7 +67,6 @@ from .taylor import taylor_coefficient
 __all__ = [
     "GaussianIntegralData",
     "QuadraticGenerator",
-    "build_At",
     "build_M",
     "build_M_from_A",
     "purity_number",
@@ -117,81 +121,67 @@ class QuadraticGenerator:
     prefactor: complex
 
 
-def _chain_Lmap(sys: OscillatorSystem) -> np.ndarray:
-    """Displacement-to-coordinate coupling in the cyclic factor order."""
-    gam = sys.gamma
-    Gm1 = sys.Gamma * sys.mu1
-    Gm2 = sys.Gamma * sys.mu2
-    L = np.zeros((4, 8))
-    # rows: x1, x1', x2, x2'; slots 1..4 touch (x1,x2), (x1',x2), (x1',x2'), (x1,x2')
-    L[0, 0] = gam
-    L[0, 3] = gam
-    L[0, 4] = Gm1
-    L[0, 7] = Gm1
-    L[1, 1] = gam
-    L[1, 2] = gam
-    L[1, 5] = Gm1
-    L[1, 6] = Gm1
-    L[2, 0] = -gam
-    L[2, 1] = -gam
-    L[2, 4] = Gm2
-    L[2, 5] = Gm2
-    L[3, 2] = -gam
-    L[3, 3] = -gam
-    L[3, 6] = Gm2
-    L[3, 7] = Gm2
-    return math.sqrt(2.0) * L
+def _generator_entries(gamma: float, Gamma: float, mu1: float, mu2: float,
+                       tau: float | None = None) -> tuple:
+    """u, v, w, s, t of :func:`build_M` at the inverse lengths gamma, Gamma;
+    given the packet's time tau, u, v, w of :func:`_packet_block` instead.
 
-
-def build_At(sys: OscillatorSystem, tau: float) -> GaussianIntegralData:
-    """Time-dependent kernel quadratic form for the untrapped pair.
-
-    The center-of-mass factor of the kernel carries the complex width
-    w = Gamma^2 (1 + i tau) / (1 + tau^2) of the spreading packet (its
-    conjugate in the conjugated factors), so the diagonal picks up
-    mu_i^2 Gamma^2 / (1 + tau^2) and the off-diagonal entries split into a
-    conjugate pair z_w = (-gamma^2 + w mu1 mu2) / 2.  At tau = 0 it is the
-    real static form, diagonal gamma^2 + Gamma^2 mu_i^2 and off-diagonal
-    blocks y = (-gamma^2 + Gamma^2 mu1 mu2) / 2.
+    The spreading packet's centre-of-mass width W = Gamma^2 / (1 + tau^2)
+    takes Gamma^2's place beside each mass fraction, D gains the term
+    4 (W tau mu1 mu2)^2, and u the imaginary part
+    2 gamma^2 W tau mu1 mu2 / D; v + w = 1/2 at every tau.  At tau = 0,
+    W = Gamma^2 exactly, so every entry keeps its bits.  Where tau^2
+    overflows (|tau| > 1.3e154), W tau = Gamma^2 / tau and W = W tau / tau.
     """
-    sys.check_untrapped()
-    T = 1.0 + tau * tau
-    gam2 = sys.gamma ** 2
-    w = sys.Gamma ** 2 * (1.0 + 1j * tau) / T
-    W = sys.Gamma ** 2 / T
-    a = gam2 + sys.mu1 ** 2 * W
-    b = gam2 + sys.mu2 ** 2 * W
-    zw = 0.5 * (-gam2 + w * sys.mu1 * sys.mu2)
-    zs = zw.conjugate()
-    A = np.array([
-        [a, 0.0, zw, zs],
-        [0.0, a, zs, zw],
-        [zw, zs, b, 0.0],
-        [zs, zw, 0.0, b],
-    ], dtype=complex)
-    return GaussianIntegralData(
-        A=A,
-        Lmap=_chain_Lmap(sys),
-        norm_const=(sys.gamma * sys.Gamma) ** 2 / (math.pi ** 2 * T),
-    )
-
-
-def _generator_entries(gamma: float, Gamma: float, mu1: float, mu2: float) -> tuple:
-    """u, v, w, s, t of :func:`build_M` at the inverse lengths gamma, Gamma."""
     gam2 = gamma ** 2
     Gam2 = Gamma ** 2
-    D = 4.0 * (gam2 + Gam2 * mu1 * mu1) * (gam2 + Gam2 * mu2 * mu2)
-    u = (gam2 * gam2 - Gam2 * Gam2 * (mu1 * mu2) ** 2) / D
-    v = (gam2 * gam2 + 2 * gam2 * Gam2 * mu1 * mu1 + Gam2 * Gam2 * (mu1 * mu2) ** 2) / D
-    w = (gam2 * gam2 + 2 * gam2 * Gam2 * mu2 * mu2 + Gam2 * Gam2 * (mu1 * mu2) ** 2) / D
+    W, Wt = Gam2, 0.0
+    if tau is not None:
+        T = 1.0 + tau * tau
+        W, Wt = (Gam2 / T, Gam2 / T * tau) if T < math.inf else (Gam2 / tau / tau, Gam2 / tau)
+    D = 4.0 * (gam2 + W * mu1 * mu1) * (gam2 + W * mu2 * mu2) + (2.0 * Wt * mu1 * mu2) ** 2
+    u = gam2 * gam2 - Gam2 * W * (mu1 * mu2) ** 2
+    v = (gam2 * gam2 + 2 * gam2 * W * mu1 * mu1 + Gam2 * W * (mu1 * mu2) ** 2) / D
+    w = (gam2 * gam2 + 2 * gam2 * W * mu2 * mu2 + Gam2 * W * (mu1 * mu2) ** 2) / D
+    if tau is not None:
+        return complex(u / D, 2 * gam2 * Wt * mu1 * mu2 / D), v, w
     s = gamma * Gamma * (gam2 - Gam2 * mu1 * mu2) * (mu1 - mu2) / D
     t = gamma * Gamma * (gam2 + Gam2 * mu1 * mu2) / D
-    return u, v, w, s, t
+    return u / D, v, w, s, t
 
 
 def _normal(x: float) -> bool:
     """x is zero or a finite float of normal size."""
     return x == 0.0 or _TINY <= abs(x) < math.inf
+
+
+def _entries_in_range(sys: OscillatorSystem, *tau: float) -> tuple:
+    """:func:`_generator_entries` of ``sys`` (at the packet's time, if one is
+    given) under one range rule.
+
+    The entries are ratios of degree 0 in (gamma, Gamma).  Where those taken
+    from gamma and Gamma themselves are not all zero or finite normal floats
+    (gamma^4 overflows at g = 1e300, D underflows at hbar = 1e300), they are
+    taken from gamma / s and Gamma / s with s = max(gamma, Gamma), whose
+    powers stay in range; every other input keeps the direct entries.  A
+    gamma or Gamma that has itself lost bits to underflow, or rescaled
+    entries that are still out of range, raise NumericalConsistencyError.
+    """
+    gamma, Gamma, mu1, mu2 = sys.gamma, sys.Gamma, sys.mu1, sys.mu2
+    try:
+        entries = _generator_entries(gamma, Gamma, mu1, mu2, *tau)
+    except (ZeroDivisionError, OverflowError):
+        entries = (math.nan,)
+    if not all(map(_normal, entries)):
+        scale = max(gamma, Gamma)
+        # an underflowed gamma or Gamma has lost the ratio the entries read
+        entries = (_generator_entries(gamma / scale, Gamma / scale, mu1, mu2, *tau)
+                   if _TINY <= min(gamma, Gamma) else (math.nan,))
+        if not all(map(_normal, entries)):
+            raise NumericalConsistencyError(
+                f"generator entries leave the float range at gamma = {gamma:.3e}, "
+                f"Gamma = {Gamma:.3e}")
+    return entries
 
 
 def build_M(sys: OscillatorSystem) -> QuadraticGenerator:
@@ -205,30 +195,10 @@ def build_M(sys: OscillatorSystem) -> QuadraticGenerator:
         s = gamma Gamma (gamma^2 - Gamma^2 mu1 mu2)(mu1 - mu2) / D
         t = gamma Gamma (gamma^2 + Gamma^2 mu1 mu2) / D
 
-    Each entry is a ratio of degree 0 in (gamma, Gamma).  Where the entries
-    taken from gamma and Gamma themselves are not all zero or finite normal
-    floats (gamma^4 overflows at g = 1e300, D underflows at hbar = 1e300),
-    they are taken from gamma / s and Gamma / s with s = max(gamma, Gamma),
-    whose powers stay in range; every other input keeps the direct entries.
-    A gamma or Gamma that has itself lost bits to underflow, or rescaled
-    entries that are still out of range, raise NumericalConsistencyError.
-    The construction is cross-checked against det(M) = 1/256.
+    taken under the range rule of :func:`_entries_in_range`.  The
+    construction is cross-checked against det(M) = 1/256.
     """
-    gamma, Gamma, mu1, mu2 = sys.gamma, sys.Gamma, sys.mu1, sys.mu2
-    try:
-        entries = _generator_entries(gamma, Gamma, mu1, mu2)
-    except (ZeroDivisionError, OverflowError):
-        entries = (math.nan,)
-    if not all(map(_normal, entries)):
-        scale = max(gamma, Gamma)
-        # an underflowed gamma or Gamma has lost the ratio the entries read
-        entries = (_generator_entries(gamma / scale, Gamma / scale, mu1, mu2)
-                   if _TINY <= min(gamma, Gamma) else (math.nan,))
-        if not all(map(_normal, entries)):
-            raise NumericalConsistencyError(
-                f"generator entries leave the float range at gamma = {gamma:.3e}, "
-                f"Gamma = {Gamma:.3e}")
-    u, v, w, s, t = entries
+    u, v, w, s, t = _entries_in_range(sys)
     M = np.array([
         [u,  v, -u,  w,  s, -t, -s,  t],
         [v,  u,  w, -u, -t,  s,  t, -s],
@@ -252,8 +222,11 @@ def build_M_from_A(gdata: GaussianIntegralData) -> QuadraticGenerator:
 
     A is inverted with a partially pivoted solve.  An A whose condition
     number is not at most 1e10, singular or NaN-holding ones included, is
-    refused with the condition number in the message: the spreading-packet
-    purities lose about 0.1 cond(A) eps of their value, 1e-5 at cond 1e12.
+    refused with the condition number in the message: a spreading-packet
+    purity read through this inverse loses about 0.1 cond(A) eps of its
+    value, 1e-5 at cond 1e12.  No purity route calls it: it is the
+    independent construction that build_M and the packet's block are
+    tested against.
     """
     A = gdata.A
     cond = np.linalg.cond(A)
@@ -307,16 +280,39 @@ def purity_number(sys: OscillatorSystem, m: int, n: int) -> float:
     return float(_number_read(build_M(sys), m, n))
 
 
+def _packet_block(sys: OscillatorSystem, tau: float) -> np.ndarray:
+    """The vibrational block M[:4, :4] of the spreading packet's generator at
+    time tau, the only block a read of ``unbound:M,TAU`` touches:
+
+        [[u, v, -u, w], [v, u*, w, -u*], [-u, w, u, v], [w, -u*, v, u*]]
+
+    with u, v, w from :func:`_generator_entries` at tau, under the range
+    rule of :func:`_entries_in_range`.  At tau = 0 it is build_M's block.
+    """
+    u, v, w = _entries_in_range(sys, tau)
+    ub = u.conjugate()
+    return np.array([
+        [u,  v, -u,  w],
+        [v, ub,  w, -ub],
+        [-u, w,  u,  v],
+        [w, -ub, v,  ub],
+    ])
+
+
 def purity_number_unbound(sys: OscillatorSystem, m: int, tau: float) -> float:
     """Exact purity of the untrapped pair in vibrational state m with a
     center-of-mass packet spread to dimensionless time tau.
 
-    Same read as :func:`purity_number` (at n = 0) over the complex
-    time-dependent generator; the imaginary residue must stay below 1e-8.
+    P_tau (m!)^2 c, with P_tau the packet's Gaussian purity
+    (:func:`gaussian.purity_unbound_gaussian`, which refuses a trapped
+    system) and c the coefficient of prod alpha_i^m of the exponential of
+    :func:`_packet_block`; the imaginary residue must stay below 1e-8.
     """
     m = _quantum_number(m, "m")
     _check_number_cap(m)
-    value = complex(_number_read(build_M_from_A(build_At(sys, tau)), m, 0))
+    prefactor = gaussian.purity_unbound_gaussian(sys, tau)
+    fac = float(math.factorial(m))
+    value = complex(prefactor * fac * fac * taylor_coefficient(_packet_block(sys, tau), (m,) * 4))
     if not abs(value.imag) <= _IMAG_TOL:
         raise NumericalConsistencyError(
             f"unbound purity has imaginary residue {value.imag!r}"

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _NORMALIZATION_TOL = 1e-12
+_NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,8 @@ class OscillatorSystem:
 
         ``Gamma`` must be supplied when ``OmegaTrap == 0`` (it is then an
         initial condition of the center-of-mass packet) and must be omitted
-        when ``OmegaTrap > 0`` (it is then derived).
+        when ``OmegaTrap > 0`` (it is then derived).  A trap whose
+        g = omega / OmegaTrap overflows is refused, naming both.
         """
         if m1 <= 0 or m2 <= 0:
             raise DomainError("masses must be positive")
@@ -114,6 +116,9 @@ class OscillatorSystem:
         if OmegaTrap > 0:
             if Gamma is not None:
                 raise DomainError("Gamma is derived from the trap; do not pass it when OmegaTrap > 0")
+            if math.isfinite(omega) and omega / OmegaTrap == math.inf:
+                raise DomainError(f"g = omega / OmegaTrap leaves the float range at "
+                                  f"omega = {omega!r}, OmegaTrap = {OmegaTrap!r}")
             Gamma = math.sqrt((m1 + m2) * OmegaTrap / hbar)
         else:
             if Gamma is None:
@@ -141,22 +146,29 @@ class OscillatorSystem:
         """Untrapped system in the canonical gauge (hbar = 1, total mass 1).
 
         Exactly one of ``c`` (= Gamma/gamma) or ``gamma`` selects the
-        relative-mode scale.
+        relative-mode scale; one whose omega = gamma^2 / mu leaves the
+        normal float range is refused, naming it.
         """
         if not 0 < mu1 < 1:
             raise DomainError(f"mu1 must lie strictly in (0, 1), got {mu1}")
         if not Gamma > 0:
             raise DomainError(f"Gamma must be positive, got {Gamma}")
+        if not math.isfinite(Gamma):
+            raise DomainError(f"Gamma must be finite, got {Gamma}")
         if (c is None) == (gamma is None):
             raise DomainError("pass exactly one of c or gamma")
         if c is not None:
             if not c > 0:
                 raise DomainError(f"c must be positive, got {c}")
             gamma = Gamma / c
-        if not gamma > 0:
+        elif not gamma > 0:
             raise DomainError(f"gamma must be positive, got {gamma}")
         mu_red = mu1 * (1.0 - mu1)
         omega = gamma * gamma / mu_red  # hbar = 1, M = 1
+        if not _NORMAL_MIN <= omega < math.inf:
+            given = f"c = {c!r}" if c is not None else f"gamma = {gamma!r}"
+            raise DomainError(f"{given} puts the relative-mode frequency omega = gamma^2 / mu "
+                              f"outside the normal float range")
         return cls(m1=float(mu1), m2=float(1.0 - mu1), omega=float(omega),
                    Omega=0.0, hbar=1.0, Gamma=float(Gamma))
 

@@ -799,6 +799,21 @@ class TestOracleSizing:
         assert err.startswith("error: grid norm defect") and err.count("\n") == 1
         assert "extent_sigmas" in err and "n_points" in err and "--" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--g", "5", "--mu1", "0.3", "--state", "coherent:", "--extent", "4"],
+        ["--g", "1", "--mu1", "0.5", "--state", "number:2,2", "--n-points", "36"],
+    ], ids=["coherent-extent-4", "2,2-36-points"])
+    def test_norm_defect_below_the_old_bound_exits_two(self, capsys, argv):
+        # norm defects of 8.4e-5 and 5.0e-4 with grid defects of at most 1.6e-7:
+        # these printed 0.7734762989511327 (exact 0.7733602811121824) and
+        # 0.343719665917207 (exact 0.34375), more than 1e-6 off, under a norm
+        # bound of 1e-3
+        assert cli.run(["purity", *argv, "--method", "oracle"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: grid norm defect") and "exceeds 6e-7" in err
+        assert err.count("\n") == 1
+
     def test_sized_grid_above_the_cap_exits_three_before_allocating(self, capsys):
         tracemalloc.start()
         try:
@@ -1007,15 +1022,40 @@ class TestConfigFile:
         assert "required: --" in capsys.readouterr().err
 
 
+class TestRecordsStayJSON:
+    def test_trap_whose_g_overflows_is_a_usage_error(self, capsys):
+        # this printed "g": Infinity, which is not JSON
+        assert cli.run(["purity", "--m1", "1", "--m2", "1", "--omega", "1e300", "--Omega", "1e-300",
+                        "--state", "number:0,0", "--method", "analytic"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: g = omega / OmegaTrap leaves the float range at omega = 1e+300, "
+                       "OmegaTrap = 1e-300\n")
+
+    @pytest.mark.parametrize("c", ["1e-300", "1e300"])
+    def test_c_whose_omega_leaves_the_float_range_is_named(self, capsys, c):
+        # these named omega, which the c gauge derives
+        assert cli.run(["purity", "--c", c, "--mu1", "0.5", "--state", "unbound:1,1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: c = {float(c)!r} puts") and err.count("\n") == 1
+
+    def test_non_finite_values_are_not_written(self, tmp_path, capsys):
+        with pytest.raises(ValueError):
+            cli._emit_json({"purity": math.nan}, None)
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            cli._write_csv(str(path), {"g": math.inf}, ["x"], [])
+        assert not path.exists() and capsys.readouterr().out == ""
+
+
 class TestOneRuleForANumericalFailure:
-    """Overflow, an invalid value, a division by zero, a failed linear-algebra
-    routine and an ill-conditioned kernel form each end a command with one
-    error line.  The suite turns a warning into an exception that cli.run
-    does not catch, so a warning from any thread fails these tests."""
+    """Overflow, an invalid value, a division by zero and a failed
+    linear-algebra routine each end a command with one error line.  The
+    suite turns a warning into an exception that cli.run does not catch, so
+    a warning from any thread fails these tests."""
 
     @pytest.mark.parametrize("argv, code, text", [
-        (["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e8"], 2,
-         "condition number"),
         (["sweep", "--method", "fock", "--param", "g", "--range", "1e199:1e200:2",
           "--mu1", "0.5", "--state", "number:1,1"], 2, "floating-point failure"),
         (["purity", "--method", "fock", "--g", "1e200", "--mu1", "0.5",
@@ -1028,8 +1068,6 @@ class TestOneRuleForANumericalFailure:
           "--gamma1", "1e300", "--gamma2", "1"], 2, "floating-point failure"),
         (["purity", "--g", "1e-300", "--mu1", "1e-300", "--state", "number:1,1"], 2,
          "leave the float range"),
-        (["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e200"], 2,
-         "condition number"),
         # an exact sweep: its points fail in the pool's threads
         (["sweep", "--param", "g", "--range", "1e-300:1e-299:2", "--mu1", "1e-300",
           "--state", "number:1,1"], 2, "leave the float range"),
@@ -1038,14 +1076,27 @@ class TestOneRuleForANumericalFailure:
           "--extent", "1e300"], 3, "MiB budget"),
         (["purity", "--method", "oracle", "--g", "5", "--mu1", "0.3", "--state", "number:0,1",
           "--n-points", "1" + "0" * 200], 3, "MiB budget"),
-    ], ids=["unbound-1e8", "fock-sweep", "fock-g", "hbar", "gamma1", "exact-g",
-            "unbound-1e200", "pooled-sweep", "cap-extent", "cap-points"])
+    ], ids=["fock-sweep", "fock-g", "hbar", "gamma1", "exact-g",
+            "pooled-sweep", "cap-extent", "cap-points"])
     def test_one_error_line(self, capsys, argv, code, text):
         assert cli.run(argv) == code
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and text in err
         assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, ref", [
+        (["--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e8"], 1.4999999999999995e-08),
+        (["--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e200"], 1.5000000000000000454e-200),
+        (["--c", "1e-5", "--mu1", "0.5", "--state", "unbound:1,1"], 5.3033008587444276e-06),
+    ], ids=["unbound-1e8", "unbound-1e200", "unbound-c-1e-5"])
+    def test_spreading_packets_past_the_old_condition_bound(self, capsys, argv, ref):
+        # these exited 2 while the packet's generator came from inverting its
+        # 4x4 kernel form, whose condition number exceeded 1e10; the
+        # references are 1000-digit mpmath evaluations of the same integral
+        code, rec = run_json(capsys, ["purity", *argv])
+        assert code == 0
+        assert rec["purity"] == pytest.approx(ref, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("argv, ref_argv", [
         (["--m1", "1", "--m2", "1", "--omega", "1", "--Omega", "1", "--hbar", "1e300"],

@@ -1,13 +1,23 @@
 import itertools
+import json
 import math
+import os
+import platform
+import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oscillent
 from oscillent import (DomainError, NumberState, NumericalConsistencyError,
                        OscillatorSystem, ResourceCapError, Superposition,
-                       build_At, build_M, build_M_from_A,
+                       build_M, build_M_from_A,
                        purity_coherent, purity_number,
                        purity_number_unbound, purity_superposition,
                        purity_unbound_gaussian, schmidt_analyze)
@@ -69,6 +79,67 @@ class TestTaylorEngine:
         assert mixed == pytest.approx(2 * coeff, rel=5e-3)
 
 
+def chain_Lmap(sys):
+    """Displacement-to-coordinate coupling in the cyclic factor order."""
+    gam = sys.gamma
+    Gm1 = sys.Gamma * sys.mu1
+    Gm2 = sys.Gamma * sys.mu2
+    L = np.zeros((4, 8))
+    # rows: x1, x1', x2, x2'; slots 1..4 touch (x1,x2), (x1',x2), (x1',x2'), (x1,x2')
+    L[0, 0] = gam
+    L[0, 3] = gam
+    L[0, 4] = Gm1
+    L[0, 7] = Gm1
+    L[1, 1] = gam
+    L[1, 2] = gam
+    L[1, 5] = Gm1
+    L[1, 6] = Gm1
+    L[2, 0] = -gam
+    L[2, 1] = -gam
+    L[2, 4] = Gm2
+    L[2, 5] = Gm2
+    L[3, 2] = -gam
+    L[3, 3] = -gam
+    L[3, 6] = Gm2
+    L[3, 7] = Gm2
+    return math.sqrt(2.0) * L
+
+
+def build_At(sys, tau):
+    """Time-dependent kernel quadratic form of the untrapped pair, the
+    Gaussian integral build_M_from_A inverts: build_M's and the spreading
+    packet's independent cross-check.
+
+    The center-of-mass factor of the kernel carries the complex width
+    w = Gamma^2 (1 + i tau) / (1 + tau^2) of the spreading packet (its
+    conjugate in the conjugated factors), so the diagonal picks up
+    mu_i^2 Gamma^2 / (1 + tau^2) and the off-diagonal entries split into a
+    conjugate pair z_w = (-gamma^2 + w mu1 mu2) / 2.  At tau = 0 it is the
+    real static form, diagonal gamma^2 + Gamma^2 mu_i^2 and off-diagonal
+    blocks y = (-gamma^2 + Gamma^2 mu1 mu2) / 2.
+    """
+    sys.check_untrapped()
+    T = 1.0 + tau * tau
+    gam2 = sys.gamma ** 2
+    w = sys.Gamma ** 2 * (1.0 + 1j * tau) / T
+    W = sys.Gamma ** 2 / T
+    a = gam2 + sys.mu1 ** 2 * W
+    b = gam2 + sys.mu2 ** 2 * W
+    zw = 0.5 * (-gam2 + w * sys.mu1 * sys.mu2)
+    zs = zw.conjugate()
+    A = np.array([
+        [a, 0.0, zw, zs],
+        [0.0, a, zs, zw],
+        [zw, zs, b, 0.0],
+        [zs, zw, 0.0, b],
+    ], dtype=complex)
+    return GaussianIntegralData(
+        A=A,
+        Lmap=chain_Lmap(sys),
+        norm_const=(sys.gamma * sys.Gamma) ** 2 / (math.pi ** 2 * T),
+    )
+
+
 def static_kernel(sys):
     """The static kernel form of a trapped pair: the time-dependent form at
     tau = 0 of its untrapped twin, which has the same gamma, Gamma and mu1
@@ -125,6 +196,13 @@ class TestGeneratorConstruction:
 
 
 SUP_PI_6 = Superposition.two_mode_mix(math.pi / 6)
+
+# |m> for m = 1..8 at each (mu1, c, tau): the Gaussian integral of the purity
+# kernel in mpmath, A inverted at 700 and at 1000 digits (the two agree in
+# every stored digit) from the floats from_untrapped(mu1, c=c) holds, and
+# the coefficient from the derivative recurrence at that precision
+UNBOUND_REFERENCES = json.loads(
+    (Path(__file__).parent / "data" / "unbound_purities.json").read_text())
 
 
 def exact_purity(sys, state):
@@ -252,7 +330,7 @@ class TestPurityNumber:
 
     def test_caps_refuse_before_the_generator_is_built(self, monkeypatch):
         built = []
-        for name in ("build_M", "build_At", "build_M_from_A"):
+        for name in ("build_M", "_packet_block"):
             monkeypatch.setattr(exact, name, lambda *a, name=name: built.append(name))
         with pytest.raises(ResourceCapError, match="order 9 exceeds the cap 8"):
             purity_number(OscillatorSystem.from_dimensionless(2.0, 0.5), 5, 4)
@@ -310,8 +388,8 @@ class TestPurityUnboundNumber:
         assert purity_number_unbound(sys, 1, 5.0) == pytest.approx(
             0.26573643221888493, abs=1e-6)
 
-    # 90-digit evaluations of the same Gaussian integral; the double-precision
-    # read loses about 0.1 cond(A) eps, cond(A) growing as tau^2
+    # 90-digit evaluations of the same Gaussian integral; these taus read
+    # 1.5e-13 to 2.0e-9 off while the purity was taken from its inverse
     @pytest.mark.parametrize("tau, ref", [
         (1e2, 0.014995002099100385),
         (1e3, 0.0014999950000209999),
@@ -319,14 +397,93 @@ class TestPurityUnboundNumber:
     ])
     def test_accuracy_below_the_condition_bound(self, tau, ref):
         sys = OscillatorSystem.from_untrapped(0.5, c=2.0)
-        assert purity_number_unbound(sys, 1, tau) == pytest.approx(ref, rel=1e-8, abs=0)
+        assert purity_number_unbound(sys, 1, tau) == pytest.approx(ref, rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("tau", [1e6, 1e8])
-    def test_ill_conditioned_form_is_refused(self, tau):
-        # at tau = 1e8 the read gave 2.01e-8 against 1.50e-8
+    # taus whose kernel form has a condition number of 1e12 and 4e24: the
+    # inverse read 34% off at 1e8, the closed-form block answers (mpmath,
+    # 1000 digits)
+    @pytest.mark.parametrize("tau, ref", [
+        (1e6, "1.499999999995000000000020999999999910000000000384999999998362e-6"),
+        (1e8, "1.4999999999999995000000000000002099999999999999100000000000000385e-8"),
+        (1e200, "1.500000000000000045400316681234458884914081591068003642178846556e-200"),
+    ], ids=["1000000.0", "100000000.0", "1e+200"])
+    def test_ill_conditioned_taus_answer(self, tau, ref):
         sys = OscillatorSystem.from_untrapped(0.5, c=2.0)
-        with pytest.raises(NumericalConsistencyError, match="condition number"):
-            purity_number_unbound(sys, 1, tau)
+        assert purity_number_unbound(sys, 1, tau) == pytest.approx(float(ref), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("case", UNBOUND_REFERENCES,
+                             ids=[f"mu1={r['mu1']}-c={r['c']:g}-tau={r['tau']:g}"
+                                  for r in UNBOUND_REFERENCES])
+    def test_frozen_references(self, case):
+        sys = OscillatorSystem.from_untrapped(case["mu1"], c=case["c"])
+        for m, ref in enumerate(case["purity"], start=1):
+            got = purity_number_unbound(sys, m, case["tau"])
+            assert got == pytest.approx(float(ref), rel=1e-13, abs=0), m
+
+    @pytest.mark.parametrize("c, mu1", [(0.1, 0.2), (2.0, 0.3), (2.0, 0.5), (40.0, 0.9),
+                                        (1e-100, 0.3), (1e100, 0.7)])
+    def test_block_at_tau0_is_build_Ms_block(self, c, mu1):
+        sys = OscillatorSystem.from_untrapped(mu1, c=c)
+        block = exact._packet_block(sys, 0.0)
+        assert not np.any(block.imag)
+        assert np.array_equal(block.real, build_M(sys).Mmat[:4, :4])
+
+    @pytest.mark.parametrize("tau", [0.01, 0.3, 1.0, 5.0, 30.0])
+    @pytest.mark.parametrize("c, mu1", [(0.5, 0.2), (2.0, 0.3), (2.0, 0.5), (7.0, 0.8)])
+    def test_block_is_the_gaussian_integrals(self, c, mu1, tau):
+        sys = OscillatorSystem.from_untrapped(mu1, c=c)
+        integral = build_M_from_A(build_At(sys, tau)).Mmat[:4, :4]
+        assert np.max(np.abs(exact._packet_block(sys, tau) - integral)) <= 1e-15
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(log_c=st.floats(-8, 8), mu1=st.floats(0.01, 0.99),
+           log_tau=st.floats(-3, 8), sign=st.sampled_from([-1.0, 1.0]))
+    def test_v_plus_w_is_half_and_masses_swap(self, log_c, mu1, log_tau, sign):
+        sys = OscillatorSystem.from_untrapped(mu1, c=10.0 ** log_c)
+        tau = sign * 10.0 ** log_tau
+        eps = np.finfo(float).eps
+        u, v, w = exact._generator_entries(sys.gamma, sys.Gamma, sys.mu1, sys.mu2, tau)
+        assert abs(v + w - 0.5) <= 4 * eps
+        su, sv, sw = exact._generator_entries(sys.gamma, sys.Gamma, sys.mu2, sys.mu1, tau)
+        assert abs(su - u) <= 4 * eps and abs(sv - w) <= 4 * eps and abs(sw - v) <= 4 * eps
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(log_c=st.floats(-3, 3), mu1=st.floats(0.05, 0.95), log_tau=st.floats(-3, 6),
+           m=st.integers(1, 8))
+    def test_mass_swap_keeps_the_purity(self, log_c, mu1, log_tau, m):
+        c, tau = 10.0 ** log_c, 10.0 ** log_tau
+        p = purity_number_unbound(OscillatorSystem.from_untrapped(mu1, c=c), m, tau)
+        swapped = purity_number_unbound(OscillatorSystem.from_untrapped(1 - mu1, c=c), m, tau)
+        assert swapped == pytest.approx(p, rel=1e-13, abs=0)
+
+    def test_no_kernel_form_is_inverted(self, monkeypatch):
+        def refuse(gdata):
+            raise AssertionError("build_M_from_A called")
+
+        monkeypatch.setattr(exact, "build_M_from_A", refuse)
+        sys = OscillatorSystem.from_untrapped(0.3, c=2.0)
+        for m, tau in [(0, 0.0), (1, 5.0), (8, 2.0), (3, 1e100)]:
+            assert 0.0 < purity_number_unbound(sys, m, tau) <= 1.0
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 kernels")
+    def test_same_bits_under_every_blas_kernel(self):
+        # the solve this route once took read ...417017 under Haswell and
+        # ...417006 under SkylakeX
+        code = ("from oscillent import OscillatorSystem, purity_number_unbound\n"
+                "sys = OscillatorSystem.from_untrapped(0.3, c=2.0)\n"
+                "print(repr(purity_number_unbound(sys, 8, 2.0)))")
+        src = str(Path(oscillent.__file__).parents[1])
+        outputs = set()
+        for core in ("Prescott", "Sandybridge", "Haswell", "SkylakeX"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            if proc.returncode == -signal.SIGILL:  # a kernel this host cannot run
+                continue
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {"0.1814389026441698\n"}
 
     def test_result_is_real_and_in_range(self):
         sys = OscillatorSystem.from_untrapped(0.3, c=4.0)

@@ -201,15 +201,16 @@ class TestCheck:
                                       gram=np.eye(2), trace=2.0)
 
     def test_defects_at_the_bounds_pass(self):
-        assert self.result(1e-3, 1e-6).check() is None
+        assert self.result(6e-7, 1e-6).check() is None
         assert self.result(0.0, 0.0).check() is None
 
-    @pytest.mark.parametrize("norm_defect", [1.1e-3, math.nan, math.inf])
+    # 6.6e-7 lies just above the bound; 1.1e-3 just above the old one of 1e-3
+    @pytest.mark.parametrize("norm_defect", [6.6e-7, 1.1e-3, math.nan, math.inf])
     def test_norm_gate_alone(self, norm_defect):
         with pytest.raises(NumericalConsistencyError) as err:
             self.result(norm_defect, 0.0).check()
         assert str(err.value) == (
-            f"grid norm defect {norm_defect:.3e} exceeds 1e-3; enlarge extent_sigmas if the "
+            f"grid norm defect {norm_defect:.3e} exceeds 6e-7; enlarge extent_sigmas if the "
             f"window is too narrow or raise n_points if the grid is too coarse")
 
     @pytest.mark.parametrize("grid_defect", [1.1e-6, math.nan, math.inf])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,14 @@ class TestFromPhysical:
         with pytest.raises(DomainError):
             OscillatorSystem.from_physical(**bad)
 
+    def test_trap_whose_g_overflows_is_refused(self):
+        with pytest.raises(DomainError, match=r"omega = 1e\+300, OmegaTrap = 1e-300"):
+            OscillatorSystem.from_physical(1, 1, 1e300, 1e-300)
+        # g = 1e300 itself is in range, and a non-finite omega keeps its own message
+        assert OscillatorSystem.from_physical(1, 1, 1e300, 1).g == 1e300
+        with pytest.raises(DomainError, match="omega must be finite"):
+            OscillatorSystem.from_physical(1, 1, math.inf, 1)
+
     @pytest.mark.parametrize("name", ["m1", "m2", "omega", "Omega", "hbar", "Gamma"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, name, value):
@@ -101,6 +110,22 @@ class TestFromUntrapped:
             OscillatorSystem.from_untrapped(0.5)
         with pytest.raises(DomainError):
             OscillatorSystem.from_untrapped(0.5, c=1.0, gamma=1.0)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-155, 1e155, 1e300, math.inf])
+    def test_c_whose_omega_leaves_the_float_range_is_named(self, c):
+        # omega = gamma^2 / mu overflows, or falls below the normal floats
+        with pytest.raises(DomainError, match=f"^c = {re.escape(repr(c))} puts the relative"):
+            OscillatorSystem.from_untrapped(0.5, c=c)
+
+    def test_gamma_whose_omega_leaves_the_float_range_is_named(self):
+        for gamma in (1e-300, 1e300):
+            with pytest.raises(DomainError, match=f"^gamma = {re.escape(repr(gamma))} puts"):
+                OscillatorSystem.from_untrapped(0.5, gamma=gamma)
+
+    @pytest.mark.parametrize("c", [1e-150, 1e150])
+    def test_c_at_the_edge_of_the_range(self, c):
+        sys = OscillatorSystem.from_untrapped(0.5, c=c)
+        assert sys.c == pytest.approx(c, rel=1e-15)
 
     def test_g_undefined(self):
         sys = OscillatorSystem.from_untrapped(0.5, c=2.0)

@@ -18,9 +18,13 @@ closed forms whose direct root overflows or drops an underflowed term, exact
 purities whose generator entries are rescaled (g = 1e300, hbar = 1e300), an
 oracle Gram matrix that is rescaled, and the failures that exit 2 with one
 error line (an overflow or invalid value in numpy and in Python arithmetic,
-a generator out of the float range, also in the exact sweep pool's threads,
-and a spreading packet's ill-conditioned kernel form), so a warning, a
-traceback or a NaN that comes back shows as a difference.  The line number
+and a generator out of the float range, also in the exact sweep pool's
+threads), so a warning, a traceback or a NaN that comes back shows as a
+difference.  Spreading packets at extreme tau and c, whose kernel forms are
+ill-conditioned, pin down the packet's closed-form block; oracle grids whose
+norm defect lies between 6e-7 and 1e-3 pin down the norm gate; and a trap
+whose g overflows and a c whose omega leaves the float range pin down the
+refusals that keep every record valid JSON.  The line number
 in a warning's ``<tree>/...py:LINE`` is masked, so moving code does not
 count as a difference.  Oracle purities on an odd number of points, on a
 superposition that mixes parities, on an even superposition and on a
@@ -195,10 +199,25 @@ COMMANDS = [
     ["purity", "--g", "1e300", "--mu1", "0.5", "--state", "number:1,1"],
     ["sweep", "--param", "g", "--range", "1e299:1e300:2", "--mu1", "0.5",
      "--state", "number:1,1"],
-    # exit 2 with one error line: floating-point failures, in numpy and in
-    # Python arithmetic, a generator whose gamma underflowed, also in a pooled
-    # sweep's threads, and an ill-conditioned kernel form
+    # spreading packets whose kernel forms are ill-conditioned: the
+    # closed-form block answers where inverting the form was refused
     ["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e8"],
+    ["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e200"],
+    ["purity", "--c", "1e-8", "--mu1", "0.5", "--state", "unbound:1,1"],
+    ["purity", "--c", "1e8", "--mu1", "0.5", "--state", "unbound:1,1"],
+    ["purity", *FREE, "--state", "unbound:3,1e100"],
+    # oracle grids whose norm defect (8.4e-5, 5.0e-4) is above 6e-7: exit 2
+    ["purity", "--method", "oracle", *G5, "--state", "coherent:", "--extent", "4"],
+    ["purity", "--method", "oracle", "--g", "1", "--mu1", "0.5", "--state", "number:2,2",
+     "--n-points", "36"],
+    # a g or an omega out of the float range: exit 1, so no record holds an infinity
+    ["purity", "--m1", "1", "--m2", "1", "--omega", "1e300", "--Omega", "1e-300",
+     "--state", "number:0,0", "--method", "analytic"],
+    ["purity", "--c", "1e-300", "--mu1", "0.5", "--state", "unbound:1,1"],
+    ["purity", "--c", "1e300", "--mu1", "0.5", "--state", "unbound:1,1"],
+    # exit 2 with one error line: floating-point failures, in numpy and in
+    # Python arithmetic, and a generator whose gamma underflowed, also in a
+    # pooled sweep's threads
     ["sweep", "--method", "fock", "--param", "g", "--range", "1e199:1e200:2", "--mu1", "0.5",
      "--state", "number:1,1"],
     ["purity", "--method", "fock", "--g", "1e200", "--mu1", "0.5", "--state", "number:1,1"],
@@ -207,7 +226,6 @@ COMMANDS = [
     ["purity", "--method", "fock", *G5, "--state", "number:0,1", "--gamma1", "1e300",
      "--gamma2", "1"],
     ["purity", "--g", "1e-300", "--mu1", "1e-300", "--state", "number:1,1"],
-    ["purity", "--c", "2", "--mu1", "0.5", "--state", "unbound:1,1e200"],
     ["sweep", "--param", "g", "--range", "1e-300:1e-299:2", "--mu1", "1e-300",
      "--state", "number:1,1"],
 ]
