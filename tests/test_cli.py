@@ -1076,8 +1076,14 @@ class TestOneRuleForANumericalFailure:
           "--extent", "1e300"], 3, "MiB budget"),
         (["purity", "--method", "oracle", "--g", "5", "--mu1", "0.3", "--state", "number:0,1",
           "--n-points", "1" + "0" * 200], 3, "MiB budget"),
+        # spreading packets that the exact route answers (see below) but whose
+        # oracle grid cannot be sized: its window-to-width ratio overflows
+        (["purity", "--method", "oracle", "--c", "2", "--mu1", "0.5", "--state",
+          "unbound:1,1e8"], 3, "MiB budget"),
+        (["purity", "--method", "oracle", "--c", "2", "--mu1", "0.5", "--state",
+          "unbound:1,1e200"], 3, "unboundedly many points"),
     ], ids=["fock-sweep", "fock-g", "hbar", "gamma1", "exact-g",
-            "pooled-sweep", "cap-extent", "cap-points"])
+            "pooled-sweep", "cap-extent", "cap-points", "unbound-1e8", "unbound-1e200"])
     def test_one_error_line(self, capsys, argv, code, text):
         assert cli.run(argv) == code
         out, err = capsys.readouterr()
