@@ -40,11 +40,14 @@ superposition's cross terms, so every term of a superposition has
 m + n <= 4.  They guard precision, not run time: past them the extraction
 stops returning purities without any sign of it (|63,0> at g = 1000,
 mu1 = 0.5 reads 4.197).  Inside them the symmetries g <-> 1/g,
-mu1 <-> mu2 and (m, n) <-> (n, m) hold to about 1e-15 for g up to 1e6, and
-every box has at most 5^8 cells (3 MiB).  Each cap is decided from the
-state's numbers before anything is built (4 max(m + n) over a
-superposition's terms) and raises ResourceCapError.  All functions are pure;
-superposition sums iterate in a fixed order so results are bit-stable.
+mu1 <-> mu2 and (m, n) <-> (n, m) hold to about 1e-15 for g up to 1e6.  A
+number state's coefficient is read from the cells its corner depends on
+(:func:`taylor.taylor_coefficient`), at most 9,369 of them (|5,3>, whose
+box holds 331,776), and a superposition's one box has at most 5^8 cells
+(3 MiB).  Each cap is decided from the state's numbers before anything is
+built (4 max(m + n) over a superposition's terms) and raises
+ResourceCapError.  All functions are pure; superposition sums iterate in a
+fixed order so results are bit-stable.
 """
 
 from __future__ import annotations

@@ -50,6 +50,14 @@ _NORMALIZATION_TOL = 1e-12
 _NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
 
 
+def _check_scale_ratio(Gamma: float, gamma: float) -> None:
+    """Refuse an untrapped pair whose c = Gamma / gamma is not a finite
+    float (gamma = 0 included), naming both."""
+    if not (gamma > 0 and Gamma / gamma < math.inf):
+        raise DomainError(f"c = Gamma / gamma leaves the float range at Gamma = {Gamma!r}, "
+                          f"gamma = {gamma!r}")
+
+
 @dataclass(frozen=True)
 class OscillatorSystem:
     """Two coupled oscillators and every derived constant used elsewhere.
@@ -103,7 +111,8 @@ class OscillatorSystem:
         ``Gamma`` must be supplied when ``OmegaTrap == 0`` (it is then an
         initial condition of the center-of-mass packet) and must be omitted
         when ``OmegaTrap > 0`` (it is then derived).  A trap whose
-        g = omega / OmegaTrap overflows is refused, naming both.
+        g = omega / OmegaTrap overflows is refused, naming both, and so is
+        an untrapped pair whose c = Gamma / gamma overflows.
         """
         if m1 <= 0 or m2 <= 0:
             raise DomainError("masses must be positive")
@@ -123,8 +132,11 @@ class OscillatorSystem:
         else:
             if Gamma is None:
                 raise DomainError("untrapped system needs an explicit Gamma initial condition")
-        return cls(m1=float(m1), m2=float(m2), omega=float(omega),
-                   Omega=float(OmegaTrap), hbar=float(hbar), Gamma=float(Gamma))
+        system = cls(m1=float(m1), m2=float(m2), omega=float(omega),
+                     Omega=float(OmegaTrap), hbar=float(hbar), Gamma=float(Gamma))
+        if not system.is_trapped:
+            _check_scale_ratio(system.Gamma, system.gamma)
+        return system
 
     @classmethod
     def from_dimensionless(cls, g, mu1):
@@ -147,7 +159,8 @@ class OscillatorSystem:
 
         Exactly one of ``c`` (= Gamma/gamma) or ``gamma`` selects the
         relative-mode scale; one whose omega = gamma^2 / mu leaves the
-        normal float range is refused, naming it.
+        normal float range is refused, naming it, and so is a gamma whose
+        c = Gamma / gamma overflows.
         """
         if not 0 < mu1 < 1:
             raise DomainError(f"mu1 must lie strictly in (0, 1), got {mu1}")
@@ -169,6 +182,7 @@ class OscillatorSystem:
             given = f"c = {c!r}" if c is not None else f"gamma = {gamma!r}"
             raise DomainError(f"{given} puts the relative-mode frequency omega = gamma^2 / mu "
                               f"outside the normal float range")
+        _check_scale_ratio(Gamma, gamma)
         return cls(m1=float(mu1), m2=float(1.0 - mu1), omega=float(omega),
                    Omega=0.0, hbar=1.0, Gamma=float(Gamma))
 

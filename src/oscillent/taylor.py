@@ -29,11 +29,30 @@ the coefficient of any odd-degree monomial is exactly zero.  Each cell is
 computed from cells of smaller exponents only, by the same operations
 whatever the caps, so a coefficient does not depend on the box it is read
 from.
+
+A single coefficient is read from the cone of its corner, not from a box
+(:func:`taylor_coefficient`).  Cell (s, rest) of the box over variables
+(a, ...) depends on (s - 2, rest) and, for each coupling M_ab != 0, on
+(s - 1, rest - e_b); slab 0 is the box over (a + 1, ...).  Walking these
+dependencies back from the corner, level by level, gives the cells the
+corner needs: 7,168 for the (4,4,4,4,4,4,4,4) corner whose box has
+390,625 (and whose prepend recursion fills 488,280).  Every cell of the
+cone is then computed by the operations the box applies to it, in the same
+order: M_aa times its slab s - 2 cell (zero on slab 1), plus each coupling
+times its shifted slab s - 1 cell in axis order, times 2 / s.  The
+coupling pattern is read from M as the box reads it (M_ab != 0), so the
+same shifts are skipped, and the corner has the box's bits, signed zeros
+included.  The schedule, each level's cells as sorted flat indices with
+the positions of their sources, depends only on the orders and the
+coupling pattern; it is built once, with searchsorted and no box-sized
+array, and cached under a lock, so concurrent readers build it once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 import numpy as np
 
@@ -85,6 +104,19 @@ def _checked(M, caps) -> tuple[np.ndarray, tuple[int, ...]]:
     return M, caps
 
 
+def _budgeted_dtype(M: np.ndarray, caps: tuple[int, ...]) -> np.dtype:
+    """The box's dtype; ResourceCapError when the box at ``caps``, over the
+    whole stack, would exceed 128 MiB."""
+    dtype = np.dtype(complex if np.iscomplexobj(M) else float)
+    nbytes = math.prod(M.shape[:-2]) * math.prod(c + 1 for c in caps) * dtype.itemsize
+    if nbytes > _BOX_BYTES_CAP:
+        raise ResourceCapError(
+            f"coefficient box at caps {caps} needs {nbytes / 2 ** 20:.0f} MiB, above the "
+            f"{_BOX_BYTES_CAP / 2 ** 20:.0f} MiB budget; lower the quantum numbers or truncation"
+        )
+    return dtype
+
+
 def exp_taylor_box(M: np.ndarray, caps) -> np.ndarray:
     """Taylor coefficients of exp(z^T M z) for every exponent <= caps.
 
@@ -111,14 +143,7 @@ def exp_taylor_box(M: np.ndarray, caps) -> np.ndarray:
         When the box, over the whole stack, would exceed 128 MiB.
     """
     M, caps = _checked(M, caps)
-    dtype = np.dtype(complex if np.iscomplexobj(M) else float)
-    nbytes = math.prod(M.shape[:-2]) * math.prod(c + 1 for c in caps) * dtype.itemsize
-    if nbytes > _BOX_BYTES_CAP:
-        raise ResourceCapError(
-            f"coefficient box at caps {caps} needs {nbytes / 2 ** 20:.0f} MiB, above the "
-            f"{_BOX_BYTES_CAP / 2 ** 20:.0f} MiB budget; lower the quantum numbers or truncation"
-        )
-
+    dtype = _budgeted_dtype(M, caps)
     if M.ndim == 2:
         rows, coupled, box = M, None, np.ones((), dtype)
     else:  # a stack: its members on the last axis, where every slab keeps them
@@ -131,15 +156,120 @@ def exp_taylor_box(M: np.ndarray, caps) -> np.ndarray:
     return box if M.ndim == 2 else np.moveaxis(box, -1, 0)
 
 
+def _sorted_union(parts: list[np.ndarray]) -> np.ndarray:
+    """Sorted distinct entries of the arrays in ``parts`` (np.unique would
+    import numpy.ma on its first call)."""
+    cells = np.sort(np.concatenate(parts))
+    return cells[np.concatenate(([True], cells[1:] != cells[:-1]))] if cells.size else cells
+
+
+@functools.lru_cache(maxsize=64)
+def _cone(orders: tuple[int, ...], coupled: bytes) -> tuple:
+    """The schedule of the cells the corner ``orders`` depends on.
+
+    ``coupled`` holds M_ab != 0 over the upper triangle, row by row.  Cells
+    are flat indices into the box at caps ``orders``; a cell of the box
+    over (a, ...) has t_i = 0 for i < a, so every level shares one index
+    space.  Returns (size, levels, target): ``levels`` runs from the last
+    variable to the first, each entry (a, slabs), each slab
+    (lo, hi, scale, src_aa, shifts) with shifts a tuple of (b, dst, src).
+    Values live in one array of ``size`` cells; cell 0 is the constant term,
+    a slab fills positions lo:hi, src_aa (None on slab 1) and src index that
+    array, and dst indexes the slab.  Each level's cells follow every cell
+    of the deeper levels, whose flat indices are all smaller, so the array
+    stays sorted by flat index.
+    """
+    dim = len(orders)
+    stride = [math.prod(c + 1 for c in orders[i + 1:]) for i in range(dim)]
+    pairs = iter(coupled)
+    couplings = [[b for b in range(a + 1, dim) if next(pairs)] for a in range(dim)]
+
+    # backwards: each level's slabs s >= 1 (rest indices, and for each
+    # coupling b the cells with t_b >= 1 and their rest indices at t_b - 1),
+    # and the cells of its slab 0, which are the next level's targets
+    corner = sum(t * st for t, st in zip(orders, stride))
+    targets = np.array([corner], np.intp)
+    needed = []
+    for a in range(dim):
+        R = stride[a]
+        bounds = np.searchsorted(targets, np.arange(orders[a] + 2) * R)
+        need = [[targets[bounds[s]:bounds[s + 1]] - s * R] for s in range(orders[a] + 1)]
+        slabs = []
+        for s in range(orders[a], 0, -1):
+            cells = _sorted_union(need[s])
+            if not cells.size:
+                continue
+            shifts = []
+            for b in couplings[a]:
+                has = cells // stride[b] % (orders[b] + 1) >= 1
+                if has.any():
+                    shifts.append((b, has, cells[has] - stride[b]))
+            slabs.append((s, cells, shifts))
+            if s >= 2:
+                need[s - 2].append(cells)
+            need[s - 1].extend(rest for _, _, rest in shifts)
+        needed.append(slabs[::-1])
+        targets = _sorted_union(need[0])
+
+    # forwards: place each slab after every cell placed before it, and find
+    # its sources by searchsorted within the slab they lie in
+    placed = [np.zeros(1, np.intp)]
+    size = 1
+    levels = []
+
+    def position(rest, k):
+        first, known = start[k]
+        return first + np.searchsorted(known, rest)
+
+    for a in range(dim - 1, -1, -1):
+        R = stride[a]
+        start = {0: (0, np.concatenate(placed))}  # slab -> (first position, rest indices)
+        slabs = []
+        for s, cells, shifts in needed[a]:
+            src_aa = position(cells, s - 2) if s >= 2 else None
+            shifts = tuple((b, np.flatnonzero(has), position(rest, s - 1))
+                           for b, has, rest in shifts)
+            slabs.append((size, size + cells.size, 2.0 / s, src_aa, shifts))
+            start[s] = (size, cells)
+            placed.append(cells + s * R)
+            size += cells.size
+        levels.append((a, tuple(slabs)))
+    return size, tuple(levels), int(np.searchsorted(np.concatenate(placed), corner))
+
+
+_CONE_LOCK = threading.Lock()
+
+
 def taylor_coefficient(M: np.ndarray, orders) -> complex:
     """Single mixed Taylor coefficient of exp(z^T M z) at the given orders.
 
-    M is one (d, d) generator; a stack is refused with ValueError, as are
-    orders that are negative or do not match M.
+    Computes only the cells the coefficient depends on, by the box's
+    operations, so it equals ``exp_taylor_box(M, orders)[orders]`` bit for
+    bit; an odd total order gives 0.0.  M is one (d, d) generator; a stack
+    is refused with ValueError, as are orders that are negative or do not
+    match M.  Where that box would exceed 128 MiB, ResourceCapError is
+    raised before anything is built.
     """
     M, orders = _checked(M, orders)
     if M.ndim != 2:
         raise ValueError(f"taylor_coefficient takes one (d, d) matrix, got shape {M.shape}")
     if sum(orders) % 2 == 1:
         return 0.0
-    return exp_taylor_box(M, orders)[orders]
+    dtype = _budgeted_dtype(M, orders)
+    coupled = (M != 0)[np.triu_indices(len(orders), 1)].tobytes()
+    with _CONE_LOCK:
+        size, levels, target = _cone(orders, coupled)
+    v = np.empty(size, dtype)
+    v[0] = 1.0
+    for a, slabs in levels:
+        row = M[a]
+        for lo, hi, scale, src_aa, shifts in slabs:
+            acc = v[lo:hi]
+            if src_aa is None:
+                acc[...] = 0.0
+            else:
+                np.multiply(v[src_aa], row[a], out=acc)
+            for b, dst, src in shifts:
+                acc[dst] += row[b] * v[src]
+            acc *= scale
+    return v[target]

@@ -1040,6 +1040,20 @@ class TestRecordsStayJSON:
         assert out == ""
         assert err.startswith(f"error: c = {float(c)!r} puts") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, names", [
+        (["--gamma", "1e-10", "--Gamma", "1e300", "--mu1", "0.5"],
+         "Gamma = 1e+300, gamma = 1e-10"),
+        (["--m1", "1", "--m2", "1", "--omega", "1e-300", "--Omega", "0", "--Gamma", "1e300"],
+         "Gamma = 1e+300, gamma = 7.071067811865476e-151"),
+    ], ids=["c-gauge", "physical-gauge"])
+    def test_c_that_overflows_is_a_usage_error(self, capsys, argv, names):
+        # these exited 1 with json's "Out of range float values are not JSON
+        # compliant", which names no input
+        assert cli.run(["purity", *argv, "--state", "unbound:0,1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: c = Gamma / gamma leaves the float range at {names}\n"
+
     def test_non_finite_values_are_not_written(self, tmp_path, capsys):
         with pytest.raises(ValueError):
             cli._emit_json({"purity": math.nan}, None)

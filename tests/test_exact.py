@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscillent
+from oscillent import cli
 from oscillent import (DomainError, NumberState, NumericalConsistencyError,
                        OscillatorSystem, ResourceCapError, Superposition,
                        build_M, build_M_from_A,
@@ -491,6 +492,67 @@ class TestPurityUnboundNumber:
             for tau in (0.0, 1.0, 6.0):
                 p = purity_number_unbound(sys, m, tau)
                 assert 0.0 < p <= 1.0 + 1e-12
+
+
+def box_read(M, orders, weight):
+    """A purity read as weight times the corner of the whole box, the way
+    the exact route read it before it read the corner's cone."""
+    return weight * exp_taylor_box(M, orders)[orders]
+
+
+class TestCornerRead:
+    """The exact route reads each coefficient from the cells its corner
+    depends on, with the bits the whole box gives."""
+
+    @pytest.mark.parametrize("mu1", [0.3, 0.5])
+    @pytest.mark.parametrize("m, n", [(4, 4), (5, 3), (3, 5), (6, 2), (0, 8), (1, 0)])
+    def test_number_purities_have_the_boxs_bits(self, m, n, mu1):
+        # at mu1 = 0.5 build_M's s entries vanish, so the generator couples
+        # fewer pairs than at 0.3 with the same orders
+        gen = build_M(OscillatorSystem.from_dimensionless(5.0, mu1))
+        assert (gen.Mmat[0, 4] == 0) == (mu1 == 0.5)
+        fac = float(math.factorial(m) * math.factorial(n))
+        expect = float(box_read(gen.Mmat, (m,) * 4 + (n,) * 4, gen.prefactor * fac * fac))
+        got = purity_number(OscillatorSystem.from_dimensionless(5.0, mu1), m, n)
+        assert got.hex() == expect.hex()
+
+    def test_reads_fill_no_box(self, monkeypatch):
+        trapped = OscillatorSystem.from_dimensionless(3.0, 0.4)
+        free = OscillatorSystem.from_untrapped(0.3, c=2.0)
+        before = [purity_number(trapped, 4, 4), purity_number(trapped, 2, 1),
+                  purity_number_unbound(free, 8, 2.0), purity_number_unbound(free, 1, 0.0)]
+
+        def refuse(M, caps):
+            raise AssertionError("exp_taylor_box called")
+
+        monkeypatch.setattr(taylor, "exp_taylor_box", refuse)
+        after = [purity_number(trapped, 4, 4), purity_number(trapped, 2, 1),
+                 purity_number_unbound(free, 8, 2.0), purity_number_unbound(free, 1, 0.0)]
+        assert after == before
+
+    def test_pooled_sweep_has_the_bits_of_single_reads(self, tmp_path, capsys):
+        # the points run in the sweep pool's threads, which share the cached
+        # schedules; mu1 = 0.5 changes the coupling pattern mid-sweep
+        out = tmp_path / "s.csv"
+        assert cli.run(["sweep", "--param", "mu1", "--range", "0.1:0.9:9", "--g", "5",
+                        "--state", "number:4,4", "-o", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [float(mu1) for mu1, _ in rows][4] == 0.5
+        for mu1, purity in rows:
+            single = purity_number(OscillatorSystem.from_dimensionless(5.0, float(mu1)), 4, 4)
+            assert float(purity) == single
+
+    def test_a_first_read_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call (+20 ms, +1.4 MB)
+        code = ("import sys\n"
+                "from oscillent import OscillatorSystem, purity_number\n"
+                "purity_number(OscillatorSystem.from_dimensionless(3.0, 0.4), 4, 4)\n"
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(oscillent.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestPuritySuperposition:

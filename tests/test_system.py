@@ -122,6 +122,22 @@ class TestFromUntrapped:
             with pytest.raises(DomainError, match=f"^gamma = {re.escape(repr(gamma))} puts"):
                 OscillatorSystem.from_untrapped(0.5, gamma=gamma)
 
+    def test_gamma_whose_c_overflows_is_refused_naming_both(self):
+        # omega = 4e-20 is in range, but c = Gamma / gamma is not
+        with pytest.raises(DomainError, match=r"^c = Gamma / gamma leaves the float range at "
+                                              r"Gamma = 1e\+300, gamma = 1e-10$"):
+            OscillatorSystem.from_untrapped(0.5, Gamma=1e300, gamma=1e-10)
+        assert OscillatorSystem.from_untrapped(0.5, Gamma=1e300, gamma=1e-8).c == 1e308
+
+    @pytest.mark.parametrize("Gamma, hbar, names", [
+        (1e300, 1.0, r"Gamma = 1e\+300, gamma = 7.071067811865476e-151"),  # c overflows
+        (1.0, 1e300, r"Gamma = 1.0, gamma = 0.0"),  # gamma underflows to zero
+    ])
+    def test_physical_untrapped_c_that_overflows_is_refused(self, Gamma, hbar, names):
+        with pytest.raises(DomainError, match=f"^c = Gamma / gamma leaves the float range at "
+                                              f"{names}$"):
+            OscillatorSystem.from_physical(1, 1, 1e-300, 0, hbar=hbar, Gamma=Gamma)
+
     @pytest.mark.parametrize("c", [1e-150, 1e150])
     def test_c_at_the_edge_of_the_range(self, c):
         sys = OscillatorSystem.from_untrapped(0.5, c=c)

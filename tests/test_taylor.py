@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscillent import taylor
 from oscillent.errors import ResourceCapError
 from oscillent.taylor import exp_taylor_box, taylor_coefficient
 
@@ -221,3 +224,103 @@ def test_stack_above_memory_budget_raises_before_allocating():
 def test_coefficient_checks_its_input_before_answering(M, orders):
     with pytest.raises(ValueError):
         taylor_coefficient(M, orders)
+
+
+# largest per-axis order drawn for a corner read, keeping its box below a
+# few hundred thousand cells
+_CORNER_MAX = {1: 12, 2: 10, 3: 7, 4: 6, 5: 4, 6: 3, 7: 3, 8: 3}
+
+
+@st.composite
+def corner_cases(draw):
+    dim = draw(st.integers(1, 8))
+    orders = tuple(draw(st.lists(st.integers(0, _CORNER_MAX[dim]), min_size=dim, max_size=dim)))
+    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
+    # each entry nonzero, +0.0 or -0.0, so couplings vanish in random patterns
+    kinds = draw(st.lists(st.sampled_from(["x", "x", "+0", "-0"]),
+                          min_size=len(pairs), max_size=len(pairs)))
+    return dim, orders, pairs, kinds, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def same_bits(x, y):
+    return type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(corner_cases())
+def test_corner_read_has_the_bits_of_the_box(case):
+    dim, orders, pairs, kinds, complex_, seed = case
+    M = random_symmetric(np.random.default_rng(seed), dim, complex_)
+    M *= 10.0 ** np.random.default_rng(seed + 1).uniform(-3, 3, size=(dim, dim))
+    for (a, b), kind in zip(pairs, kinds):
+        if kind != "x":
+            M[a, b] = M[b, a] = 0.0 if kind == "+0" else -0.0
+    coeff = taylor_coefficient(M, orders)
+    if sum(orders) % 2:
+        assert coeff == 0.0 and exp_taylor_box(M, orders)[orders] == 0
+    else:
+        assert same_bits(coeff, exp_taylor_box(M, orders)[orders])
+
+
+def test_corner_read_of_the_constant_term():
+    for M in (np.zeros((0, 0)), np.zeros((3, 3)), 0.5j * np.eye(2)):
+        orders = (0,) * len(M)
+        assert same_bits(taylor_coefficient(M, orders), exp_taylor_box(M, orders)[orders])
+
+
+def test_orders_with_another_zero_pattern_get_their_own_schedule():
+    # the second generator couples a pair the first does not; a schedule
+    # shared between them would skip its shift
+    rng = np.random.default_rng(21)
+    orders = (2, 3, 1, 2)
+    sparse = random_symmetric(rng, 4, False)
+    sparse[0, 2] = sparse[2, 0] = sparse[1, 3] = sparse[3, 1] = 0.0
+    dense = random_symmetric(rng, 4, False)
+    for M in (sparse, dense, sparse):
+        assert same_bits(taylor_coefficient(M, orders), exp_taylor_box(M, orders)[orders])
+
+
+@pytest.mark.parametrize("complex_, orders", [
+    (False, (8,) * 8),                 # 9^8 = 43M cells, 344 MB
+    (True, (3,) * 12),                 # 4^12 = 16.8M cells, 268 MB complex
+    (False, (4096, 4096, 0, 0)),       # 4097^2 cells, just over 128 MiB
+])
+def test_corner_read_refuses_where_the_box_does_before_building(complex_, orders):
+    M = 0.1 * np.eye(len(orders)) * (1j if complex_ else 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="MiB budget"):
+            taylor_coefficient(M, orders)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_concurrent_reads_build_one_schedule():
+    # more threads than cores, switching often, all asking for a schedule
+    # that is not yet cached: it is built once and every read has its bits
+    M = random_symmetric(np.random.default_rng(22), 8, True)
+    orders = (3, 1, 2, 2, 1, 3, 2, 2)
+    expect = exp_taylor_box(M, orders)[orders]
+    taylor._cone.cache_clear()
+    start = threading.Barrier(6)
+    got = []
+
+    def read():
+        start.wait(timeout=30)
+        got.append(taylor_coefficient(M, orders))
+
+    threads = [threading.Thread(target=read) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 6 and all(same_bits(c, expect) for c in got)
+    assert taylor._cone.cache_info().misses == 1

@@ -31,12 +31,20 @@ superposition that mixes parities, on an even superposition and on a
 spreading packet with even m pin down which inputs the oracle folds by
 parity, and two at 1024^2, a folded number state and a coherent state
 sampled as one block, pin down the factor route of an oversampled grid.
-Prints one line per command and exits 1 if any command differs.  Standard
-library only.
+Exact number states at the order cap and off the diagonal (|5,3>, |3,5>,
+|6,2>, |8,0>, |0,8>), |4,4> at mu1 = 0.5, where the generator's s entries
+vanish and so change its coupling pattern, a pooled mu1 sweep through 0.5
+and ``unbound:8,2`` pin down the corner read of a single coefficient.
+Every stdout line and file line that is a JSON record (it starts with
+``{``) or a ``# params:`` line must parse as strict JSON, without NaN or
+infinities; one that does not counts as a difference, even when both trees
+print it.  Prints one line per command and exits 1 if any command differs.
+Standard library only.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -55,6 +63,14 @@ COMMANDS = [
     ["purity", *G5, "--state", "number:2,1"],
     ["purity", "--g", "3", "--mu1", "0.4", "--state", "number:4,4"],
     ["purity", *G5, "--state", "number:8,0"],
+    # the corner read's edges: orders off the diagonal and at the cap, and a
+    # coupling pattern with the s entries zero (mu1 = 0.5), also on the pool
+    ["purity", *G5, "--state", "number:5,3"],
+    ["purity", *G5, "--state", "number:3,5"],
+    ["purity", *G5, "--state", "number:6,2"],
+    ["purity", *G5, "--state", "number:0,8"],
+    ["purity", "--g", "3", "--mu1", "0.5", "--state", "number:4,4"],
+    ["sweep", "--param", "mu1", "--range", "0.1:0.9:9", "--g", "5", "--state", "number:4,4"],
     ["purity", *G5, "--state", "coherent:0.7+0.4j,-0.3+1.1j"],
     ["purity", *G5, "--state", "sup:pi/6"],
     ["purity", *G5, "--state", SUP],
@@ -215,6 +231,10 @@ COMMANDS = [
      "--state", "number:0,0", "--method", "analytic"],
     ["purity", "--c", "1e-300", "--mu1", "0.5", "--state", "unbound:1,1"],
     ["purity", "--c", "1e300", "--mu1", "0.5", "--state", "unbound:1,1"],
+    # a c = Gamma / gamma that overflows, in the c/gamma and physical gauges
+    ["purity", "--gamma", "1e-10", "--Gamma", "1e300", "--mu1", "0.5", "--state", "unbound:0,1"],
+    ["purity", "--m1", "1", "--m2", "1", "--omega", "1e-300", "--Omega", "0", "--Gamma", "1e300",
+     "--state", "unbound:0,1"],
     # exit 2 with one error line: floating-point failures, in numpy and in
     # Python arithmetic, and a generator whose gamma underflowed, also in a
     # pooled sweep's threads
@@ -263,10 +283,37 @@ def first_difference(a: bytes, b: bytes) -> str:
     return "line endings differ"
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def non_strict_records(text: bytes) -> list[str]:
+    """The JSON records (lines starting with ``{``) and ``# params:`` lines
+    of ``text`` that do not parse as strict JSON, NaN and infinities
+    refused, each with the parser's reason."""
+    found = []
+    for line in text.splitlines():
+        if line.startswith(b"{"):
+            body = line
+        elif line.startswith(b"# params: "):
+            body = line[len(b"# params: "):]
+        else:
+            continue
+        try:
+            json.loads(body, parse_constant=_refuse_constant)
+        except ValueError as exc:
+            found.append(f"not strict JSON ({exc}): {line[:160]!r}")
+    return found
+
+
 def differences(old, new) -> list[str]:
     found = []
     if old[0] != new[0]:
         found.append(f"exit {old[0]} | {new[0]}")
+    for side, result in (("old", old), ("new", new)):
+        outputs = [("stdout", result[1])] + [(f"file {n}", b) for n, b in sorted(result[3].items())]
+        found += [f"{side} {name} {problem}" for name, text in outputs
+                  for problem in non_strict_records(text)]
     for name, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
         if a != b:
             found.append(f"{name} {first_difference(a, b)}")
