@@ -14,8 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical-consistency failure,
 an overflow, an invalid value or a division by zero, in numpy or in Python
 arithmetic, and a failed linear-algebra routine stop the command with exit 2
 and one ``error:`` line; underflow stays silent.  The rule is numpy's error
-state, which is per thread; it covers every point of a sweep because a
-sweep runs its points in the calling thread.
+state, which is per thread, so each pooled sweep point sets it again.
 
 This is the only module that reads flags or writes files, and every table
 goes through one writer.  Every emitted file is deterministic byte for byte
@@ -25,9 +24,11 @@ A command names its system in one gauge (--g, --c/--gamma, or
 --m1/--m2/--omega/--Omega), and :func:`build_system` builds it.  A sweep
 point is the purity command with the swept value set, and the sweep's
 ``# params:`` line records every flag that built it.  Each column of
-fig3-fig6 is a mu1 sweep over 0.01:0.99:99, byte for byte.  A sweep
-evaluates its points in input order and stops at its first failing point.
+fig3-fig6 is a mu1 sweep over 0.01:0.99:99, byte for byte.
 
+An exact sweep fans out over a pool of up to four threads, one block of
+points at a time; every other sweep evaluates its points in order in the
+calling thread.  Either way results are written in input order.
 A JSON file passed as --config supplies defaults for any flag, required
 ones included; a flag on the command line wins in any spelling.  Config
 values go through the flag's own type and choices, null stands for the
@@ -44,6 +45,7 @@ import json
 import math
 import os
 import sys as _sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -206,11 +208,7 @@ def _system_params(sys: OscillatorSystem) -> dict:
 
 
 def _threads() -> int:
-    """The threads a sweep runs its points on: 1, the calling thread.
-
-    Kept because the benchmark reads it for its env line and for the
-    workers its traced sweeps are divided by."""
-    return 1
+    return min(4, os.cpu_count() or 1)
 
 
 def compute_purity(sys: OscillatorSystem, state, method: str, args, entropy: bool = True) -> dict:
@@ -346,7 +344,8 @@ def _sweep_values(args) -> np.ndarray:
 
 def _sweep_point(args, state, value: float) -> float:
     """The purity of one sweep point of the parsed --state ``state``, built as
-    the purity command builds it with the swept flag set to ``value``."""
+    the purity command builds it with the swept flag set to ``value``, under
+    the floating-point rule in whichever thread it runs."""
     point = argparse.Namespace(**vars(args))
     if args.param == "tau":
         state = UnboundGaussian(state.m, value)
@@ -354,13 +353,19 @@ def _sweep_point(args, state, value: float) -> float:
         state = Superposition.two_mode_mix(value)
     else:
         setattr(point, args.param, value)
-    return compute_purity(build_system(point), state, args.method, args,
-                          entropy=False)["purity"]
+    with np.errstate(**_FP_RULE):  # a pool thread starts with numpy's default
+        return compute_purity(build_system(point), state, args.method, args,
+                              entropy=False)["purity"]
 
 
 # the flags a sweep's header records when they are set, and those of each route
 _SWEEP_FLAGS = ("g", "mu1", "c", "gamma", "Gamma", "hbar", "m1", "m2", "omega", "Omega")
 _METHOD_FLAGS = {"fock": ("jmax", "kmax", "gamma1", "gamma2"), "oracle": ("n_points", "extent")}
+
+
+# pool.map queues every point it is given before the first result is read, so
+# it gets a block at a time, and a sweep whose points fail stops in its first
+_SWEEP_BLOCK = 64
 
 
 def _cmd_sweep(args) -> int:
@@ -369,9 +374,21 @@ def _cmd_sweep(args) -> int:
     state = None if args.param == "theta" else parse_state(args.state)
     if args.param == "tau" and not isinstance(state, UnboundGaussian):
         raise _UsageError("sweeping tau needs --state unbound:M,TAU")
-    # _sweep_point is looked up per point, so a rebinding of it (for tracing,
-    # say) takes effect
-    purities = [_sweep_point(args, state, v) for v in values.tolist()]
+    # Only exact sweeps run on the pool.  It keeps them steady on a shared
+    # two-core machine: in the calling thread their points, cone reads of
+    # about 0.5 ms, ran 1.7 to 2.4 times as fast, but their times jumped by
+    # up to 1.7x with the load on the one core they held, within a run and
+    # between runs; on the pool they did not.  Fock points (measured up to
+    # |8,8> at jmax 170), analytic points and oracle points, whose BLAS
+    # already uses every core, run in the calling thread.
+    pooled = args.method == "exact"
+    purities = []
+    with (ThreadPoolExecutor(max_workers=_threads()) if pooled
+          else contextlib.nullcontext()) as pool:
+        point_map = pool.map if pooled else map
+        for start in range(0, len(values), _SWEEP_BLOCK):
+            block = values[start:start + _SWEEP_BLOCK].tolist()
+            purities += point_map(lambda v: _sweep_point(args, state, v), block)
     params = {"param": args.param, "range": args.range, "scale": args.scale,
               "method": args.method, "state": args.state}
     for name in _SWEEP_FLAGS + _METHOD_FLAGS.get(args.method, ()):

@@ -45,7 +45,7 @@ same shifts are skipped, and the corner has the box's bits, signed zeros
 included.  The schedule, each level's cells as sorted flat indices with
 the positions of their sources, depends only on the orders and the
 coupling pattern; it is built once, with searchsorted and no box-sized
-array, and cached under a lock, so readers on several threads build it once.
+array, and cached under a lock, so concurrent readers build it once.
 """
 
 from __future__ import annotations

@@ -5,8 +5,6 @@ that restoring puts every original back."""
 
 import pathlib
 
-import pytest
-
 from oscillent import acceptance, cli, exact, fock, gaussian, grid, taylor
 from oscillent.system import OscillatorSystem, Superposition
 
@@ -39,33 +37,3 @@ def test_instrument_binds_existing_names_and_restores_them(monkeypatch):
     assert ("fock", "purity_truncated") in rebound
     assert ("OscillatorSystem", "from_dimensionless") in rebound
     assert not left
-
-
-@pytest.mark.parametrize("argv, points", [
-    (["--range", "0.2:0.8:4", "--g", "5", "--state", "number:3,3"], 4),
-    (["--method", "fock", "--range", "0.2:0.8:2", "--g", "5", "--state", "number:2,2",
-      "--jmax", "12"], 2),
-], ids=["exact", "fock"])
-def test_a_traced_sweep_reads_true_numbers(monkeypatch, tmp_path, argv, points):
-    # the sweep is driven as the benchmark drives a command: inside a
-    # cli.run span on the client thread
-    monkeypatch.syspath_prepend(str(BENCH))
-    import tracing
-
-    tracer = tracing.Tracer()
-    restore = tracing.instrument(tracer)
-    try:
-        span = tracer.open("cli.run")
-        try:
-            code = cli.run(["sweep", "--param", "mu1", *argv, "-o", str(tmp_path / "s.csv")])
-        finally:
-            tracer.close(span)
-    finally:
-        restore()
-    assert code == 0
-    (sweep,) = [s for s in tracer.spans if s.name == "cli.sweep"]
-    assert [s.parent for s in tracer.spans if s.name == "cli.sweep_point"] == [sweep.id] * points
-    metrics = tracing.layer_metrics(tracer, results=points)
-    assert 0.5 < metrics["cli.pool_busy_ratio"] <= 1
-    shares = [v for k, v in metrics.items() if k.startswith("share.")]
-    assert shares and all(v <= 1 for v in shares)

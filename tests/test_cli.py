@@ -473,66 +473,52 @@ def _cells(lines):
 
 
 class TestSweepDispatch:
-    """Every sweep runs its points in input order in the calling thread, and
-    its table is the points computed one by one."""
+    """Only an exact sweep runs on the pool; either way the table is the
+    points computed one by one."""
 
     @pytest.fixture
-    def threads(self, monkeypatch):
-        ran = []
-        original = cli._sweep_point
+    def pools(self, monkeypatch):
+        made = []
 
-        def recording(args, state, value):
-            ran.append((threading.current_thread(), value))
-            return original(args, state, value)
+        class Recording(cli.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs)
+                super().__init__(*args, **kwargs)
 
-        # the sweep looks _sweep_point up per point, as the benchmark's tracer needs
-        monkeypatch.setattr(cli, "_sweep_point", recording)
-        return ran
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        return made
 
-    @pytest.mark.parametrize("method, param, rng, flags, point", [
+    @pytest.mark.parametrize("method, param, rng, flags, point, pooled", [
         ("fock", "mu1", "0.2:0.8:3", ["--g", "5", "--state", "number:2,2", "--jmax", "40"],
-         lambda v: (OscillatorSystem.from_dimensionless(5.0, v), NumberState(2, 2))),
+         lambda v: (OscillatorSystem.from_dimensionless(5.0, v), NumberState(2, 2)), False),
         ("oracle", "g", "1:4:3", ["--mu1", "0.3", "--state", "number:1,1"],
-         lambda v: (OscillatorSystem.from_dimensionless(v, 0.3), NumberState(1, 1))),
+         lambda v: (OscillatorSystem.from_dimensionless(v, 0.3), NumberState(1, 1)), False),
         ("exact", "mu1", "0.2:0.8:3", ["--g", "5", "--state", "number:1,1"],
-         lambda v: (OscillatorSystem.from_dimensionless(5.0, v), NumberState(1, 1))),
+         lambda v: (OscillatorSystem.from_dimensionless(5.0, v), NumberState(1, 1)), True),
         ("exact", "theta", "0:3:9", ["--g", "1", "--mu1", "0.4"],
          lambda v: (OscillatorSystem.from_dimensionless(1.0, 0.4),
-                    Superposition.two_mode_mix(v))),
+                    Superposition.two_mode_mix(v)), True),
         ("exact", "tau", "0:8:3", ["--c", "2", "--mu1", "0.3", "--state", "unbound:2,0"],
-         lambda v: (OscillatorSystem.from_untrapped(0.3, c=2.0), UnboundGaussian(2, v))),
+         lambda v: (OscillatorSystem.from_untrapped(0.3, c=2.0), UnboundGaussian(2, v)), True),
         ("exact", "mu1", "0.2:0.8:2", ["--g", "5", "--state", "number:4,4"],
-         lambda v: (OscillatorSystem.from_dimensionless(5.0, v), NumberState(4, 4))),
+         lambda v: (OscillatorSystem.from_dimensionless(5.0, v), NumberState(4, 4)), True),
         ("analytic", "g", "1:4:3", ["--mu1", "0.3", "--state", "number:0,0"],
-         lambda v: (OscillatorSystem.from_dimensionless(v, 0.3), NumberState(0, 0))),
+         lambda v: (OscillatorSystem.from_dimensionless(v, 0.3), NumberState(0, 0)), False),
     ], ids=["fock", "oracle", "exact-light", "theta", "tau", "exact-heavy", "analytic"])
-    def test_pool_only_for_exact_sweeps(self, capsys, threads, method, param, rng, flags,
-                                        point):
-        # the name is kept from when exact sweeps ran on a thread pool; none does now
+    def test_pool_only_for_exact_sweeps(self, capsys, pools, method, param, rng, flags,
+                                             point, pooled):
         assert cli.run(["sweep", "--method", method, "--param", param, "--range", rng,
                         *flags]) == 0
         table = capsys.readouterr().out.splitlines(keepends=True)[2:]
+        assert pools == ([{"max_workers": cli._threads()}] if pooled else [])
         start, stop, count = rng.split(":")
-        values = np.linspace(float(start), float(stop), int(count)).tolist()
-        assert threads == [(threading.current_thread(), v) for v in values]
         args = argparse.Namespace(jmax=40, kmax=40, gamma1=None, gamma2=None, n_points=None,
                                   extent=grid.GridSpec.extent_sigmas)
         expected = []
-        for v in values:
+        for v in np.linspace(float(start), float(stop), int(count)).tolist():
             purity = cli.compute_purity(*point(v), method, args, entropy=False)["purity"]
             expected.append(f"{cli._fmt(v)},{cli._fmt(purity)}\n")
         assert "".join(table) == "".join(expected)
-
-    @pytest.mark.parametrize("argv", [
-        ["--param", "g", "--range", "1e-300:1e-299:3", "--mu1", "1e-300",
-         "--state", "number:1,1"],
-        ["--method", "fock", "--param", "g", "--range", "1e199:1e200:3", "--mu1", "0.5",
-         "--state", "number:1,1"],
-    ], ids=["exact", "fock"])
-    def test_a_failing_sweep_stops_at_its_first_point(self, capsys, threads, argv):
-        assert cli.run(["sweep", *argv]) == 2
-        assert len(threads) == 1
-        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestSweepPointIsThePurityCommand:
@@ -1096,7 +1082,7 @@ class TestOneRuleForANumericalFailure:
           "--gamma1", "1e300", "--gamma2", "1"], 2, "floating-point failure"),
         (["purity", "--g", "1e-300", "--mu1", "1e-300", "--state", "number:1,1"], 2,
          "leave the float range"),
-        # an exact sweep: it stops at its first point, in the calling thread
+        # an exact sweep: its points fail in the pool's threads
         (["sweep", "--param", "g", "--range", "1e-300:1e-299:2", "--mu1", "1e-300",
           "--state", "number:1,1"], 2, "leave the float range"),
         # caps whose byte count would overflow a float while the message is formatted
@@ -1147,8 +1133,7 @@ class TestOneRuleForANumericalFailure:
         assert 0.0 < rec["purity"] == pytest.approx(ref["purity"], rel=1e-14, abs=0)
 
     def test_pool_threads_carry_the_rule(self, monkeypatch, tmp_path):
-        # each point records the thread it runs in and that thread's error
-        # state; the name is kept from when exact sweeps ran on a thread pool
+        # each point records the thread it runs in and that thread's error state
         seen = []
 
         def record(*args, **kwargs):
@@ -1159,7 +1144,7 @@ class TestOneRuleForANumericalFailure:
         assert cli.run(["sweep", "--param", "g", "--range", "1:2:8", "--mu1", "0.5",
                         "--state", "number:1,1", "-o", str(tmp_path / "s.csv")]) == 0
         assert len(seen) == 8
-        assert all(thread is threading.main_thread() for (thread, _) in seen)
+        assert all(thread is not threading.main_thread() for (thread, _) in seen)
         assert all(state == {"divide": "raise", "over": "raise", "under": "ignore",
                              "invalid": "raise"} for (_, state) in seen)
 

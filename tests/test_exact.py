@@ -531,9 +531,8 @@ class TestCornerRead:
         assert after == before
 
     def test_pooled_sweep_has_the_bits_of_single_reads(self, tmp_path, capsys):
-        # the points share the cached schedules, one read after another (the
-        # name is kept from when they ran on a thread pool); mu1 = 0.5 changes
-        # the coupling pattern mid-sweep
+        # the points run in the sweep pool's threads, which share the cached
+        # schedules; mu1 = 0.5 changes the coupling pattern mid-sweep
         out = tmp_path / "s.csv"
         assert cli.run(["sweep", "--param", "mu1", "--range", "0.1:0.9:9", "--g", "5",
                         "--state", "number:4,4", "-o", str(out)]) == 0

@@ -7,7 +7,8 @@ Each tree is a checkout of this repository; its package is imported from
 TREE/src.  Every command runs as ``python -m oscillent.cli ...`` in a fresh
 empty directory, so the files it writes are compared by their names
 relative to that directory.  The list covers purity on every route and
-state kind, sweeps in every gauge and on every route, covariance,
+state kind, sweeps in every gauge and on every route (exact sweeps on the
+thread pool, the others in the calling thread), covariance,
 oracle-compare, fig1-fig7 and the commands that exit 1, 2 or 3, among them
 a 10^5-point sweep whose flags name two gauges, a sweep whose second point
 fails, a negative truncation, an angle that divides by zero, an empty
@@ -17,9 +18,9 @@ closed forms whose direct root overflows or drops an underflowed term, exact
 purities whose generator entries are rescaled (g = 1e300, hbar = 1e300), an
 oracle Gram matrix that is rescaled, and the failures that exit 2 with one
 error line (an overflow or invalid value in numpy and in Python arithmetic,
-and a generator out of the float range, also in an exact sweep), so a
-warning, a traceback or a NaN that comes back shows as a difference.
-Spreading packets at extreme tau and c, whose kernel forms are
+and a generator out of the float range, also in the exact sweep pool's
+threads), so a warning, a traceback or a NaN that comes back shows as a
+difference.  Spreading packets at extreme tau and c, whose kernel forms are
 ill-conditioned, pin down the packet's closed-form block; oracle grids whose
 norm defect lies between 6e-7 and 1e-3 pin down the norm gate; and a trap
 whose g overflows and a c whose omega leaves the float range pin down the
@@ -32,7 +33,7 @@ parity, and two at 1024^2, a folded number state and a coherent state
 sampled as one block, pin down the factor route of an oversampled grid.
 Exact number states at the order cap and off the diagonal (|5,3>, |3,5>,
 |6,2>, |8,0>, |0,8>), |4,4> at mu1 = 0.5, where the generator's s entries
-vanish and so change its coupling pattern, an exact mu1 sweep through 0.5
+vanish and so change its coupling pattern, a pooled mu1 sweep through 0.5
 and ``unbound:8,2`` pin down the corner read of a single coefficient.
 Every stdout line and file line that is a JSON record (it starts with
 ``{``) or a ``# params:`` line must parse as strict JSON, without NaN or
@@ -63,7 +64,7 @@ COMMANDS = [
     ["purity", "--g", "3", "--mu1", "0.4", "--state", "number:4,4"],
     ["purity", *G5, "--state", "number:8,0"],
     # the corner read's edges: orders off the diagonal and at the cap, and a
-    # coupling pattern with the s entries zero (mu1 = 0.5), also in a sweep
+    # coupling pattern with the s entries zero (mu1 = 0.5), also on the pool
     ["purity", *G5, "--state", "number:5,3"],
     ["purity", *G5, "--state", "number:3,5"],
     ["purity", *G5, "--state", "number:6,2"],
@@ -103,7 +104,7 @@ COMMANDS = [
     # sweeps
     ["sweep", "--param", "mu1", "--range", "0.01:0.99:25", "--g", "5",
      "--state", "number:4,4", "-o", "s.csv"],
-    # a 2-point exact sweep of a heavy box and a 9-point exact theta sweep
+    # a 2-point exact sweep of a heavy box and a 9-point theta sweep, both on the pool
     ["sweep", "--param", "mu1", "--range", "0.2:0.8:2", "--g", "5", "--state", "number:4,4"],
     ["sweep", "--param", "theta", "--range", "0:3:9", *G5],
     ["sweep", "--param", "g", "--range", "0.1:100:20", "--scale", "log", "--mu1", "0.3",
@@ -208,7 +209,7 @@ COMMANDS = [
     ["purity", *G5, "--state", "coherent:0.7+0.4j,-0.3+1.1j", "--method", "oracle",
      "--n-points", "1024"],
     # exact purities whose generator entries are taken from gamma / s and
-    # Gamma / s, s = max(gamma, Gamma), also in an exact sweep
+    # Gamma / s, s = max(gamma, Gamma), also in a pooled sweep's threads
     ["purity", "--m1", "1", "--m2", "1", "--omega", "1", "--Omega", "1", "--hbar", "1e300",
      "--state", "number:1,1"],
     ["purity", "--g", "1e300", "--mu1", "0.5", "--state", "number:1,1"],
@@ -235,8 +236,8 @@ COMMANDS = [
     ["purity", "--m1", "1", "--m2", "1", "--omega", "1e-300", "--Omega", "0", "--Gamma", "1e300",
      "--state", "unbound:0,1"],
     # exit 2 with one error line: floating-point failures, in numpy and in
-    # Python arithmetic, and a generator whose gamma underflowed, also in an
-    # exact sweep
+    # Python arithmetic, and a generator whose gamma underflowed, also in a
+    # pooled sweep's threads
     ["sweep", "--method", "fock", "--param", "g", "--range", "1e199:1e200:2", "--mu1", "0.5",
      "--state", "number:1,1"],
     ["purity", "--method", "fock", "--g", "1e200", "--mu1", "0.5", "--state", "number:1,1"],
