@@ -40,14 +40,16 @@ superposition's cross terms, so every term of a superposition has
 m + n <= 4.  They guard precision, not run time: past them the extraction
 stops returning purities without any sign of it (|63,0> at g = 1000,
 mu1 = 0.5 reads 4.197).  Inside them the symmetries g <-> 1/g,
-mu1 <-> mu2 and (m, n) <-> (n, m) hold to about 1e-15 for g up to 1e6.  A
-number state's coefficient is read from the cells its corner depends on
-(:func:`taylor.taylor_coefficient`), at most 9,369 of them (|5,3>, whose
-box holds 331,776), and a superposition's one box has at most 5^8 cells
-(3 MiB).  Each cap is decided from the state's numbers before anything is
-built (4 max(m + n) over a superposition's terms) and raises
-ResourceCapError.  All functions are pure; superposition sums iterate in a
-fixed order so results are bit-stable.
+mu1 <-> mu2 and (m, n) <-> (n, m) hold to about 1e-15 for g up to 1e6.
+Every coefficient is read from the cells its corner depends on
+(:func:`taylor.taylor_coefficient`): a number state's from at most 9,369
+of them (|5,3>, whose box holds 331,776), and a superposition's cross
+terms in one read, from the cells their even corners depend on together,
+which lie in the box at the state's orders, at most 5^8 cells.  Each cap
+is decided from the state's numbers before anything is built (4 max(m +
+n) over a superposition's terms) and raises ResourceCapError.  All
+functions are pure; superposition sums iterate in a fixed order so
+results are bit-stable.
 """
 
 from __future__ import annotations
@@ -58,10 +60,9 @@ from itertools import product
 
 import numpy as np
 
-# boxes are built, and the packet's purity taken, through the module
-# attributes, so a rebinding of taylor.exp_taylor_box or
-# gaussian.purity_unbound_gaussian (for tracing, say) sees every call
-from . import gaussian, taylor
+# the packet's purity is taken through the module attribute, so a rebinding
+# of gaussian.purity_unbound_gaussian (for tracing, say) sees every call
+from . import gaussian
 from .errors import NumericalConsistencyError, ResourceCapError
 from .gaussian import purity_coherent
 from .system import OscillatorSystem, Superposition, _quantum_number
@@ -323,12 +324,12 @@ def purity_number_unbound(sys: OscillatorSystem, m: int, tau: float) -> float:
     return float(value.real)
 
 
-def _cross_value(gen: QuadraticGenerator, box: np.ndarray, orders) -> float:
-    """Cross term at ``orders`` read from a box that covers them."""
+def _cross_value(gen: QuadraticGenerator, coeff, orders) -> float:
+    """Cross term at ``orders`` from its coefficient ``coeff``."""
     if sum(orders) % 2 == 1:
         return 0.0
     fac = math.prod(math.factorial(t) for t in orders)
-    return float(gen.prefactor * math.sqrt(fac) * box[orders])
+    return float(gen.prefactor * math.sqrt(fac) * coeff)
 
 
 def purity_superposition(sys: OscillatorSystem, state: Superposition) -> float:
@@ -340,20 +341,22 @@ def purity_superposition(sys: OscillatorSystem, state: Superposition) -> float:
     of prod alpha_i^m_i beta_i^n_i, slots 2 and 4 being the conjugated
     factors; it vanishes whenever sum (m_i + n_i) is odd.  The largest
     quadruple repeats the term of largest m + n, so the cap is checked on
-    4 max(m + n), and one box at the state's orders (m,)*4 + (n,)*4 covers
-    every cross term.
+    4 max(m + n), and every coefficient is read in one call, from the cells
+    the even cross terms depend on.
     """
     order = 4 * max(m + n for (m, n, _) in state.terms)
     if order > _CROSS_CAP:
         raise ResourceCapError(f"total order {order} exceeds the cross-term cap {_CROSS_CAP}")
     gen = build_M(sys)
-    mmax, nmax = state.orders
-    box = taylor.exp_taylor_box(gen.Mmat, (mmax,) * 4 + (nmax,) * 4)
+    quadruples = list(product(state.terms, repeat=4))
+    corners = [(m1, m2, m3, m4, n1, n2, n3, n4)
+               for (m1, n1, _), (m2, n2, _), (m3, n3, _), (m4, n4, _) in quadruples]
+    coeffs = taylor_coefficient(gen.Mmat, corners)
 
     total = 0j
-    for (m1, n1, c1), (m2, n2, c2), (m3, n3, c3), (m4, n4, c4) in product(state.terms, repeat=4):
-        orders = (m1, m2, m3, m4, n1, n2, n3, n4)
-        total += c1 * c2.conjugate() * c3 * c4.conjugate() * _cross_value(gen, box, orders)
+    for ((_, _, c1), (_, _, c2), (_, _, c3), (_, _, c4)), orders, coeff in zip(
+            quadruples, corners, coeffs):
+        total += c1 * c2.conjugate() * c3 * c4.conjugate() * _cross_value(gen, coeff, orders)
     if not abs(total.imag) <= _SUPERPOSITION_IMAG_TOL:
         raise NumericalConsistencyError(
             f"superposition purity has imaginary residue {total.imag!r}"

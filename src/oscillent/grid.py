@@ -484,7 +484,8 @@ def _axis(center: float, half: float, n: int, mirror: bool) -> np.ndarray:
 
 
 def _sample(sys: OscillatorSystem, state, grid: GridSpec, fold: bool = False):
-    """Axes x1, x2, samples W[i, j] = psi(x1_i, x2_j) and spacings dx1, dx2.
+    """Axes x1, x2, samples W[i, j] = psi(x1_i, x2_j), spacings dx1, dx2 and
+    the points per axis :func:`_sized_points` gives the state's window.
 
     With ``fold``, a state of definite parity s sampled on an even number of
     points n gets mirrored axes (see :func:`_axis`; its window is centered at
@@ -510,7 +511,7 @@ def _sample(sys: OscillatorSystem, state, grid: GridSpec, fold: bool = False):
         W[i:j] = eval_wavefunction(sys, state, x1[i:j, None], x2[None, :])
     dx1 = x1[1] - x1[0]
     dx2 = x2[1] - x2[0]
-    return x1, x2, W, dx1, dx2
+    return x1, x2, W, dx1, dx2, sized
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -720,13 +721,12 @@ def schmidt_analyze(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -
     Reports the norm and grid defects and refuses neither; that is
     :meth:`SchmidtResult.check`'s verdict.
     """
-    _, _, W, dx1, dx2 = _sample(sys, state, grid, fold=True)
+    _, _, W, dx1, dx2, sized = _sample(sys, state, grid, fold=True)
     n = W.shape[1]
     # a folded sampling holds half the rows, and its mirror the same weight
     folded = W.shape[0] < n
     norm = float(np.sum(_abs2(W)) * dx1 * dx2) * (2.0 if folded else 1.0)
-    _, _, half1, half2 = _window(sys, state, grid.extent_sigmas)
-    factor = n >= _FACTOR_RATIO * _sized_points(sys, half1, half2)
+    factor = n >= _FACTOR_RATIO * sized
     blocks, total, purity, e = _scaled(W, folded, factor)
     coarse = _scaled(_coarse(W, state.parity) if folded else W[::2, ::2], factor=factor)[2]
     return SchmidtResult(purity=purity, norm_defect=abs(1.0 - norm),
@@ -737,5 +737,5 @@ def schmidt_analyze(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -
 
 def density_grid(sys: OscillatorSystem, state, grid: GridSpec = GridSpec()) -> DensityGrid:
     """Position probability density |psi(x1, x2)|^2 on the sampling grid."""
-    x1, x2, W, _, _ = _sample(sys, state, grid)
+    x1, x2, W, _, _, _ = _sample(sys, state, grid)
     return DensityGrid(x1=x1, x2=x2, density=_abs2(W))

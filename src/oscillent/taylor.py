@@ -30,22 +30,37 @@ computed from cells of smaller exponents only, by the same operations
 whatever the caps, so a coefficient does not depend on the box it is read
 from.
 
-A single coefficient is read from the cone of its corner, not from a box
+Coefficients are read from the cone of their corners, not from a box
 (:func:`taylor_coefficient`).  Cell (s, rest) of the box over variables
 (a, ...) depends on (s - 2, rest) and, for each coupling M_ab != 0, on
 (s - 1, rest - e_b); slab 0 is the box over (a + 1, ...).  Walking these
-dependencies back from the corner, level by level, gives the cells the
-corner needs: 7,168 for the (4,4,4,4,4,4,4,4) corner whose box has
-390,625 (and whose prepend recursion fills 488,280).  Every cell of the
-cone is then computed by the operations the box applies to it, in the same
-order: M_aa times its slab s - 2 cell (zero on slab 1), plus each coupling
-times its shifted slab s - 1 cell in axis order, times 2 / s.  The
-coupling pattern is read from M as the box reads it (M_ab != 0), so the
-same shifts are skipped, and the corner has the box's bits, signed zeros
-included.  The schedule, each level's cells as sorted flat indices with
-the positions of their sources, depends only on the orders and the
-coupling pattern; it is built once, with searchsorted and no box-sized
-array, and cached under a lock, so concurrent readers build it once.
+dependencies back from the corners, level by level, gives the cells they
+need: 7,168 for the (4,4,4,4,4,4,4,4) corner whose box has 390,625 (and
+whose prepend recursion fills 488,280).  Several corners, such as the
+even cross terms of a superposition, are walked back together from the
+sorted array of their flat indices in the box at their elementwise
+largest orders, so their cone is the union of theirs: 1,221 cells for
+the 16 cross terms of |2,2> + |0,4> at mu1 = 0.3, whose box has 50,625.
+Every cell of the cone is then computed by the operations the box
+applies to it, in the same order: M_aa times its slab s - 2 cell (zero on
+slab 1), plus each coupling times its shifted slab s - 1 cell in axis
+order, times 2 / s.  The coupling pattern is read from M as the box reads it (M_ab != 0), so
+the same shifts are skipped, and each even corner has the box's bits,
+signed zeros included (an odd one reads 0.0, where the box may hold
+-0.0).  The schedule, each level's cells as sorted flat indices with the
+positions of their sources, depends only on the largest orders, the
+corners and the coupling pattern; it is built once, with searchsorted and
+no box-sized array, and cached under a lock, so concurrent readers build
+it once.
+
+The box itself (:func:`exp_taylor_box`) has one caller, the fock route,
+which reads whole (j, k) planes and fills stacks of generators (fig7's
+sixteen truncations), which a cone does not take.  Reading the plane of
+|2,2> at fock's caps (2, 2, 40, 40) as 1,681 corners took 1.7 ms against
+0.70 ms for the box, and at (2, 2, 170, 170) 23 ms against 4.3 ms: the
+call's work per corner (converting it, keying the cache on it) costs
+more than the cone saves, and the cone's forward pass alone (0.56 and
+4.2 ms) is no faster than the box (2-vCPU x86-64, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -163,45 +178,50 @@ def _sorted_union(parts: list[np.ndarray]) -> np.ndarray:
     return cells[np.concatenate(([True], cells[1:] != cells[:-1]))] if cells.size else cells
 
 
-@functools.lru_cache(maxsize=64)
-def _cone(orders: tuple[int, ...], coupled: bytes) -> tuple:
-    """The schedule of the cells the corner ``orders`` depends on.
+def _strides(caps: tuple[int, ...]) -> list[int]:
+    """Flat-index strides of the C-ordered box at ``caps``."""
+    return [math.prod(c + 1 for c in caps[i + 1:]) for i in range(len(caps))]
 
-    ``coupled`` holds M_ab != 0 over the upper triangle, row by row.  Cells
-    are flat indices into the box at caps ``orders``; a cell of the box
-    over (a, ...) has t_i = 0 for i < a, so every level shares one index
-    space.  Returns (size, levels, target): ``levels`` runs from the last
-    variable to the first, each entry (a, slabs), each slab
-    (lo, hi, scale, src_aa, shifts) with shifts a tuple of (b, dst, src).
-    Values live in one array of ``size`` cells; cell 0 is the constant term,
-    a slab fills positions lo:hi, src_aa (None on slab 1) and src index that
-    array, and dst indexes the slab.  Each level's cells follow every cell
-    of the deeper levels, whose flat indices are all smaller, so the array
-    stays sorted by flat index.
+
+@functools.lru_cache(maxsize=64)
+def _cone(caps: tuple[int, ...], corners: tuple[int, ...], coupled: bytes) -> tuple:
+    """The schedule of the cells the corners depend on.
+
+    ``corners`` are distinct flat indices, ascending, into the box at
+    ``caps``; ``coupled`` is the bytes of M != 0, whose upper triangle,
+    row by row, gives the couplings.  A cell of the box over (a, ...) has t_i = 0 for i < a, so
+    every level shares the box's index space.  Returns (size, levels,
+    targets): ``levels`` runs from the last variable to the first, each
+    entry (a, slabs), each slab (lo, hi, scale, src_aa, shifts) with shifts
+    a tuple of (b, dst, src).  Values live in one array of ``size`` cells;
+    cell 0 is the constant term, a slab fills positions lo:hi, src_aa (None
+    on slab 1) and src index that array, and dst indexes the slab.  Each
+    level's cells follow every cell of the deeper levels, whose flat
+    indices are all smaller, so the array stays sorted by flat index, and
+    ``targets`` holds each corner's position in it.
     """
-    dim = len(orders)
-    stride = [math.prod(c + 1 for c in orders[i + 1:]) for i in range(dim)]
-    pairs = iter(coupled)
-    couplings = [[b for b in range(a + 1, dim) if next(pairs)] for a in range(dim)]
+    dim = len(caps)
+    stride = _strides(caps)
+    mask = np.frombuffer(coupled, bool).reshape(dim, dim)
+    couplings = [[b for b in range(a + 1, dim) if mask[a, b]] for a in range(dim)]
 
     # backwards: each level's slabs s >= 1 (rest indices, and for each
     # coupling b the cells with t_b >= 1 and their rest indices at t_b - 1),
     # and the cells of its slab 0, which are the next level's targets
-    corner = sum(t * st for t, st in zip(orders, stride))
-    targets = np.array([corner], np.intp)
+    targets = np.array(corners, np.intp)
     needed = []
     for a in range(dim):
         R = stride[a]
-        bounds = np.searchsorted(targets, np.arange(orders[a] + 2) * R)
-        need = [[targets[bounds[s]:bounds[s + 1]] - s * R] for s in range(orders[a] + 1)]
+        bounds = np.searchsorted(targets, np.arange(caps[a] + 2) * R)
+        need = [[targets[bounds[s]:bounds[s + 1]] - s * R] for s in range(caps[a] + 1)]
         slabs = []
-        for s in range(orders[a], 0, -1):
+        for s in range(caps[a], 0, -1):
             cells = _sorted_union(need[s])
             if not cells.size:
                 continue
             shifts = []
             for b in couplings[a]:
-                has = cells // stride[b] % (orders[b] + 1) >= 1
+                has = cells // stride[b] % (caps[b] + 1) >= 1
                 if has.any():
                     shifts.append((b, has, cells[has] - stride[b]))
             slabs.append((s, cells, shifts))
@@ -234,31 +254,20 @@ def _cone(orders: tuple[int, ...], coupled: bytes) -> tuple:
             placed.append(cells + s * R)
             size += cells.size
         levels.append((a, tuple(slabs)))
-    return size, tuple(levels), int(np.searchsorted(np.concatenate(placed), corner))
+    return size, tuple(levels), np.searchsorted(np.concatenate(placed), corners)
 
 
 _CONE_LOCK = threading.Lock()
 
 
-def taylor_coefficient(M: np.ndarray, orders) -> complex:
-    """Single mixed Taylor coefficient of exp(z^T M z) at the given orders.
-
-    Computes only the cells the coefficient depends on, by the box's
-    operations, so it equals ``exp_taylor_box(M, orders)[orders]`` bit for
-    bit; an odd total order gives 0.0.  M is one (d, d) generator; a stack
-    is refused with ValueError, as are orders that are negative or do not
-    match M.  Where that box would exceed 128 MiB, ResourceCapError is
-    raised before anything is built.
-    """
-    M, orders = _checked(M, orders)
-    if M.ndim != 2:
-        raise ValueError(f"taylor_coefficient takes one (d, d) matrix, got shape {M.shape}")
-    if sum(orders) % 2 == 1:
-        return 0.0
-    dtype = _budgeted_dtype(M, orders)
-    coupled = (M != 0)[np.triu_indices(len(orders), 1)].tobytes()
+def _cone_values(M: np.ndarray, caps: tuple[int, ...], corners: tuple[int, ...]) -> np.ndarray:
+    """Coefficients of one generator M at ``corners``, distinct ascending
+    flat indices into the box at ``caps``, computed from their cone by the
+    box's operations; ResourceCapError first where that box would exceed
+    128 MiB."""
+    dtype = _budgeted_dtype(M, caps)
     with _CONE_LOCK:
-        size, levels, target = _cone(orders, coupled)
+        size, levels, targets = _cone(caps, corners, (M != 0).tobytes())
     v = np.empty(size, dtype)
     v[0] = 1.0
     for a, slabs in levels:
@@ -272,4 +281,52 @@ def taylor_coefficient(M: np.ndarray, orders) -> complex:
             for b, dst, src in shifts:
                 acc[dst] += row[b] * v[src]
             acc *= scale
-    return v[target]
+    return v[targets]
+
+
+def taylor_coefficient(M: np.ndarray, orders):
+    """Mixed Taylor coefficients of exp(z^T M z) at one corner or several.
+
+    ``orders`` is one corner, d ints, or a (K, d) sequence of K corners.
+    The corners of even total order are read together, from the cells they
+    depend on, by the operations of the box at their elementwise largest
+    orders, so each equals ``exp_taylor_box(M, caps)[corner]`` bit for bit
+    for any caps that cover it; a corner of odd total order gives 0.0.  One
+    corner returns its coefficient, several an array of K coefficients.  M
+    is one (d, d) generator; a stack is refused with ValueError, as are
+    orders that are negative or do not match M.  Where the box at the even
+    corners' largest orders would exceed 128 MiB, ResourceCapError is
+    raised before anything is built.
+
+    The domain is the exact route's: at most 8 orders per axis over 8
+    variables, where a schedule builds in 2-8 ms.  Any orders under the
+    budget are answered, but each slab costs Python steps to build and to
+    run, so a first read along long axes is slow: a dense 2 x 2 M at
+    (500, 500) took 43 ms, and its cached reads 6.6 ms against 7.8 ms for
+    ``exp_taylor_box``; at (1500, 1500), 177 ms, then 25.8 against 27.7 ms
+    (2-vCPU x86-64).  The cache holds at most 64 schedules,
+    the least recently used dropped first, and a schedule keeps a few
+    8-byte indices per cell of its cone: 15 MB at (1500, 1500), so 64 such
+    would keep about 1 GB.
+    """
+    corners = np.array(orders, np.intp)
+    several = corners.ndim == 2
+    # the elementwise smallest orders of several corners are checked for them
+    M, orders = _checked(M, corners.min(axis=0) if several else corners.tolist())
+    if M.ndim != 2:
+        raise ValueError(f"taylor_coefficient takes one (d, d) matrix, got shape {M.shape}")
+    if not several:
+        # one corner skips the array work below, which costs more than a
+        # small read: |1,0>'s took 57 us as a list of one, 31 us alone
+        if sum(orders) % 2 == 1:
+            return 0.0
+        # the corner is the last cell of its box
+        return _cone_values(M, orders, (math.prod(t + 1 for t in orders) - 1,))[0]
+    even = corners.sum(axis=1) % 2 == 0
+    caps = tuple(corners[even].max(axis=0, initial=0).tolist())
+    flats = corners @ np.array(_strides(caps), np.intp)
+    keys = _sorted_union([flats[even]])
+    values = _cone_values(M, caps, tuple(keys.tolist()))
+    coeffs = np.zeros(len(corners), values.dtype)
+    coeffs[even] = values[np.searchsorted(keys, flats[even])]
+    return coeffs

@@ -519,16 +519,23 @@ class TestCornerRead:
     def test_reads_fill_no_box(self, monkeypatch):
         trapped = OscillatorSystem.from_dimensionless(3.0, 0.4)
         free = OscillatorSystem.from_untrapped(0.3, c=2.0)
-        before = [purity_number(trapped, 4, 4), purity_number(trapped, 2, 1),
-                  purity_number_unbound(free, 8, 2.0), purity_number_unbound(free, 1, 0.0)]
+        # one weighted term, the two-mode mix, and a complex three-term state
+        # whose zero-weight term is dropped
+        mixes = [Superposition.two_mode_mix(0.0), Superposition.two_mode_mix(math.pi / 3),
+                 Superposition(((2, 2, 0.6), (0, 4, 0.64), (1, 0, 0.48j), (3, 1, 0.0)))]
+
+        def purities():
+            return ([purity_number(trapped, 4, 4), purity_number(trapped, 2, 1),
+                     purity_number_unbound(free, 8, 2.0), purity_number_unbound(free, 1, 0.0)]
+                    + [purity_superposition(trapped, st) for st in mixes])
+
+        before = purities()
 
         def refuse(M, caps):
             raise AssertionError("exp_taylor_box called")
 
         monkeypatch.setattr(taylor, "exp_taylor_box", refuse)
-        after = [purity_number(trapped, 4, 4), purity_number(trapped, 2, 1),
-                 purity_number_unbound(free, 8, 2.0), purity_number_unbound(free, 1, 0.0)]
-        assert after == before
+        assert purities() == before
 
     def test_pooled_sweep_has_the_bits_of_single_reads(self, tmp_path, capsys):
         # the points run in the sweep pool's threads, which share the cached
@@ -603,9 +610,9 @@ class TestPuritySuperposition:
                 schmidt_analyze(sys, st).purity, abs=1e-6)
 
     def test_equals_sum_of_cross_terms(self):
-        # one box at the per-slot maximum caps gives the same terms as one
-        # box per quadruple: P_coherent sqrt(prod m_i! n_i!) times the
-        # coefficient of prod alpha_i^m_i beta_i^n_i
+        # one read of every cross term gives the same terms as one read per
+        # quadruple: P_coherent sqrt(prod m_i! n_i!) times the coefficient of
+        # prod alpha_i^m_i beta_i^n_i
         def cross_term(sys, quadruple):
             orders = tuple(m for (m, _) in quadruple) + tuple(n for (_, n) in quadruple)
             gen = build_M(sys)
@@ -639,24 +646,47 @@ class TestPuritySuperposition:
         assert purity_superposition(sys, st) == pytest.approx(
             purity_number(sys, 0, 1), rel=1e-13)
 
+    @pytest.mark.parametrize("mu1", [0.3, 0.5])
+    @pytest.mark.parametrize("terms", [
+        ((0, 1, math.cos(math.pi / 3)), (1, 0, math.sin(math.pi / 3))),
+        ((2, 2, 0.6), (0, 4, 0.64), (1, 0, 0.48j)),
+    ])
+    def test_has_the_bits_of_one_box_per_cross_term(self, terms, mu1):
+        # at mu1 = 0.5 build_M's s entries vanish and the coupling pattern
+        # changes; each cross term is read from its own box, in the order
+        # and with the weights the purity sums them
+        sys = OscillatorSystem.from_dimensionless(5.0, mu1)
+        gen = build_M(sys)
+        total = 0j
+        for (m1, n1, c1), (m2, n2, c2), (m3, n3, c3), (m4, n4, c4) in itertools.product(
+                terms, repeat=4):
+            orders = (m1, m2, m3, m4, n1, n2, n3, n4)
+            fac = math.prod(math.factorial(t) for t in orders)
+            cross = (0.0 if sum(orders) % 2 else
+                     float(box_read(gen.Mmat, orders, gen.prefactor * math.sqrt(fac))))
+            total += c1 * c2.conjugate() * c3 * c4.conjugate() * cross
+        got = purity_superposition(sys, Superposition(terms))
+        assert got.hex() == float(total.real).hex()
+
     @pytest.fixture
-    def boxes(self, monkeypatch):
-        real, calls = taylor.exp_taylor_box, []
+    def reads(self, monkeypatch):
+        real, calls = exact.taylor_coefficient, []
 
-        def counted(M, caps):
-            calls.append(tuple(caps))
-            return real(M, caps)
+        def counted(M, orders):
+            calls.append(orders)
+            return real(M, orders)
 
-        monkeypatch.setattr(taylor, "exp_taylor_box", counted)
+        monkeypatch.setattr(exact, "taylor_coefficient", counted)
         return calls
 
-    def test_one_box_at_the_largest_orders(self, boxes):
+    def test_one_read_of_every_cross_term(self, reads):
         sys = OscillatorSystem.from_dimensionless(2.0, 0.4)
         st = Superposition(((0, 3, 0.6), (2, 1, 0.48), (1, 0, 0.64j), (4, 0, 0.0)))
         purity_superposition(sys, st)
-        assert boxes == [(2,) * 4 + (3,) * 4]
+        assert len(reads) == 1 and len(reads[0]) == 3 ** 4
+        assert tuple(map(max, zip(*reads[0]))) == (2,) * 4 + (3,) * 4
 
-    def test_over_cap_builds_nothing(self, boxes, monkeypatch):
+    def test_over_cap_builds_nothing(self, reads, monkeypatch):
         built = []
         monkeypatch.setattr(exact, "build_M", lambda sys: built.append(sys))
         sys = OscillatorSystem.from_dimensionless(2.0, 0.4)
@@ -665,11 +695,11 @@ class TestPuritySuperposition:
         for terms in [((0, 3, 0.6), (0, 5, 0.8)), ((0, 5, 0.8), (0, 3, 0.6))]:
             with pytest.raises(ResourceCapError, match="total order 20 exceeds"):
                 purity_superposition(sys, Superposition(terms))
-        assert boxes == [] and built == []
+        assert reads == [] and built == []
 
     def test_box_memory_cap(self):
-        # the one box of |8,0> + |0,8> at caps (8,) * 8 would hold 9^8 = 43M
-        # cells (344 MB); the order cap refuses it before anything is built
+        # the box of |8,0> + |0,8> at caps (8,) * 8 would hold 9^8 = 43M cells
+        # (344 MB); the order cap refuses it before anything is built
         sys = OscillatorSystem.from_dimensionless(2.0, 0.4)
         st = Superposition(((8, 0, math.sqrt(0.5)), (0, 8, math.sqrt(0.5))))
         tracemalloc.start()

@@ -451,7 +451,7 @@ class TestSizedGrid:
         assert half1 == pytest.approx(8.0 * sigma1, rel=1e-14)
         assert half2 == pytest.approx(8.0 * sigma2, rel=1e-14)
         assert half1 > 2.5 * half2
-        x1, x2, _, dx1, dx2 = grid_mod._sample(sys, NumberState(0, 0), GridSpec())
+        x1, x2, _, dx1, dx2, _ = grid_mod._sample(sys, NumberState(0, 0), GridSpec())
         assert x1[-1] == pytest.approx(half1, rel=1e-14)
         assert x2[-1] == pytest.approx(half2, rel=1e-14)
         assert dx1 > 2.5 * dx2
@@ -533,7 +533,7 @@ class TestBlockedSampling:
             return whole(*args)
 
         monkeypatch.setattr(grid_mod, "eval_wavefunction", counted)
-        x1, x2, W, _, _ = grid_mod._sample(sys, state, GridSpec(n, 8.0))
+        x1, x2, W, _, _, _ = grid_mod._sample(sys, state, GridSpec(n, 8.0))
         ref = whole(sys, state, x1[:, None], x2[None, :])
         assert W.dtype == ref.dtype
         assert np.array_equal(W, ref)
@@ -578,7 +578,7 @@ class TestSpectrumOnDemand:
         assert res.entropy == entropy and res.singular_values is s
         # |2,1> is odd: one factor for each of the two 64 x 64 parity blocks
         assert counted == {"cholesky": [64, 64], "spectra": 1}
-        _, _, W, _, _ = grid_mod._sample(sys, NumberState(2, 1), GridSpec(128, 8.0), fold=True)
+        _, _, W, _, _, _ = grid_mod._sample(sys, NumberState(2, 1), GridSpec(128, 8.0), fold=True)
         grams, total, purity_ref, e = grid_mod._scaled(W, fold=True)
         factors = tuple(grid_mod._gram_factor(G, total) for G in grams)
         s_ref, entropy_ref, _ = grid_mod._spectra(factors, total, 128)
@@ -596,7 +596,7 @@ class TestSpectrumOnDemand:
         s, entropy = res.singular_values, res.entropy
         assert res.entropy == entropy and res.singular_values is s
         assert counted == {"cholesky": [256, 256, 256], "spectra": 1}
-        _, _, W, _, _ = grid_mod._sample(sys, NumberState(2, 1), GridSpec(512, 8.0), fold=True)
+        _, _, W, _, _, _ = grid_mod._sample(sys, NumberState(2, 1), GridSpec(512, 8.0), fold=True)
         factors, total, purity_ref, e = grid_mod._scaled(W, fold=True, factor=True)
         s_ref, entropy_ref, _ = grid_mod._spectra(factors, total, 512)
         assert (res.purity, res.entropy) == (purity_ref, entropy_ref)
@@ -646,7 +646,7 @@ def factors_of(blocks, total, factor):
 def mirrored_grid(sys, state, n):
     """The folded sampling of ``state`` on n^2 points and the samples of
     one call over its whole mirrored grid."""
-    x1, x2, W, dx1, dx2 = grid_mod._sample(sys, state, GridSpec(n, 8.0), fold=True)
+    x1, x2, W, dx1, dx2, _ = grid_mod._sample(sys, state, GridSpec(n, 8.0), fold=True)
     return x1, x2, W, dx1, dx2, eval_wavefunction(sys, state, x1[:, None], x2[None, :])
 
 
@@ -665,9 +665,9 @@ class TestParityFold:
         assert np.array_equal(grid_mod._coarse(W, state.parity), whole[::2, ::2])
 
     def test_first_half_of_each_axis_is_linspace(self):
-        x1, x2, _, dx1, dx2 = grid_mod._sample(TRAPPED, NumberState(2, 2), GridSpec(200, 8.0),
+        x1, x2, _, dx1, dx2, _ = grid_mod._sample(TRAPPED, NumberState(2, 2), GridSpec(200, 8.0),
                                                fold=True)
-        y1, y2, _, ey1, ey2 = grid_mod._sample(TRAPPED, NumberState(2, 2), GridSpec(200, 8.0))
+        y1, y2, _, ey1, ey2, _ = grid_mod._sample(TRAPPED, NumberState(2, 2), GridSpec(200, 8.0))
         assert np.array_equal(x1[:100], y1[:100]) and np.array_equal(x2[:100], y2[:100])
         assert (dx1, dx2) == (ey1, ey2)
         assert np.max(np.abs(x1 - y1)) <= 1e-15 * x1[-1]
@@ -707,8 +707,8 @@ class TestParityFold:
     ], ids=["coherent", "coherent-ground", "mixed-parity", "complex-mixed-parity",
             "odd-n", "unbound-odd-n"])
     def test_states_without_a_fold_keep_one_block(self, sys, state, n):
-        x1, x2, W, dx1, dx2 = grid_mod._sample(sys, state, GridSpec(n, 8.0), fold=True)
-        y1, y2, V, _, _ = grid_mod._sample(sys, state, GridSpec(n, 8.0))
+        x1, x2, W, dx1, dx2, _ = grid_mod._sample(sys, state, GridSpec(n, 8.0), fold=True)
+        y1, y2, V, _, _, _ = grid_mod._sample(sys, state, GridSpec(n, 8.0))
         assert W.shape == (n, n)
         assert np.array_equal(W, V) and np.array_equal(x1, y1) and np.array_equal(x2, y2)
         assert np.array_equal(x1, np.linspace(x1[0], x1[-1], n))
@@ -722,7 +722,7 @@ class TestParityFold:
 
     def test_density_grid_is_never_folded(self):
         dg = density_grid(TRAPPED, NumberState(2, 2), GridSpec(128, 8.0))
-        x1, x2, W, _, _ = grid_mod._sample(TRAPPED, NumberState(2, 2), GridSpec(128, 8.0))
+        x1, x2, W, _, _, _ = grid_mod._sample(TRAPPED, NumberState(2, 2), GridSpec(128, 8.0))
         assert dg.density.shape == (128, 128)
         assert np.array_equal(dg.x1, x1) and np.array_equal(dg.density, W * W)
 
@@ -816,7 +816,7 @@ class TestFactorRoute:
     def test_other_grids_keep_the_gram_route(self, sys, state, n):
         res = schmidt_analyze(sys, state, GridSpec(n, 8.0))
         assert not oversampled(sys, state, res.n_points) and res.factors == ()
-        _, _, W, _, _ = grid_mod._sample(sys, state, GridSpec(n, 8.0), fold=True)
+        _, _, W, _, _, _ = grid_mod._sample(sys, state, GridSpec(n, 8.0), fold=True)
         folded = W.shape[0] < W.shape[1]
         grams, total, purity, e = grid_mod._scaled(W, folded)
         assert len(res.gram) == len(grams) == (2 if folded else 1)

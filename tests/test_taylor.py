@@ -220,6 +220,10 @@ def test_stack_above_memory_budget_raises_before_allocating():
     (np.eye(2), (2, -1)),
     (np.stack([np.eye(2)] * 2), (1, 1)),   # a stack
     (np.stack([np.eye(2)] * 2), (1, 0)),
+    (np.eye(2), [(1, 1), (2, -1)]),       # one corner of several negative
+    (np.eye(2), [(1, 1), (1, 1, 0)]),     # corners of different lengths
+    (np.eye(3), [(1, 1), (0, 2)]),        # corners that do not match M
+    (np.stack([np.eye(2)] * 2), [(1, 1), (0, 2)]),
 ])
 def test_coefficient_checks_its_input_before_answering(M, orders):
     with pytest.raises(ValueError):
@@ -246,20 +250,73 @@ def same_bits(x, y):
     return type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(corner_cases())
-def test_corner_read_has_the_bits_of_the_box(case):
-    dim, orders, pairs, kinds, complex_, seed = case
+def patterned(dim, pairs, kinds, complex_, seed):
+    """A random symmetric generator with entries over six decades, each
+    pair (a, b) zeroed as ``kinds`` says."""
     M = random_symmetric(np.random.default_rng(seed), dim, complex_)
     M *= 10.0 ** np.random.default_rng(seed + 1).uniform(-3, 3, size=(dim, dim))
     for (a, b), kind in zip(pairs, kinds):
         if kind != "x":
             M[a, b] = M[b, a] = 0.0 if kind == "+0" else -0.0
+    return M
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(corner_cases())
+def test_corner_read_has_the_bits_of_the_box(case):
+    dim, orders, pairs, kinds, complex_, seed = case
+    M = patterned(dim, pairs, kinds, complex_, seed)
     coeff = taylor_coefficient(M, orders)
     if sum(orders) % 2:
         assert coeff == 0.0 and exp_taylor_box(M, orders)[orders] == 0
     else:
         assert same_bits(coeff, exp_taylor_box(M, orders)[orders])
+
+
+@st.composite
+def several_corner_cases(draw):
+    dim, _, pairs, kinds, complex_, seed = draw(corner_cases())
+    corner = st.tuples(*[st.integers(0, _CORNER_MAX[dim])] * dim)
+    corners = draw(st.lists(corner, min_size=1, max_size=5))
+    # the first corner again, and a neighbour of it of the other parity
+    first = corners[0]
+    step = -1 if first[0] else 1
+    return dim, corners + [first, (first[0] + step,) + first[1:]], pairs, kinds, complex_, seed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(several_corner_cases())
+def test_several_corners_read_together_have_the_bits_of_the_box(case):
+    dim, corners, pairs, kinds, complex_, seed = case
+    M = patterned(dim, pairs, kinds, complex_, seed)
+    coeffs = taylor_coefficient(M, corners)
+    box = exp_taylor_box(M, tuple(map(max, zip(*corners))))
+    assert coeffs.shape == (len(corners),)
+    for corner, coeff in zip(corners, coeffs):
+        if sum(corner) % 2:
+            assert coeff == 0.0 and box[corner] == 0
+        else:
+            assert same_bits(coeff, box[corner])
+            assert same_bits(coeff, taylor_coefficient(M, corner))
+
+
+def test_several_corners_of_the_superposition_generator():
+    # a complex generator, and a real one with zero couplings (build_M's s
+    # entries at mu1 = 0.5), read at odd, repeated and unequal corners
+    rng = np.random.default_rng(23)
+    sparse = random_symmetric(rng, 8, False)
+    zero = np.zeros((8, 8), bool)
+    zero[:4, 4:] = rng.random((4, 4)) < 0.5
+    sparse[zero | zero.T] = 0.0
+    corners = [(2, 2, 0, 0, 2, 4, 2, 4), (0, 1, 2, 0, 4, 2, 0, 0), (1, 0, 0, 0, 2, 2, 2, 2),
+               (2, 2, 0, 0, 2, 4, 2, 4), (0, 0, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1, 1, 1)]
+    for M in (random_symmetric(rng, 8, True), sparse):
+        box = exp_taylor_box(M, (2, 2, 2, 1, 4, 4, 2, 4))
+        coeffs = taylor_coefficient(M, corners)
+        assert coeffs[2] == 0.0 and same_bits(coeffs[0], coeffs[3])
+        for corner, coeff in zip(corners, coeffs):
+            if sum(corner) % 2 == 0:
+                assert same_bits(coeff, box[corner])
 
 
 def test_corner_read_of_the_constant_term():
@@ -284,9 +341,11 @@ def test_orders_with_another_zero_pattern_get_their_own_schedule():
     (False, (8,) * 8),                 # 9^8 = 43M cells, 344 MB
     (True, (3,) * 12),                 # 4^12 = 16.8M cells, 268 MB complex
     (False, (4096, 4096, 0, 0)),       # 4097^2 cells, just over 128 MiB
+    # each corner's own box is small; the box at their largest orders is not
+    (False, [(4096, 0, 0, 0), (0, 4096, 0, 0), (1, 0, 0, 0)]),
 ])
 def test_corner_read_refuses_where_the_box_does_before_building(complex_, orders):
-    M = 0.1 * np.eye(len(orders)) * (1j if complex_ else 1.0)
+    M = 0.1 * np.eye(np.shape(orders)[-1]) * (1j if complex_ else 1.0)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError, match="MiB budget"):

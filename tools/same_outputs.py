@@ -34,7 +34,10 @@ sampled as one block, pin down the factor route of an oversampled grid.
 Exact number states at the order cap and off the diagonal (|5,3>, |3,5>,
 |6,2>, |8,0>, |0,8>), |4,4> at mu1 = 0.5, where the generator's s entries
 vanish and so change its coupling pattern, a pooled mu1 sweep through 0.5
-and ``unbound:8,2`` pin down the corner read of a single coefficient.
+and ``unbound:8,2`` pin down the corner read of a single coefficient.  A
+complex three-term superposition at mu1 = 0.3 and at 0.5, and a pooled
+sweep of the one-excitation mix through mu1 = 0.5, pin down the one read
+of all a superposition's cross terms.
 Every stdout line and file line that is a JSON record (it starts with
 ``{``) or a ``# params:`` line must parse as strict JSON, without NaN or
 infinities; one that does not counts as a difference, even when both trees
@@ -71,6 +74,11 @@ COMMANDS = [
     ["purity", *G5, "--state", "number:0,8"],
     ["purity", "--g", "3", "--mu1", "0.5", "--state", "number:4,4"],
     ["sweep", "--param", "mu1", "--range", "0.1:0.9:9", "--g", "5", "--state", "number:4,4"],
+    # a superposition's one read of all its cross terms: a complex three-term
+    # state at both coupling patterns, and a pooled mix sweep through 0.5
+    ["purity", *G5, "--state", "superposition:2,2,0.6;0,4,0.64;1,0,0.48j"],
+    ["purity", "--g", "5", "--mu1", "0.5", "--state", "superposition:2,2,0.6;0,4,0.64;1,0,0.48j"],
+    ["sweep", "--param", "mu1", "--range", "0.1:0.9:9", "--g", "5", "--state", "sup:pi/3"],
     ["purity", *G5, "--state", "coherent:0.7+0.4j,-0.3+1.1j"],
     ["purity", *G5, "--state", "sup:pi/6"],
     ["purity", *G5, "--state", SUP],
