@@ -15,23 +15,42 @@ plus a brute-force grid/Schmidt oracle (:mod:`oscillent.grid`) that checks
 all of them, and a CLI (``oscillent``) for sweeps and figure data.
 """
 
+import importlib
+
 from .errors import (DomainError, NumericalConsistencyError, OscillentError,
                      ResourceCapError, UnsupportedStateError)
-from .exact import (build_M, build_M_from_A, purity_number, purity_number_unbound,
-                    purity_superposition)
-from .fock import (BasisParams, coefficient_table, convergence_run,
-                   default_basis, entropy_truncated, purity_truncated,
-                   reduced_density_truncated)
-from .gaussian import (CovariancePack, classical_covariance,
-                       covariance_coherent, position_covariance,
-                       purity_coherent, purity_unbound_gaussian,
-                       sample_classical_covariance)
-from .grid import (DensityGrid, GridSpec, SchmidtResult, density_grid,
-                   eval_wavefunction, schmidt_analyze)
 from .system import (Coherent, NumberState, OscillatorSystem, StateSpec,
                      Superposition, UnboundGaussian)
 
 __version__ = "0.1.0"
+
+# the routes' names, each module imported on the first access to one of its
+# names (PEP 562), so a command imports only the routes it runs
+_LAZY = {
+    "exact": ("build_M", "build_M_from_A", "purity_number", "purity_number_unbound",
+              "purity_superposition"),
+    "fock": ("BasisParams", "coefficient_table", "convergence_run", "default_basis",
+             "entropy_truncated", "purity_truncated", "reduced_density_truncated"),
+    "gaussian": ("CovariancePack", "classical_covariance", "covariance_coherent",
+                 "position_covariance", "purity_coherent", "purity_unbound_gaussian",
+                 "sample_classical_covariance"),
+    "grid": ("DensityGrid", "GridSpec", "SchmidtResult", "density_grid", "eval_wavefunction",
+             "schmidt_analyze"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
+
 
 __all__ = [
     "OscillatorSystem", "Coherent", "NumberState", "Superposition",

@@ -18,8 +18,7 @@ import time
 import numpy as np
 
 from . import exact, fock, gaussian, grid
-from .errors import UnsupportedStateError
-from .system import (Coherent, NumberState, OscillatorSystem, StateSpec, Superposition,
+from .system import (Coherent, NumberState, OscillatorSystem, Superposition,
                      UnboundGaussian)
 
 __all__ = ["CRITERIA", "run_all", "print_line", "oracle_cases", "method_purity"]
@@ -100,22 +99,10 @@ def oracle_cases():
 
 def method_purity(sys, state, method: str = "exact") -> float:
     """Best non-oracle purity for a state: its closed form, else the exact
-    extraction, which ``method="analytic"`` refuses.  A state kind neither
-    route takes is refused first, whatever the method."""
-    if not isinstance(state, StateSpec):
-        raise UnsupportedStateError(f"no method route for {type(state).__name__}")
-    if isinstance(state, Coherent) or state == NumberState(0, 0):
-        return gaussian.purity_coherent(sys)
-    if isinstance(state, UnboundGaussian) and state.m == 0:
-        return gaussian.purity_unbound_gaussian(sys, state.tau)
-    if method == "analytic":
-        raise UnsupportedStateError("analytic closed forms cover only coherent/ground states "
-                                    "and the m = 0 spreading packet")
-    if isinstance(state, NumberState):
-        return exact.purity_number(sys, state.m, state.n)
-    if isinstance(state, UnboundGaussian):
-        return exact.purity_number_unbound(sys, state.m, state.tau)
-    return exact.purity_superposition(sys, state)
+    extraction, which ``method="analytic"`` refuses (:func:`exact.purities`
+    for one point).  A state kind neither route takes is refused first,
+    whatever the method."""
+    return exact.purities([(sys, state)], method)[0]
 
 
 # the bound of criterion 5 and oracle-compare on |method - oracle| purity

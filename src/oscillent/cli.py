@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 usage error, 2 numerical-consistency failure,
 an overflow, an invalid value or a division by zero, in numpy or in Python
 arithmetic, and a failed linear-algebra routine stop the command with exit 2
 and one ``error:`` line; underflow stays silent.  The rule is numpy's error
-state, which is per thread, so each pooled sweep point sets it again.
+state, which is per thread, so each pooled chunk of sweep points sets it
+again.
 
 This is the only module that reads flags or writes files, and every table
 goes through one writer.  Every emitted file is deterministic byte for byte
@@ -26,9 +27,14 @@ point is the purity command with the swept value set, and the sweep's
 ``# params:`` line records every flag that built it.  Each column of
 fig3-fig6 is a mu1 sweep over 0.01:0.99:99, byte for byte.
 
-An exact sweep fans out over a pool of up to four threads, one block of
-points at a time; every other sweep evaluates its points in order in the
-calling thread.  Either way results are written in input order.
+An exact sweep is cut into contiguous chunks of at most 64 points, one for
+each of up to four pool threads where each keeps 16 points or more, and each
+chunk is read in one block (:func:`exact.purities`) on the pool, up to four
+chunks at a time: a sweep of fewer than 32 points is one chunk on one
+thread, a 99-point sweep on two threads two.  Every other sweep evaluates
+its points in order in the calling thread.  Either way results are written
+in input order.  An exact command imports neither the oracle grid, the
+fock route nor the acceptance criteria.
 A JSON file passed as --config supplies defaults for any flag, required
 ones included; a flag on the command line wins in any spelling.  Config
 values go through the flag's own type and choices, null stands for the
@@ -49,7 +55,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import acceptance, fock, gaussian, grid
+from . import exact, gaussian
 from .errors import DomainError, NumericalConsistencyError, OscillentError, ResourceCapError
 from .system import Coherent, NumberState, OscillatorSystem, Superposition, UnboundGaussian
 
@@ -219,8 +225,10 @@ def compute_purity(sys: OscillatorSystem, state, method: str, args, entropy: boo
     record: dict = {"method": method, "state": _state_label(state),
                     "system": _system_params(sys)}
     if method in ("analytic", "exact"):
-        record["purity"] = acceptance.method_purity(sys, state, method)
+        record["purity"] = exact.purities([(sys, state)], method)[0]
     elif method == "fock":
+        from . import fock
+
         if args.gamma1 is not None or args.gamma2 is not None:
             if args.gamma1 is None or args.gamma2 is None:
                 raise _UsageError("pass both --gamma1 and --gamma2 or neither")
@@ -234,6 +242,8 @@ def compute_purity(sys: OscillatorSystem, state, method: str, args, entropy: boo
         record["basis"] = {"gamma1": basis.gamma1, "gamma2": basis.gamma2,
                            "jmax": basis.jmax, "kmax": basis.kmax}
     else:  # oracle; argparse and --config check the method against its choices
+        from . import grid
+
         res = grid.schmidt_analyze(sys, state,
                                    grid.GridSpec(args.n_points, args.extent))
         res.check()
@@ -342,10 +352,10 @@ def _sweep_values(args) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _sweep_point(args, state, value: float) -> float:
-    """The purity of one sweep point of the parsed --state ``state``, built as
-    the purity command builds it with the swept flag set to ``value``, under
-    the floating-point rule in whichever thread it runs."""
+def _sweep_input(args, state, value: float) -> tuple:
+    """The system and state of one sweep point of the parsed --state
+    ``state``, built as the purity command builds them with the swept flag
+    set to ``value``."""
     point = argparse.Namespace(**vars(args))
     if args.param == "tau":
         state = UnboundGaussian(state.m, value)
@@ -353,9 +363,29 @@ def _sweep_point(args, state, value: float) -> float:
         state = Superposition.two_mode_mix(value)
     else:
         setattr(point, args.param, value)
+    return build_system(point), state
+
+
+def _sweep_point(args, state, value: float) -> float:
+    """The purity of one sweep point, under the floating-point rule in
+    whichever thread it runs."""
     with np.errstate(**_FP_RULE):  # a pool thread starts with numpy's default
-        return compute_purity(build_system(point), state, args.method, args,
+        return compute_purity(*_sweep_input(args, state, value), args.method, args,
                               entropy=False)["purity"]
+
+
+def _sweep_chunk(args, state, values: list) -> list:
+    """The purities of a chunk of exact sweep points, read in one block under
+    the floating-point rule.  Where the block fails as a point can (the
+    failures :func:`run` reports), the chunk's points are read again one by
+    one, so its first failing point in input order fails the sweep with its
+    own error."""
+    with np.errstate(**_FP_RULE):  # a pool thread starts with numpy's default
+        try:
+            return exact.purities([_sweep_input(args, state, v) for v in values], args.method)
+        except (OscillentError, ArithmeticError, TypeError, ValueError):
+            pass
+    return [_sweep_point(args, state, v) for v in values]
 
 
 # the flags a sweep's header records when they are set, and those of each route
@@ -363,9 +393,23 @@ _SWEEP_FLAGS = ("g", "mu1", "c", "gamma", "Gamma", "hbar", "m1", "m2", "omega", 
 _METHOD_FLAGS = {"fock": ("jmax", "kmax", "gamma1", "gamma2"), "oracle": ("n_points", "extent")}
 
 
-# pool.map queues every point it is given before the first result is read, so
-# it gets a block at a time, and a sweep whose points fail stops in its first
+# An exact sweep's chunks: at most _SWEEP_BLOCK points each, so the pool holds
+# at most _threads() * _SWEEP_BLOCK points in flight and a sweep whose points
+# fail stops in its first batch, and at least _CHUNK_MIN each unless the
+# sweep is shorter.  Four |4,4> points read in one block took 1.1 ms against
+# 1.7 ms for four single reads (2-vCPU x86-64), so a short sweep gains more
+# from one block on one thread than from spreading its points over two.
 _SWEEP_BLOCK = 64
+_CHUNK_MIN = 16
+
+
+def _sweep_chunks(values: list, workers: int) -> list:
+    """``values`` cut into contiguous chunks of nearly equal size: one per
+    worker where that keeps each at _CHUNK_MIN points or more, and more where
+    one would exceed _SWEEP_BLOCK."""
+    count = max(1, min(workers, len(values) // _CHUNK_MIN), -(-len(values) // _SWEEP_BLOCK))
+    size = -(-len(values) // count)
+    return [values[i:i + size] for i in range(0, len(values), size)]
 
 
 def _cmd_sweep(args) -> int:
@@ -374,21 +418,27 @@ def _cmd_sweep(args) -> int:
     state = None if args.param == "theta" else parse_state(args.state)
     if args.param == "tau" and not isinstance(state, UnboundGaussian):
         raise _UsageError("sweeping tau needs --state unbound:M,TAU")
-    # Only exact sweeps run on the pool.  It keeps them steady on a shared
-    # two-core machine: in the calling thread their points, cone reads of
-    # about 0.5 ms, ran 1.7 to 2.4 times as fast, but their times jumped by
-    # up to 1.7x with the load on the one core they held, within a run and
-    # between runs; on the pool they did not.  Fock points (measured up to
-    # |8,8> at jmax 170), analytic points and oracle points, whose BLAS
-    # already uses every core, run in the calling thread.
-    pooled = args.method == "exact"
-    purities = []
-    with (ThreadPoolExecutor(max_workers=_threads()) if pooled
-          else contextlib.nullcontext()) as pool:
-        point_map = pool.map if pooled else map
-        for start in range(0, len(values), _SWEEP_BLOCK):
-            block = values[start:start + _SWEEP_BLOCK].tolist()
-            purities += point_map(lambda v: _sweep_point(args, state, v), block)
+    # Only exact sweeps run on the pool, every chunk of them, a sweep's only
+    # chunk included.  It keeps them steady on a shared two-core machine: in
+    # the calling thread their points, cone reads of about 0.5 ms, ran 1.7 to
+    # 2.4 times as fast, but their times jumped by up to 1.7x with the load on
+    # the one core they held, within a run and between runs; on the pool they
+    # did not.  Fock points (measured up to |8,8> at jmax 170), analytic
+    # points and oracle points, whose BLAS already uses every core, run in the
+    # calling thread.
+    if args.method == "exact":
+        workers = _threads()
+        chunks = _sweep_chunks(values.tolist(), workers)
+        purities = []
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # pool.map queues every chunk it is given before the first result
+            # is read, so it gets one batch of chunks at a time
+            for start in range(0, len(chunks), workers):
+                for part in pool.map(lambda chunk: _sweep_chunk(args, state, chunk),
+                                     chunks[start:start + workers]):
+                    purities += part
+    else:
+        purities = [_sweep_point(args, state, v) for v in values.tolist()]
     params = {"param": args.param, "range": args.range, "scale": args.scale,
               "method": args.method, "state": args.state}
     for name in _SWEEP_FLAGS + _METHOD_FLAGS.get(args.method, ()):
@@ -414,12 +464,12 @@ _FIG7_CASES = [(1.0, 0.5), (5.0, 0.5), (1.0, 0.1), (5.0, 0.1)]
 
 def _mu_table(path, params: dict, columns):
     """A table over the mu1 grid of ``sweep --param mu1 --range 0.01:0.99:99``;
-    each column is ``(name, system of mu1, state)``, each cell the
-    :func:`acceptance.method_purity` of its state on its system."""
-    rows = ((mu,) + tuple(acceptance.method_purity(system(mu), state)
-                          for (_, system, state) in columns)
-            for mu in np.linspace(0.01, 0.99, 99).tolist())
-    _write_csv(path, params, ["mu1"] + [name for (name, _, _) in columns], rows)
+    each column is ``(name, system of mu1, state)``, read in one block
+    (:func:`exact.purities`), each cell its state's purity on its system."""
+    mus = np.linspace(0.01, 0.99, 99).tolist()
+    cells = [exact.purities([(system(mu), state) for mu in mus])
+             for (_, system, state) in columns]
+    _write_csv(path, params, ["mu1"] + [name for (name, _, _) in columns], zip(mus, *cells))
 
 
 def _cmd_figure(args) -> int:
@@ -433,6 +483,8 @@ def _cmd_figure(args) -> int:
 
     which = args.which
     if which in ("fig1", "fig2"):
+        from . import grid
+
         m, n = (0, 0) if which == "fig1" else (1, 0)
         spec = grid.GridSpec(n_points=args.points)
         for (g, mu1) in _FIG12_COMBOS:
@@ -468,6 +520,8 @@ def _cmd_figure(args) -> int:
                       [(f"P_theta_{lbl}", functools.partial(OscillatorSystem.from_dimensionless, g),
                         Superposition.two_mode_mix(th)) for (lbl, th) in _FIG6_THETA])
     else:  # fig7
+        from . import fock
+
         runs = fock.convergence_run(
             [OscillatorSystem.from_dimensionless(g, mu1) for (g, mu1) in _FIG7_CASES],
             NumberState(0, 1), _FIG7_PAIRS, max_truncation=5)
@@ -481,6 +535,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
+    from . import acceptance, grid
+
     rows, worst = acceptance.oracle_residuals(grid.GridSpec(n_points=args.n_points,
                                                             extent_sigmas=args.extent))
     _write_csv(args.output, {"n_points": args.n_points, "extent": args.extent},
@@ -497,6 +553,8 @@ def _print_criterion_json(num, title, ok, seconds, detail):
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance
+
     selection = None
     if args.criteria is not None:
         try:
@@ -522,6 +580,9 @@ def _cmd_selftest(args) -> int:
 # the oracle's refusals name the GridSpec fields these flags set
 _N_POINTS_HELP = "oracle grid points per axis, GridSpec.n_points (default: sized from the state)"
 _EXTENT_HELP = "oracle half-width in sigmas, GridSpec.extent_sigmas"
+# GridSpec's default, spelled out so that building the parser does not import
+# the grid module; a test holds the two equal
+_EXTENT_DEFAULT = 8.0
 
 
 @functools.cache
@@ -547,7 +608,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--gamma1", type=float, help="fock basis scale for particle 1")
         p.add_argument("--gamma2", type=float, help="fock basis scale for particle 2")
         p.add_argument("--n-points", type=int, default=None, help=_N_POINTS_HELP)
-        p.add_argument("--extent", type=float, default=grid.GridSpec.extent_sigmas,
+        p.add_argument("--extent", type=float, default=_EXTENT_DEFAULT,
                        help=_EXTENT_HELP)
 
     p = sub.add_parser("purity", help="single purity evaluation")
@@ -579,7 +640,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="JSON file supplying defaults for any flag")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
     p.add_argument("--n-points", type=int, default=None, help=_N_POINTS_HELP)
-    p.add_argument("--extent", type=float, default=grid.GridSpec.extent_sigmas,
+    p.add_argument("--extent", type=float, default=_EXTENT_DEFAULT,
                    help=_EXTENT_HELP)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")

@@ -50,32 +50,46 @@ is decided from the state's numbers before anything is built (4 max(m +
 n) over a superposition's terms) and raises ResourceCapError.  All
 functions are pure; superposition sums iterate in a fixed order so
 results are bit-stable.
+
+Each purity has a block form over a list of points (:func:`purity_numbers`,
+:func:`purity_numbers_unbound`, :func:`purity_superpositions`, and
+:func:`purities`, which dispatches on the state kind); the one-point
+functions are blocks of one.  A block reads its coefficients in one
+stacked pass per coupling pattern (:func:`taylor.taylor_coefficients`), so
+each point has the bits of its own read, and it raises the first error it
+meets.  A block of superpositions on one system, a theta sweep, builds one
+generator and reads the union of its states' cross terms once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 # the packet's purity is taken through the module attribute, so a rebinding
 # of gaussian.purity_unbound_gaussian (for tracing, say) sees every call
 from . import gaussian
-from .errors import NumericalConsistencyError, ResourceCapError
+from .errors import NumericalConsistencyError, ResourceCapError, UnsupportedStateError
 from .gaussian import purity_coherent
-from .system import OscillatorSystem, Superposition, _quantum_number
-from .taylor import taylor_coefficient
+from .system import (Coherent, NumberState, OscillatorSystem, StateSpec, Superposition,
+                     UnboundGaussian, _quantum_number)
+# taylor_coefficient stays importable here: bench/tracing.py binds the name
+from .taylor import taylor_coefficient, taylor_coefficients  # noqa: F401
 
 __all__ = [
     "GaussianIntegralData",
     "QuadraticGenerator",
     "build_M",
     "build_M_from_A",
+    "purities",
     "purity_number",
     "purity_number_unbound",
+    "purity_numbers",
+    "purity_numbers_unbound",
     "purity_superposition",
+    "purity_superpositions",
 ]
 
 # order caps beyond which the extracted coefficients lose their precision
@@ -264,12 +278,18 @@ def _check_number_cap(total: int):
         )
 
 
-def _number_read(gen: QuadraticGenerator, m: int, n: int):
-    """P_0 (m! n!)^2 c, with c the coefficient of prod alpha_i^m beta_i^n of
-    the exponential of ``gen`` and P_0 its prefactor."""
-    coeff = taylor_coefficient(gen.Mmat, (m,) * 4 + (n,) * 4)
+def purity_numbers(systems, m: int, n: int) -> list[float]:
+    """:func:`purity_number` of |m, n> on each trapped system of ``systems``,
+    their coefficients read in one stacked pass per coupling pattern
+    (:func:`taylor.taylor_coefficients`), each with its single read's bits."""
+    m, n = _quantum_number(m, "m"), _quantum_number(n, "n")
+    _check_number_cap(m + n)
+    gens = [build_M(sys) for sys in systems]
+    if not gens:
+        return []
+    coeffs = taylor_coefficients(np.stack([gen.Mmat for gen in gens]), (m,) * 4 + (n,) * 4)
     fac = float(math.factorial(m) * math.factorial(n))
-    return gen.prefactor * fac * fac * coeff
+    return [float(gen.prefactor * fac * fac * coeff) for gen, coeff in zip(gens, coeffs)]
 
 
 def purity_number(sys: OscillatorSystem, m: int, n: int) -> float:
@@ -279,9 +299,7 @@ def purity_number(sys: OscillatorSystem, m: int, n: int) -> float:
     exponential; only the expansion order 2(m+n) contributes.  The factorial
     bookkeeping gives P = P_coherent * (m! n!)^2 * coefficient.
     """
-    m, n = _quantum_number(m, "m"), _quantum_number(n, "n")
-    _check_number_cap(m + n)
-    return float(_number_read(build_M(sys), m, n))
+    return purity_numbers([sys], m, n)[0]
 
 
 def _packet_block(sys: OscillatorSystem, tau: float) -> np.ndarray:
@@ -303,6 +321,31 @@ def _packet_block(sys: OscillatorSystem, tau: float) -> np.ndarray:
     ])
 
 
+def purity_numbers_unbound(systems, m: int, taus) -> list[float]:
+    """:func:`purity_number_unbound` of vibrational state m at each untrapped
+    system and packet time of ``systems`` and ``taus``, their coefficients
+    read in one stacked pass per coupling pattern, each with its single
+    read's bits."""
+    m = _quantum_number(m, "m")
+    _check_number_cap(m)
+    points = list(zip(systems, taus))
+    if not points:
+        return []
+    prefactors = [gaussian.purity_unbound_gaussian(sys, tau) for sys, tau in points]
+    coeffs = taylor_coefficients(np.stack([_packet_block(sys, tau) for sys, tau in points]),
+                                 (m,) * 4)
+    fac = float(math.factorial(m))
+    purities = []
+    for prefactor, coeff in zip(prefactors, coeffs):
+        value = complex(prefactor * fac * fac * coeff)
+        if not abs(value.imag) <= _IMAG_TOL:
+            raise NumericalConsistencyError(
+                f"unbound purity has imaginary residue {value.imag!r}"
+            )
+        purities.append(float(value.real))
+    return purities
+
+
 def purity_number_unbound(sys: OscillatorSystem, m: int, tau: float) -> float:
     """Exact purity of the untrapped pair in vibrational state m with a
     center-of-mass packet spread to dimensionless time tau.
@@ -312,24 +355,80 @@ def purity_number_unbound(sys: OscillatorSystem, m: int, tau: float) -> float:
     system) and c the coefficient of prod alpha_i^m of the exponential of
     :func:`_packet_block`; the imaginary residue must stay below 1e-8.
     """
-    m = _quantum_number(m, "m")
-    _check_number_cap(m)
-    prefactor = gaussian.purity_unbound_gaussian(sys, tau)
-    fac = float(math.factorial(m))
-    value = complex(prefactor * fac * fac * taylor_coefficient(_packet_block(sys, tau), (m,) * 4))
-    if not abs(value.imag) <= _IMAG_TOL:
-        raise NumericalConsistencyError(
-            f"unbound purity has imaginary residue {value.imag!r}"
-        )
-    return float(value.real)
+    return purity_numbers_unbound([sys], m, [tau])[0]
 
 
-def _cross_value(gen: QuadraticGenerator, coeff, orders) -> float:
-    """Cross term at ``orders`` from its coefficient ``coeff``."""
-    if sum(orders) % 2 == 1:
-        return 0.0
-    fac = math.prod(math.factorial(t) for t in orders)
-    return float(gen.prefactor * math.sqrt(fac) * coeff)
+def _cross_terms(state: Superposition) -> tuple:
+    """The cross terms of ``state`` in ``product(terms, repeat=4)`` order:
+    their corners as a (T^4, 8) int array (m_1..m_4, n_1..n_4, slots 2 and 4
+    the conjugated factors), and for each its weight c_1 c_2* c_3 c_4* and
+    sqrt(prod m_i! n_i!), None where sum (m_i + n_i) is odd.
+
+    Each weight and root is formed by the operations of the quadruple loop
+    it replaces, left to right, the partial products shared between the
+    quadruples that start alike.
+    """
+    terms = state.terms
+    labels = np.array([(m, n) for (m, n, _) in terms], np.intp)
+    slots = np.indices((len(terms),) * 4).reshape(4, -1)  # C order is product order
+    corners = np.concatenate([labels[slots, 0], labels[slots, 1]]).T
+    weights = [c1 * c2.conjugate() for (_, _, c1) in terms for (_, _, c2) in terms]
+    weights = [w * c3 for w in weights for (_, _, c3) in terms]
+    weights = [w * c4.conjugate() for w in weights for (_, _, c4) in terms]
+    facs = [math.factorial(m) * math.factorial(n) for (m, n, _) in terms]
+    odd = [(m + n) % 2 for (m, n, _) in terms]
+    roots = [None if (p + q + r + u) % 2 else math.sqrt(f1 * f2 * f3 * f4)
+             for (p, f1) in zip(odd, facs) for (q, f2) in zip(odd, facs)
+             for (r, f3) in zip(odd, facs) for (u, f4) in zip(odd, facs)]
+    return corners, weights, roots
+
+
+def purity_superpositions(points) -> list[float]:
+    """:func:`purity_superposition` of each (system, state) pair of
+    ``points``.
+
+    Every state's cap is checked first, then each distinct system's
+    generator is built once, and the cross terms of every distinct state
+    are read for every generator in one call, stacked by coupling pattern;
+    each point then sums its own quadruples in ``product(terms, repeat=4)``
+    order, with its single read's bits.  A theta sweep, one system and many
+    states, so builds one generator and reads its union cone once.
+    """
+    points = list(points)
+    states = {}
+    for _, state in points:
+        if state not in states:
+            order = 4 * max(m + n for (m, n, _) in state.terms)
+            if order > _CROSS_CAP:
+                raise ResourceCapError(
+                    f"total order {order} exceeds the cross-term cap {_CROSS_CAP}")
+            states[state] = _cross_terms(state)
+    gens = {}
+    for sys, _ in points:
+        if sys not in gens:
+            gens[sys] = build_M(sys)
+    if not points:
+        return []
+    rows, start = {}, 0
+    for state, (corners, _, _) in states.items():
+        rows[state] = slice(start, start + len(corners))
+        start += len(corners)
+    coeffs = taylor_coefficients(np.stack([gen.Mmat for gen in gens.values()]),
+                                 np.concatenate([c for (c, _, _) in states.values()]))
+    at = {sys: k for k, sys in enumerate(gens)}
+    purities = []
+    for sys, state in points:
+        prefactor = gens[sys].prefactor
+        _, weights, roots = states[state]
+        total = 0j
+        for weight, root, coeff in zip(weights, roots, coeffs[at[sys], rows[state]].tolist()):
+            total += weight * (0.0 if root is None else float(prefactor * root * coeff))
+        if not abs(total.imag) <= _SUPERPOSITION_IMAG_TOL:
+            raise NumericalConsistencyError(
+                f"superposition purity has imaginary residue {total.imag!r}"
+            )
+        purities.append(float(total.real))
+    return purities
 
 
 def purity_superposition(sys: OscillatorSystem, state: Superposition) -> float:
@@ -344,21 +443,48 @@ def purity_superposition(sys: OscillatorSystem, state: Superposition) -> float:
     4 max(m + n), and every coefficient is read in one call, from the cells
     the even cross terms depend on.
     """
-    order = 4 * max(m + n for (m, n, _) in state.terms)
-    if order > _CROSS_CAP:
-        raise ResourceCapError(f"total order {order} exceeds the cross-term cap {_CROSS_CAP}")
-    gen = build_M(sys)
-    quadruples = list(product(state.terms, repeat=4))
-    corners = [(m1, m2, m3, m4, n1, n2, n3, n4)
-               for (m1, n1, _), (m2, n2, _), (m3, n3, _), (m4, n4, _) in quadruples]
-    coeffs = taylor_coefficient(gen.Mmat, corners)
+    return purity_superpositions([(sys, state)])[0]
 
-    total = 0j
-    for ((_, _, c1), (_, _, c2), (_, _, c3), (_, _, c4)), orders, coeff in zip(
-            quadruples, corners, coeffs):
-        total += c1 * c2.conjugate() * c3 * c4.conjugate() * _cross_value(gen, coeff, orders)
-    if not abs(total.imag) <= _SUPERPOSITION_IMAG_TOL:
-        raise NumericalConsistencyError(
-            f"superposition purity has imaginary residue {total.imag!r}"
-        )
-    return float(total.real)
+
+def purities(points, method: str = "exact") -> list[float]:
+    """Best non-oracle purity of each (system, state) pair of ``points``:
+    its closed form, else the exact extraction, which ``method="analytic"``
+    refuses.  A state kind neither route takes is refused first, whatever
+    the method.
+
+    Closed forms are taken point by point; the other points are read in one
+    block per number state, per unbound index m and for all
+    superpositions, each point with the bits of its own read.  A block
+    raises the first error it meets, which need not be its first failing
+    point's: read the points one by one for that.
+    """
+    points = list(points)
+    values = [None] * len(points)
+    blocks = {}
+    for i, (sys, state) in enumerate(points):
+        if not isinstance(state, StateSpec):
+            raise UnsupportedStateError(f"no method route for {type(state).__name__}")
+        if isinstance(state, Coherent) or state == NumberState(0, 0):
+            values[i] = gaussian.purity_coherent(sys)
+        elif isinstance(state, UnboundGaussian) and state.m == 0:
+            values[i] = gaussian.purity_unbound_gaussian(sys, state.tau)
+        elif method == "analytic":
+            raise UnsupportedStateError("analytic closed forms cover only coherent/ground "
+                                        "states and the m = 0 spreading packet")
+        elif isinstance(state, NumberState):
+            blocks.setdefault((NumberState, state.m, state.n), []).append(i)
+        elif isinstance(state, UnboundGaussian):
+            blocks.setdefault((UnboundGaussian, state.m), []).append(i)
+        else:
+            blocks.setdefault((Superposition,), []).append(i)
+    for (kind, *numbers), members in blocks.items():
+        systems = [points[i][0] for i in members]
+        if kind is NumberState:
+            got = purity_numbers(systems, *numbers)
+        elif kind is UnboundGaussian:
+            got = purity_numbers_unbound(systems, *numbers, [points[i][1].tau for i in members])
+        else:
+            got = purity_superpositions(points[i] for i in members)
+        for i, value in zip(members, got):
+            values[i] = value
+    return values

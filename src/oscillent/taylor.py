@@ -53,6 +53,17 @@ corners and the coupling pattern; it is built once, with searchsorted and
 no box-sized array, and cached under a lock, so concurrent readers build
 it once.
 
+A stack of generators is read over one schedule as a stack fills boxes
+(:func:`taylor_coefficients`): its members are grouped by coupling
+pattern, so each runs exactly its own operations, and each group's values
+lie side by side on the last axis of the cone's cells, one numpy call per
+step for the whole group.  A sweep of mu1 through 0.5, where build_M's s
+entries vanish, is two groups.  99 |4,4> points read in about 11 ms
+stacked against 44 ms one by one, 99 |4,2> points in 3 against 28 ms, and
+two |4,4> points in the time of two single reads (2-vCPU x86-64).  The
+128 MiB refusal is a single read's, and a stack's values take S times one
+read's cone, no more: nothing cached grows with S.
+
 The box itself (:func:`exp_taylor_box`) has one caller, the fock route,
 which reads whole (j, k) planes and fills stacks of generators (fig7's
 sixteen truncations), which a cone does not take.  Reading the plane of
@@ -73,7 +84,7 @@ import numpy as np
 
 from .errors import ResourceCapError
 
-__all__ = ["exp_taylor_box", "taylor_coefficient"]
+__all__ = ["exp_taylor_box", "taylor_coefficient", "taylor_coefficients"]
 
 _BOX_BYTES_CAP = 2 ** 27  # 128 MiB: 16.7M real or 8.4M complex coefficients
 
@@ -193,9 +204,11 @@ def _cone(caps: tuple[int, ...], corners: tuple[int, ...], coupled: bytes) -> tu
     every level shares the box's index space.  Returns (size, levels,
     targets): ``levels`` runs from the last variable to the first, each
     entry (a, slabs), each slab (lo, hi, scale, src_aa, shifts) with shifts
-    a tuple of (b, dst, src).  Values live in one array of ``size`` cells;
-    cell 0 is the constant term, a slab fills positions lo:hi, src_aa (None
-    on slab 1) and src index that array, and dst indexes the slab.  Each
+    a tuple of (b, src, missing).  Values live in one array of ``size``
+    cells; cell 0 is the constant term, a slab fills positions lo:hi, and
+    src_aa (None on slab 1) and src index that array.  src holds one source
+    per cell of the slab, cell 0 standing in for the cells with t_b = 0,
+    which the boolean ``missing`` marks (None where there are none).  Each
     level's cells follow every cell of the deeper levels, whose flat
     indices are all smaller, so the array stays sorted by flat index, and
     ``targets`` holds each corner's position in it.
@@ -247,9 +260,12 @@ def _cone(caps: tuple[int, ...], corners: tuple[int, ...], coupled: bytes) -> tu
         slabs = []
         for s, cells, shifts in needed[a]:
             src_aa = position(cells, s - 2) if s >= 2 else None
-            shifts = tuple((b, np.flatnonzero(has), position(rest, s - 1))
-                           for b, has, rest in shifts)
-            slabs.append((size, size + cells.size, 2.0 / s, src_aa, shifts))
+            terms = []
+            for b, has, rest in shifts:
+                src = np.zeros(cells.size, np.intp)  # the constant term where t_b = 0
+                src[has] = position(rest, s - 1)
+                terms.append((b, src, None if has.all() else ~has))
+            slabs.append((size, size + cells.size, 2.0 / s, src_aa, tuple(terms)))
             start[s] = (size, cells)
             placed.append(cells + s * R)
             size += cells.size
@@ -260,28 +276,60 @@ def _cone(caps: tuple[int, ...], corners: tuple[int, ...], coupled: bytes) -> tu
 _CONE_LOCK = threading.Lock()
 
 
-def _cone_values(M: np.ndarray, caps: tuple[int, ...], corners: tuple[int, ...]) -> np.ndarray:
-    """Coefficients of one generator M at ``corners``, distinct ascending
-    flat indices into the box at ``caps``, computed from their cone by the
-    box's operations; ResourceCapError first where that box would exceed
-    128 MiB."""
-    dtype = _budgeted_dtype(M, caps)
+def _cone_values(Ms: np.ndarray, caps: tuple[int, ...], corners: tuple[int, ...],
+                 coupled: bytes) -> np.ndarray:
+    """Coefficients of each generator of the (S, d, d) stack Ms, all of the
+    coupling pattern ``coupled``, at ``corners``, distinct ascending flat
+    indices into the box at ``caps``: an (S, K) array, computed from their
+    cone by the box's operations.
+
+    Values live in a (cells, S) array, the members of a cell side by side,
+    as in a stacked box; one member's in a flat array, its generator entries
+    multiplying as scalars, as in its own box.  Each product takes the
+    coupling before the cells and the cells before M_aa and the scale, as
+    the box does (complex products differ in their last bits with the
+    operands' order).  A coupling's term over the cells with t_b = 0 is set
+    to -0.0 before it is added, which leaves every value, signed zeros
+    included, as the box, which adds nothing there, leaves it.
+    """
     with _CONE_LOCK:
-        size, levels, targets = _cone(caps, corners, (M != 0).tobytes())
-    v = np.empty(size, dtype)
+        size, levels, targets = _cone(caps, corners, coupled)
+    stacked = len(Ms) > 1
+    v = np.empty((size, len(Ms)) if stacked else size, Ms.dtype)
     v[0] = 1.0
+    rows = Ms.transpose(1, 2, 0) if stacked else Ms[0]
     for a, slabs in levels:
-        row = M[a]
+        row = rows[a]
         for lo, hi, scale, src_aa, shifts in slabs:
             acc = v[lo:hi]
             if src_aa is None:
                 acc[...] = 0.0
             else:
-                np.multiply(v[src_aa], row[a], out=acc)
-            for b, dst, src in shifts:
-                acc[dst] += row[b] * v[src]
+                np.multiply(v.take(src_aa, axis=0), row[a], out=acc)
+            for b, src, missing in shifts:
+                term = row[b] * v.take(src, axis=0)
+                if missing is not None:
+                    term[missing] = -0.0
+                acc += term
             acc *= scale
-    return v[targets]
+    values = v.take(targets, axis=0)
+    return values.T if stacked else values[np.newaxis]
+
+
+def _stack_values(Ms: np.ndarray, caps: tuple[int, ...], corners: tuple[int, ...]) -> np.ndarray:
+    """:func:`_cone_values` of each member of the stack Ms, one pass per
+    coupling pattern in order of first appearance; ResourceCapError first
+    where one member's box at ``caps`` would exceed 128 MiB."""
+    dtype = _budgeted_dtype(Ms[0], caps)
+    patterns = {}
+    for i, mask in enumerate(Ms != 0):
+        patterns.setdefault(mask.tobytes(), []).append(i)
+    if len(patterns) == 1:
+        return _cone_values(Ms, caps, corners, next(iter(patterns)))
+    values = np.empty((len(Ms), len(corners)), dtype)
+    for coupled, members in patterns.items():
+        values[members] = _cone_values(Ms[members], caps, corners, coupled)
+    return values
 
 
 def taylor_coefficient(M: np.ndarray, orders):
@@ -293,10 +341,10 @@ def taylor_coefficient(M: np.ndarray, orders):
     orders, so each equals ``exp_taylor_box(M, caps)[corner]`` bit for bit
     for any caps that cover it; a corner of odd total order gives 0.0.  One
     corner returns its coefficient, several an array of K coefficients.  M
-    is one (d, d) generator; a stack is refused with ValueError, as are
-    orders that are negative or do not match M.  Where the box at the even
-    corners' largest orders would exceed 128 MiB, ResourceCapError is
-    raised before anything is built.
+    is one (d, d) generator; a stack is refused with ValueError (it is read
+    by :func:`taylor_coefficients`), as are orders that are negative or do
+    not match M.  Where the box at the even corners' largest orders would
+    exceed 128 MiB, ResourceCapError is raised before anything is built.
 
     The domain is the exact route's: at most 8 orders per axis over 8
     variables, where a schedule builds in 2-8 ms.  Any orders under the
@@ -309,24 +357,44 @@ def taylor_coefficient(M: np.ndarray, orders):
     8-byte indices per cell of its cone: 15 MB at (1500, 1500), so 64 such
     would keep about 1 GB.
     """
+    if np.ndim(M) != 2:
+        raise ValueError(f"taylor_coefficient takes one (d, d) matrix, got shape {np.shape(M)}")
+    return taylor_coefficients(np.asarray(M)[np.newaxis], orders)[0]
+
+
+def taylor_coefficients(Ms: np.ndarray, orders):
+    """:func:`taylor_coefficient` of each generator of the (S, d, d) stack
+    Ms, at one corner (an array of S coefficients) or at a (K, d) sequence
+    of corners (an (S, K) array).
+
+    Members are grouped by coupling pattern (M_ab != 0), and each group is
+    read in one pass over its cone's schedule, its members side by side, so
+    each member runs exactly its own single read's operations and has its
+    bits, signed zeros included; a generator whose pattern no other member
+    shares is read alone.  The 128 MiB refusal is a single read's: a stack
+    is refused where each of its reads would be, and its values take S
+    times one read's cone.  A (d, d) M, an empty stack, or orders that are
+    negative or do not match the stack, raise ValueError.
+    """
     corners = np.array(orders, np.intp)
     several = corners.ndim == 2
     # the elementwise smallest orders of several corners are checked for them
-    M, orders = _checked(M, corners.min(axis=0) if several else corners.tolist())
-    if M.ndim != 2:
-        raise ValueError(f"taylor_coefficient takes one (d, d) matrix, got shape {M.shape}")
+    Ms, caps = _checked(Ms, corners.min(axis=0) if several else corners.tolist())
+    if Ms.ndim != 3 or not len(Ms):
+        raise ValueError(f"taylor_coefficients takes an (S, d, d) stack of S >= 1 "
+                         f"generators, got shape {Ms.shape}")
     if not several:
         # one corner skips the array work below, which costs more than a
         # small read: |1,0>'s took 57 us as a list of one, 31 us alone
-        if sum(orders) % 2 == 1:
-            return 0.0
+        if sum(caps) % 2 == 1:
+            return np.zeros(len(Ms))
         # the corner is the last cell of its box
-        return _cone_values(M, orders, (math.prod(t + 1 for t in orders) - 1,))[0]
+        return _stack_values(Ms, caps, (math.prod(t + 1 for t in caps) - 1,))[:, 0]
     even = corners.sum(axis=1) % 2 == 0
     caps = tuple(corners[even].max(axis=0, initial=0).tolist())
     flats = corners @ np.array(_strides(caps), np.intp)
     keys = _sorted_union([flats[even]])
-    values = _cone_values(M, caps, tuple(keys.tolist()))
-    coeffs = np.zeros(len(corners), values.dtype)
-    coeffs[even] = values[np.searchsorted(keys, flats[even])]
+    values = _stack_values(Ms, caps, tuple(keys.tolist()))
+    coeffs = np.zeros((len(Ms), len(corners)), values.dtype)
+    coeffs[:, even] = values[:, np.searchsorted(keys, flats[even])]
     return coeffs

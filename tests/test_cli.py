@@ -2,7 +2,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 from oscillent import (Coherent, NumberState, OscillatorSystem, Superposition,
-                       UnboundGaussian, acceptance, cli, fock, grid)
+                       UnboundGaussian, acceptance, cli, exact, fock, grid)
 from oscillent.errors import NumericalConsistencyError
 
 
@@ -250,7 +253,7 @@ class TestPurityCommand:
     def test_numerical_consistency_exit_two(self, monkeypatch):
         def broken(*a, **kw):
             raise NumericalConsistencyError("synthetic failure")
-        monkeypatch.setattr(cli.grid, "schmidt_analyze", broken)
+        monkeypatch.setattr(grid, "schmidt_analyze", broken)
         assert cli.run(["purity", "--g", "4", "--mu1", "0.5",
                         "--state", "coherent:", "--method", "oracle"]) == 2
 
@@ -473,8 +476,9 @@ def _cells(lines):
 
 
 class TestSweepDispatch:
-    """Only an exact sweep runs on the pool; either way the table is the
-    points computed one by one."""
+    """Only an exact sweep runs on the pool, in chunks of contiguous points,
+    each read in one block; either way the table is the points computed one
+    by one."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -487,6 +491,17 @@ class TestSweepDispatch:
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
         return made
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        seen, real = [], cli._sweep_chunk
+
+        def recorded(args, state, values):
+            seen.append((threading.current_thread(), list(values)))
+            return real(args, state, values)
+
+        monkeypatch.setattr(cli, "_sweep_chunk", recorded)
+        return seen
 
     @pytest.mark.parametrize("method, param, rng, flags, point, pooled", [
         ("fock", "mu1", "0.2:0.8:3", ["--g", "5", "--state", "number:2,2", "--jmax", "40"],
@@ -505,20 +520,67 @@ class TestSweepDispatch:
         ("analytic", "g", "1:4:3", ["--mu1", "0.3", "--state", "number:0,0"],
          lambda v: (OscillatorSystem.from_dimensionless(v, 0.3), NumberState(0, 0)), False),
     ], ids=["fock", "oracle", "exact-light", "theta", "tau", "exact-heavy", "analytic"])
-    def test_pool_only_for_exact_sweeps(self, capsys, pools, method, param, rng, flags,
-                                             point, pooled):
+    def test_pool_only_for_exact_sweeps(self, capsys, pools, chunks, method, param, rng,
+                                        flags, point, pooled):
         assert cli.run(["sweep", "--method", method, "--param", param, "--range", rng,
                         *flags]) == 0
         table = capsys.readouterr().out.splitlines(keepends=True)[2:]
         assert pools == ([{"max_workers": cli._threads()}] if pooled else [])
         start, stop, count = rng.split(":")
+        values = np.linspace(float(start), float(stop), int(count)).tolist()
+        # a short exact sweep is one chunk of every point, read on a pool thread
+        assert [v for (_, vs) in chunks for v in vs] == (values if pooled else [])
+        assert all(t is not threading.main_thread() for (t, _) in chunks)
         args = argparse.Namespace(jmax=40, kmax=40, gamma1=None, gamma2=None, n_points=None,
                                   extent=grid.GridSpec.extent_sigmas)
         expected = []
-        for v in np.linspace(float(start), float(stop), int(count)).tolist():
+        for v in values:
             purity = cli.compute_purity(*point(v), method, args, entropy=False)["purity"]
             expected.append(f"{cli._fmt(v)},{cli._fmt(purity)}\n")
         assert "".join(table) == "".join(expected)
+
+    @pytest.mark.parametrize("threads, count, sizes", [
+        (2, 4, [4]), (2, 9, [9]), (2, 31, [31]), (2, 32, [16, 16]), (2, 99, [50, 49]),
+        (4, 99, [25, 25, 25, 24]), (1, 99, [50, 49]), (2, 130, [44, 44, 42]),
+        (4, 1000, [63] * 15 + [55]),
+    ])
+    def test_chunks(self, threads, count, sizes):
+        # one chunk per thread where each keeps 16 points, none above 64
+        values = list(range(count))
+        got = cli._sweep_chunks(values, threads)
+        assert [len(c) for c in got] == sizes
+        assert [v for c in got for v in c] == values
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_a_long_sweep_is_one_chunk_per_thread(self, capsys, monkeypatch, chunks, threads):
+        monkeypatch.setattr(cli, "_threads", lambda: threads)
+        argv = ["sweep", "--param", "mu1", "--range", "0.01:0.99:99", "--g", "5",
+                "--state", "number:2,2"]
+        assert cli.run(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(chunks) == threads
+        assert [v for (_, vs) in chunks for v in vs] == np.linspace(0.01, 0.99, 99).tolist()
+        for row in rows[::7]:
+            mu1, purity = row.split(",")
+            code, rec = run_json(capsys, ["purity", "--g", "5", "--mu1", mu1,
+                                          "--state", "number:2,2"])
+            assert code == 0 and cli._fmt(rec["purity"]) == purity
+
+    @pytest.mark.parametrize("rng, scale, flags", [
+        # the middle g is not positive, and neither is the last
+        ("1:-1:3", "linear", ["--mu1", "0.3", "--state", "number:2,2"]),
+        # the middle generator leaves the float range, the last does not
+        ("1:1e-300:3", "log", ["--mu1", "1e-300", "--state", "number:1,1"]),
+    ], ids=["domain", "range-rule"])
+    def test_the_first_failing_point_fails_the_sweep(self, capsys, rng, scale, flags):
+        argv = ["sweep", "--param", "g", "--range", rng, "--scale", scale, *flags]
+        code = cli.run(argv)
+        err = capsys.readouterr().err
+        values = cli._sweep_values(cli._build_parser().parse_args(argv)).tolist()
+        codes = [cli.run(["purity", "--g", repr(v), *flags]) for v in values]
+        errs = capsys.readouterr().err.splitlines(keepends=True)
+        assert codes[0] == 0 and codes[1] != 0
+        assert code == codes[1] and err == errs[0]
 
 
 class TestSweepPointIsThePurityCommand:
@@ -909,6 +971,43 @@ class TestParser:
         assert cli.run(["selftest"]) == 7
 
 
+class TestImports:
+    def test_extent_default_is_the_grid_specs(self):
+        for command in ("purity", "sweep", "oracle-compare"):
+            args = cli._build_parser().commands[command].parse_args([])
+            assert args.extent == grid.GridSpec.extent_sigmas
+            assert type(args.extent) is float
+
+    def test_an_exact_sweep_loads_no_other_route(self, tmp_path):
+        # np.unique alone imports numpy.ma (15 ms on its first call)
+        code = ("import sys\n"
+                "from oscillent import cli\n"
+                "for argv in (['--param', 'mu1', '--range', '0.2:0.8:4', '--g', '5',\n"
+                "              '--state', 'number:4,2'],\n"
+                "             ['--param', 'theta', '--range', '0:3:9', '--g', '5', '--mu1', '0.3'],\n"
+                "             ['--param', 'tau', '--range', '0:3:3', '--c', '2', '--mu1', '0.3',\n"
+                "              '--state', 'unbound:2,0']):\n"
+                "    assert cli.run(['sweep', *argv, '-o', 'out.csv']) == 0\n"
+                "print(sorted(m for m in ('oscillent.grid', 'oscillent.fock',\n"
+                "                         'oscillent.acceptance', 'numpy.ma', 'scipy')\n"
+                "             if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_the_package_resolves_its_names_on_first_use(self):
+        import oscillent
+
+        for name in oscillent.__all__:
+            assert getattr(oscillent, name) is not None
+        assert oscillent.GridSpec is grid.GridSpec
+        assert set(oscillent.__all__) <= set(dir(oscillent))
+        with pytest.raises(AttributeError):
+            oscillent.no_such_name
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1133,20 +1232,25 @@ class TestOneRuleForANumericalFailure:
         assert 0.0 < rec["purity"] == pytest.approx(ref["purity"], rel=1e-14, abs=0)
 
     def test_pool_threads_carry_the_rule(self, monkeypatch, tmp_path):
-        # each point records the thread it runs in and that thread's error state
+        # each chunk's block read records the thread it runs in, that
+        # thread's error state and its points
         seen = []
 
-        def record(*args, **kwargs):
-            seen.append((threading.current_thread(), np.geterr()))
-            return {"purity": 0.5}
+        def record(points, method):
+            points = list(points)
+            seen.append((threading.current_thread(), np.geterr(), len(points)))
+            return [0.5] * len(points)
 
-        monkeypatch.setattr(cli, "compute_purity", record)
-        assert cli.run(["sweep", "--param", "g", "--range", "1:2:8", "--mu1", "0.5",
-                        "--state", "number:1,1", "-o", str(tmp_path / "s.csv")]) == 0
-        assert len(seen) == 8
-        assert all(thread is not threading.main_thread() for (thread, _) in seen)
-        assert all(state == {"divide": "raise", "over": "raise", "under": "ignore",
-                             "invalid": "raise"} for (_, state) in seen)
+        monkeypatch.setattr(exact, "purities", record)
+        monkeypatch.setattr(cli, "_threads", lambda: 2)
+        for count, sizes in ((8, [8]), (99, [50, 49])):
+            seen.clear()
+            assert cli.run(["sweep", "--param", "g", "--range", f"1:2:{count}", "--mu1", "0.5",
+                            "--state", "number:1,1", "-o", str(tmp_path / "s.csv")]) == 0
+            assert sorted(n for (_, _, n) in seen) == sorted(sizes)
+            assert all(thread is not threading.main_thread() for (thread, _, _) in seen)
+            assert all(state == {"divide": "raise", "over": "raise", "under": "ignore",
+                                 "invalid": "raise"} for (_, state, _) in seen)
 
     def test_rule_ends_with_the_command(self):
         before = np.geterr()

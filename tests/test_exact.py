@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import oscillent
 from oscillent import cli
-from oscillent import (DomainError, NumberState, NumericalConsistencyError,
-                       OscillatorSystem, ResourceCapError, Superposition,
+from oscillent import (Coherent, DomainError, NumberState, NumericalConsistencyError,
+                       OscillatorSystem, ResourceCapError, Superposition, UnboundGaussian,
+                       UnsupportedStateError,
                        build_M, build_M_from_A,
                        purity_coherent, purity_number,
                        purity_number_unbound, purity_superposition,
@@ -562,6 +563,110 @@ class TestCornerRead:
         assert proc.stdout == "False\n"
 
 
+class TestBlockReads:
+    """A block of points, read in one stacked pass per coupling pattern,
+    gives each point the bits of its own read."""
+
+    @staticmethod
+    def hexes(values):
+        return [float(v).hex() for v in values]
+
+    @pytest.mark.parametrize("m, n", [(4, 4), (2, 3), (5, 3)])
+    def test_mu1_sweep_through_half(self, m, n):
+        # mu1 = 0.5, where build_M's s entries vanish, is a pattern of its own
+        systems = [OscillatorSystem.from_dimensionless(5.0, mu)
+                   for mu in np.linspace(0.01, 0.99, 99).tolist()]
+        block = exact.purity_numbers(systems, m, n)
+        assert self.hexes(block) == self.hexes(purity_number(s, m, n) for s in systems)
+        fac = float(math.factorial(m) * math.factorial(n))
+        for k in (0, 49, 98):
+            gen = build_M(systems[k])
+            box = box_read(gen.Mmat, (m,) * 4 + (n,) * 4, gen.prefactor * fac * fac)
+            assert block[k].hex() == float(box).hex()
+
+    def test_log_g_sweep(self):
+        systems = [OscillatorSystem.from_dimensionless(g, 0.3)
+                   for g in np.geomspace(0.2, 5.0, 9).tolist()]
+        block = exact.purity_numbers(systems, 3, 3)
+        assert self.hexes(block) == self.hexes(purity_number(s, 3, 3) for s in systems)
+
+    def test_tau_sweep_of_a_packet(self):
+        # complex generators; the last point's mass fraction changes the system
+        free = OscillatorSystem.from_untrapped(0.3, c=2.0)
+        systems = [free] * 8 + [OscillatorSystem.from_untrapped(0.5, c=2.0)]
+        taus = np.linspace(0.0, 8.0, 9).tolist()
+        block = exact.purity_numbers_unbound(systems, 3, taus)
+        singles = [purity_number_unbound(s, 3, tau) for s, tau in zip(systems, taus)]
+        assert self.hexes(block) == self.hexes(singles)
+        for s, tau, got in zip(systems, taus, block):
+            weight = purity_unbound_gaussian(s, tau) * 6.0 * 6.0
+            box = complex(box_read(exact._packet_block(s, tau), (3,) * 4, weight))
+            assert got.hex() == box.real.hex()
+
+    def test_theta_sweep_builds_one_generator_and_reads_once(self, monkeypatch):
+        sys_ = OscillatorSystem.from_dimensionless(1.0, 0.4)
+        states = [Superposition.two_mode_mix(t) for t in np.linspace(0.0, 3.0, 9).tolist()]
+        singles = [purity_superposition(sys_, st) for st in states]
+        built, reads = [], []
+        real_build, real_read = exact.build_M, exact.taylor_coefficients
+        monkeypatch.setattr(exact, "build_M", lambda s: built.append(s) or real_build(s))
+        monkeypatch.setattr(exact, "taylor_coefficients",
+                            lambda Ms, orders: reads.append(len(Ms)) or real_read(Ms, orders))
+        block = exact.purity_superpositions([(sys_, st) for st in states])
+        assert self.hexes(block) == self.hexes(singles)
+        assert built == [sys_] and reads == [1]
+
+    @pytest.mark.parametrize("g, state", [
+        (1.0, NumberState(2, 3)), (5.0, NumberState(1, 2)),
+        (1.0, Superposition.two_mode_mix(math.pi / 6)), (5.0, Superposition.two_mode_mix(0.0)),
+        (5.0, Superposition.two_mode_mix(math.pi / 3)),
+    ])
+    def test_figure_columns(self, g, state):
+        systems = [OscillatorSystem.from_dimensionless(g, mu)
+                   for mu in np.linspace(0.01, 0.99, 99).tolist()]
+        block = exact.purities([(s, state) for s in systems])
+        single = (purity_number if isinstance(state, NumberState) else
+                  lambda s, st: purity_superposition(s, st))
+        args = (state.m, state.n) if isinstance(state, NumberState) else (state,)
+        assert self.hexes(block) == self.hexes(single(s, *args) for s in systems)
+
+    def test_mixed_kinds_each_by_its_route(self):
+        trapped = OscillatorSystem.from_dimensionless(3.0, 0.4)
+        free = OscillatorSystem.from_untrapped(0.3, c=2.0)
+        points = [(trapped, NumberState(2, 1)), (trapped, Coherent()),
+                  (free, UnboundGaussian(2, 1.5)), (trapped, NumberState(0, 0)),
+                  (free, UnboundGaussian(0, 1.5)), (trapped, Superposition.two_mode_mix(1.0)),
+                  (OscillatorSystem.from_dimensionless(2.0, 0.6), NumberState(2, 1))]
+        expect = [purity_number(trapped, 2, 1), purity_coherent(trapped),
+                  purity_number_unbound(free, 2, 1.5), purity_coherent(trapped),
+                  purity_unbound_gaussian(free, 1.5),
+                  purity_superposition(trapped, Superposition.two_mode_mix(1.0)),
+                  purity_number(OscillatorSystem.from_dimensionless(2.0, 0.6), 2, 1)]
+        assert self.hexes(exact.purities(points)) == self.hexes(expect)
+        assert exact.purities(points[1:2] + points[4:5], "analytic") == [expect[1], expect[4]]
+        with pytest.raises(UnsupportedStateError, match="analytic"):
+            exact.purities(points, "analytic")
+        with pytest.raises(UnsupportedStateError, match="no method route"):
+            exact.purities([(trapped, "number:1,1")])
+
+    def test_a_failing_point_fails_the_block(self):
+        # the middle system's generator leaves the float range
+        systems = [OscillatorSystem.from_dimensionless(g, 1e-300) for g in (1.0, 1e-300, 1.0)]
+        with pytest.raises(NumericalConsistencyError, match="leave the float range"):
+            exact.purity_numbers(systems, 1, 1)
+
+    def test_many_terms(self):
+        # every |m,n> with m + n <= 4, 50,625 cross terms; the purities are
+        # those the per-quadruple loop gave before the corners became an array
+        labels = [(m, n) for m in range(5) for n in range(5) if m + n <= 4]
+        c = 1 / math.sqrt(len(labels))
+        st = Superposition(tuple((m, n, complex(c * (1 if (m + n) % 2 else 1j)))
+                                 for m, n in labels))
+        got = [purity_superposition(OscillatorSystem.from_dimensionless(5.0, mu), st)
+               for mu in (0.3, 0.5)]
+        assert self.hexes(got) == ["0x1.de51583c1c634p-2", "0x1.d7905c5930704p-2"]
+
+
 class TestPuritySuperposition:
     def test_single_term_reduces_to_number(self):
         sys = OscillatorSystem.from_dimensionless(5.0, 0.3)
@@ -670,13 +775,13 @@ class TestPuritySuperposition:
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        real, calls = exact.taylor_coefficient, []
+        real, calls = exact.taylor_coefficients, []
 
-        def counted(M, orders):
+        def counted(Ms, orders):
             calls.append(orders)
-            return real(M, orders)
+            return real(Ms, orders)
 
-        monkeypatch.setattr(exact, "taylor_coefficient", counted)
+        monkeypatch.setattr(exact, "taylor_coefficients", counted)
         return calls
 
     def test_one_read_of_every_cross_term(self, reads):

@@ -383,3 +383,76 @@ def test_concurrent_reads_build_one_schedule():
     assert not any(t.is_alive() for t in threads)
     assert len(got) == 6 and all(same_bits(c, expect) for c in got)
     assert taylor._cone.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_each_stack_member_reads_its_single_bits(seed):
+    # members of a few coupling patterns, interleaved, real or complex, read
+    # at one corner or at several; each member's read has its single read's
+    # bits and the box's, signed zeros included
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 9))
+    complex_ = bool(seed % 2)
+    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
+    patterns = [[rng.choice(["x", "x", "+0", "-0"]) for _ in pairs]
+                for _ in range(int(rng.integers(1, 4)))]
+    members = int(rng.integers(1, 7))
+    Ms = np.stack([patterned(dim, pairs, patterns[k % len(patterns)], complex_, seed * 10 + k)
+                   for k in range(members)])
+    top = _CORNER_MAX[dim]
+    if seed % 3:
+        orders = tuple(int(t) for t in rng.integers(0, top + 1, dim))
+        got = taylor.taylor_coefficients(Ms, orders)
+        assert got.shape == (members,)
+        for M, coeff in zip(Ms, got):
+            assert same_bits(coeff, taylor_coefficient(M, orders))
+            if sum(orders) % 2 == 0:
+                assert same_bits(coeff, exp_taylor_box(M, orders)[orders])
+    else:
+        corners = [tuple(int(t) for t in rng.integers(0, top + 1, dim)) for _ in range(4)]
+        got = taylor.taylor_coefficients(Ms, corners)
+        assert got.shape == (members, len(corners))
+        for M, coeffs in zip(Ms, got):
+            assert coeffs.tobytes() == taylor_coefficient(M, corners).tobytes()
+
+
+def test_stacked_read_of_one_cell_wide_slabs():
+    # slabs of one cell, where numpy multiplies complex values in place by
+    # another loop than out of place
+    M = patterned(3, [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)], ["x"] * 6, True,
+                  12742428)
+    for orders in [(3, 0, 1), (2, 1, 1), (1, 0, 1)]:
+        stacked = taylor.taylor_coefficients(np.stack([M, 2 * M]), orders)
+        for member, coeff in zip((M, 2 * M), stacked):
+            box = exp_taylor_box(member, orders)[orders]
+            assert same_bits(coeff, box) or sum(orders) % 2
+
+
+def test_a_stack_is_refused_where_each_single_read_would_be():
+    # 99 members each under the budget are read; a member over it refuses
+    # the stack before anything is built
+    M = 0.1 * np.eye(8)
+    assert taylor.taylor_coefficients(np.stack([M] * 99), (4,) * 8).shape == (99,)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="MiB budget"):
+            taylor.taylor_coefficients(np.stack([M] * 2), (8,) * 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("Ms, orders", [
+    (np.eye(2), (1, 1)),                      # one generator, not a stack
+    (np.zeros((0, 2, 2)), (1, 1)),            # an empty stack
+    (np.zeros((0, 2, 2)), [(1, 1), (2, 0)]),
+    (np.stack([np.eye(2)] * 2), (1, 1, 0)),   # orders that do not match
+    (np.stack([np.eye(2)] * 2), (2, -1)),
+    (np.stack([np.eye(2)] * 2), [(1, 1), (2, -1)]),
+])
+def test_stacked_read_checks_its_input(Ms, orders):
+    with pytest.raises(ValueError):
+        taylor.taylor_coefficients(Ms, orders)
+
+

@@ -11,7 +11,9 @@ state kind, sweeps in every gauge and on every route (exact sweeps on the
 thread pool, the others in the calling thread), covariance,
 oracle-compare, fig1-fig7 and the commands that exit 1, 2 or 3, among them
 a 10^5-point sweep whose flags name two gauges, a sweep whose second point
-fails, a negative truncation, an angle that divides by zero, an empty
+fails, a 3-point sweep whose last two points fail differently, a 99-point
+sweep whose first failing point lies in its second chunk, a negative
+truncation, an angle that divides by zero, an empty
 ``--criteria`` and the oracle gate's failing path.  It also holds inputs at
 the edges of the float range: grid caps whose byte count overflows a float,
 closed forms whose direct root overflows or drops an underflowed term, exact
@@ -37,7 +39,12 @@ vanish and so change its coupling pattern, a pooled mu1 sweep through 0.5
 and ``unbound:8,2`` pin down the corner read of a single coefficient.  A
 complex three-term superposition at mu1 = 0.3 and at 0.5, and a pooled
 sweep of the one-excitation mix through mu1 = 0.5, pin down the one read
-of all a superposition's cross terms.
+of all a superposition's cross terms.  Exact sweeps read in chunks of
+stacked points pin down the block reads: 99 |4,4> points through
+mu1 = 0.5 (two chunks, two coupling patterns), a log g sweep of |3,3>,
+tau sweeps of ``unbound:3,0`` and ``unbound:8,0`` (complex generators), a
+40-point theta sweep (one generator, one union cone) and a three-term
+superposition over 40 mass fractions.
 Every stdout line and file line that is a JSON record (it starts with
 ``{``) or a ``# params:`` line must parse as strict JSON, without NaN or
 infinities; one that does not counts as a difference, even when both trees
@@ -115,6 +122,18 @@ COMMANDS = [
     # a 2-point exact sweep of a heavy box and a 9-point theta sweep, both on the pool
     ["sweep", "--param", "mu1", "--range", "0.2:0.8:2", "--g", "5", "--state", "number:4,4"],
     ["sweep", "--param", "theta", "--range", "0:3:9", *G5],
+    # block reads: 99 points through mu1 = 0.5 in two chunks, a log g sweep, a
+    # packet's complex tau sweep, a long theta sweep and a three-term state
+    # over mu1, each chunk stacked by coupling pattern
+    ["sweep", "--param", "mu1", "--range", "0.01:0.99:99", "--g", "5", "--state", "number:4,4"],
+    ["sweep", "--param", "g", "--range", "0.2:5:4", "--scale", "log", "--mu1", "0.3",
+     "--state", "number:3,3"],
+    ["sweep", "--param", "tau", "--range", "0:8:9", *FREE, "--state", "unbound:3,0"],
+    ["sweep", "--param", "tau", "--range", "0:8:40", "--c", "0.7", "--mu1", "0.5",
+     "--state", "unbound:8,0"],
+    ["sweep", "--param", "theta", "--range", "0:3.14:40", "--g", "5", "--mu1", "0.5"],
+    ["sweep", "--param", "mu1", "--range", "0.01:0.99:40", "--g", "5",
+     "--state", "superposition:2,2,0.6;0,4,0.64;1,0,0.48j"],
     ["sweep", "--param", "g", "--range", "0.1:100:20", "--scale", "log", "--mu1", "0.3",
      "--state", "number:1,1"],
     ["sweep", "--param", "tau", "--range", "0:10:20", "--c", "2", "--mu1", "0.3",
@@ -173,8 +192,12 @@ COMMANDS = [
     ["purity", *G5, "--state", "unbound:1,2", "--method", "oracle"],
     ["selftest", "--criteria", "99"],
     ["sweep", "--param", "tau", "--range", "0:1:2", *FREE, "--state", "number:1,1"],
-    # a point that fails mid-sweep: the second, mu1 = 1, is outside (0, 1)
+    # a point that fails mid-sweep: the second, mu1 = 1, is outside (0, 1);
+    # the middle g of three, then the last, is not positive; and the first
+    # failing point of a 99-point sweep lies in its second chunk
     ["sweep", "--param", "mu1", "--range", "0.5:1.5:3", "--g", "2", "--state", "number:1,1"],
+    ["sweep", "--param", "g", "--range", "1:-1:3", "--mu1", "0.3", "--state", "number:2,2"],
+    ["sweep", "--param", "mu1", "--range", "0.01:1.5:99", "--g", "5", "--state", "number:2,2"],
     # exit 2: numerical consistency
     ["purity", *G5, "--state", "number:2,2", "--method", "oracle", "--n-points", "48"],
     ["purity", *G5, "--state", "number:2,2", "--method", "oracle", "--n-points", "32"],
@@ -222,6 +245,9 @@ COMMANDS = [
      "--state", "number:1,1"],
     ["purity", "--g", "1e300", "--mu1", "0.5", "--state", "number:1,1"],
     ["sweep", "--param", "g", "--range", "1e299:1e300:2", "--mu1", "0.5",
+     "--state", "number:1,1"],
+    # a sweep whose middle generator leaves the float range: exit 2
+    ["sweep", "--param", "g", "--range", "1:1e-300:3", "--scale", "log", "--mu1", "1e-300",
      "--state", "number:1,1"],
     # spreading packets whose kernel forms are ill-conditioned: the
     # closed-form block answers where inverting the form was refused
