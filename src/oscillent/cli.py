@@ -27,14 +27,14 @@ point is the purity command with the swept value set, and the sweep's
 ``# params:`` line records every flag that built it.  Each column of
 fig3-fig6 is a mu1 sweep over 0.01:0.99:99, byte for byte.
 
-An exact sweep is cut into contiguous chunks of at most 64 points, one for
-each of up to four pool threads where each keeps 16 points or more, and each
-chunk is read in one block (:func:`exact.purities`) on the pool, up to four
-chunks at a time: a sweep of fewer than 32 points is one chunk on one
-thread, a 99-point sweep on two threads two.  Every other sweep evaluates
-its points in order in the calling thread.  Either way results are written
-in input order.  An exact command imports neither the oracle grid, the
-fock route nor the acceptance criteria.
+An exact sweep is cut into the fewest contiguous chunks of at most 64
+points, of nearly equal size, and each chunk is read in one block
+(:func:`exact.purities`) on a pool of up to four threads, up to four chunks
+at a time: a sweep of up to 64 points is one chunk on one thread, a
+99-point sweep two chunks of 50 and 49 on two threads.  Every other sweep
+evaluates its points in order in the calling thread.  Either way results
+are written in input order.  An exact command imports neither the oracle
+grid, the fock route nor the acceptance criteria.
 A JSON file passed as --config supplies defaults for any flag, required
 ones included; a flag on the command line wins in any spelling.  Config
 values go through the flag's own type and choices, null stands for the
@@ -57,7 +57,8 @@ import numpy as np
 
 from . import exact, gaussian
 from .errors import DomainError, NumericalConsistencyError, OscillentError, ResourceCapError
-from .system import Coherent, NumberState, OscillatorSystem, Superposition, UnboundGaussian
+from .system import (Coherent, NumberState, OscillatorSystem, Superposition, UnboundGaussian,
+                     _EXTENT_SIGMAS)
 
 __all__ = ["main", "run"]
 
@@ -395,19 +396,19 @@ _METHOD_FLAGS = {"fock": ("jmax", "kmax", "gamma1", "gamma2"), "oracle": ("n_poi
 
 # An exact sweep's chunks: at most _SWEEP_BLOCK points each, so the pool holds
 # at most _threads() * _SWEEP_BLOCK points in flight and a sweep whose points
-# fail stops in its first batch, and at least _CHUNK_MIN each unless the
-# sweep is shorter.  Four |4,4> points read in one block took 1.1 ms against
-# 1.7 ms for four single reads (2-vCPU x86-64), so a short sweep gains more
-# from one block on one thread than from spreading its points over two.
+# fail stops in its first batch.  A sweep of up to _SWEEP_BLOCK points is one
+# chunk: mu1 sweeps of 8 to 64 points at g = 5, in-process, alternating, 21
+# runs each (2-vCPU x86-64), took as one chunk and as two on two threads
+#   |3,3>   8: 3.6 /  7.0 ms   32:  5.7 /  9.0 ms   64: 10.0 / 12.3 ms
+#   |4,4>   8: 5.8 / 11.2 ms   32: 10.3 / 13.7 ms   64: 21.6 / 18.6 ms
+# so two threads only start to pay near 64 |4,4> points.
 _SWEEP_BLOCK = 64
-_CHUNK_MIN = 16
 
 
-def _sweep_chunks(values: list, workers: int) -> list:
-    """``values`` cut into contiguous chunks of nearly equal size: one per
-    worker where that keeps each at _CHUNK_MIN points or more, and more where
-    one would exceed _SWEEP_BLOCK."""
-    count = max(1, min(workers, len(values) // _CHUNK_MIN), -(-len(values) // _SWEEP_BLOCK))
+def _sweep_chunks(values: list) -> list:
+    """``values`` cut into the fewest contiguous chunks of at most
+    _SWEEP_BLOCK points, of nearly equal size."""
+    count = max(1, -(-len(values) // _SWEEP_BLOCK))
     size = -(-len(values) // count)
     return [values[i:i + size] for i in range(0, len(values), size)]
 
@@ -428,7 +429,7 @@ def _cmd_sweep(args) -> int:
     # calling thread.
     if args.method == "exact":
         workers = _threads()
-        chunks = _sweep_chunks(values.tolist(), workers)
+        chunks = _sweep_chunks(values.tolist())
         purities = []
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # pool.map queues every chunk it is given before the first result
@@ -580,9 +581,6 @@ def _cmd_selftest(args) -> int:
 # the oracle's refusals name the GridSpec fields these flags set
 _N_POINTS_HELP = "oracle grid points per axis, GridSpec.n_points (default: sized from the state)"
 _EXTENT_HELP = "oracle half-width in sigmas, GridSpec.extent_sigmas"
-# GridSpec's default, spelled out so that building the parser does not import
-# the grid module; a test holds the two equal
-_EXTENT_DEFAULT = 8.0
 
 
 @functools.cache
@@ -608,7 +606,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--gamma1", type=float, help="fock basis scale for particle 1")
         p.add_argument("--gamma2", type=float, help="fock basis scale for particle 2")
         p.add_argument("--n-points", type=int, default=None, help=_N_POINTS_HELP)
-        p.add_argument("--extent", type=float, default=_EXTENT_DEFAULT,
+        p.add_argument("--extent", type=float, default=_EXTENT_SIGMAS,
                        help=_EXTENT_HELP)
 
     p = sub.add_parser("purity", help="single purity evaluation")
@@ -640,7 +638,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="JSON file supplying defaults for any flag")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
     p.add_argument("--n-points", type=int, default=None, help=_N_POINTS_HELP)
-    p.add_argument("--extent", type=float, default=_EXTENT_DEFAULT,
+    p.add_argument("--extent", type=float, default=_EXTENT_SIGMAS,
                    help=_EXTENT_HELP)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")

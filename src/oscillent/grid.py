@@ -127,7 +127,7 @@ import numpy as np
 from .errors import (DomainError, NumericalConsistencyError, ResourceCapError,
                      UnsupportedStateError)
 from .system import (Coherent, NumberState, OscillatorSystem, StateSpec, Superposition,
-                     UnboundGaussian, _quantum_number)
+                     UnboundGaussian, _EXTENT_SIGMAS, _quantum_number)
 
 __all__ = [
     "GridSpec",
@@ -208,7 +208,7 @@ class GridSpec:
     """
 
     n_points: int | None = None
-    extent_sigmas: float = 8.0
+    extent_sigmas: float = _EXTENT_SIGMAS
 
     def __post_init__(self):
         if self.n_points is not None and not (isinstance(self.n_points, numbers.Integral)

@@ -48,6 +48,10 @@ __all__ = [
 
 _NORMALIZATION_TOL = 1e-12
 _NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
+# the oracle grid's default half-width in position spreads,
+# GridSpec.extent_sigmas; kept here, where the command line's --extent
+# default reads it without importing the grid module
+_EXTENT_SIGMAS = 8.0
 
 
 def _check_scale_ratio(Gamma: float, gamma: float) -> None:

@@ -277,11 +277,11 @@ _CONE_LOCK = threading.Lock()
 
 
 def _cone_values(Ms: np.ndarray, caps: tuple[int, ...], corners: tuple[int, ...],
-                 coupled: bytes) -> np.ndarray:
+                 coupled: bytes, dtype: np.dtype) -> np.ndarray:
     """Coefficients of each generator of the (S, d, d) stack Ms, all of the
     coupling pattern ``coupled``, at ``corners``, distinct ascending flat
-    indices into the box at ``caps``: an (S, K) array, computed from their
-    cone by the box's operations.
+    indices into the box at ``caps``: an (S, K) array of the box's dtype,
+    computed from their cone by the box's operations.
 
     Values live in a (cells, S) array, the members of a cell side by side,
     as in a stacked box; one member's in a flat array, its generator entries
@@ -289,13 +289,16 @@ def _cone_values(Ms: np.ndarray, caps: tuple[int, ...], corners: tuple[int, ...]
     coupling before the cells and the cells before M_aa and the scale, as
     the box does (complex products differ in their last bits with the
     operands' order).  A coupling's term over the cells with t_b = 0 is set
-    to -0.0 before it is added, which leaves every value, signed zeros
-    included, as the box, which adds nothing there, leaves it.
+    to a zero negative in every component before it is added, which leaves
+    every value, signed zeros included, as the box, which adds nothing
+    there, leaves it.
     """
     with _CONE_LOCK:
         size, levels, targets = _cone(caps, corners, coupled)
     stacked = len(Ms) > 1
-    v = np.empty((size, len(Ms)) if stacked else size, Ms.dtype)
+    v = np.empty((size, len(Ms)) if stacked else size, dtype)
+    # -(0+0j) is (-0-0j); a -0.0 stored in a complex array would be (-0+0j)
+    nothing = -np.zeros((), dtype)
     v[0] = 1.0
     rows = Ms.transpose(1, 2, 0) if stacked else Ms[0]
     for a, slabs in levels:
@@ -309,7 +312,7 @@ def _cone_values(Ms: np.ndarray, caps: tuple[int, ...], corners: tuple[int, ...]
             for b, src, missing in shifts:
                 term = row[b] * v.take(src, axis=0)
                 if missing is not None:
-                    term[missing] = -0.0
+                    term[missing] = nothing
                 acc += term
             acc *= scale
     values = v.take(targets, axis=0)
@@ -325,10 +328,10 @@ def _stack_values(Ms: np.ndarray, caps: tuple[int, ...], corners: tuple[int, ...
     for i, mask in enumerate(Ms != 0):
         patterns.setdefault(mask.tobytes(), []).append(i)
     if len(patterns) == 1:
-        return _cone_values(Ms, caps, corners, next(iter(patterns)))
+        return _cone_values(Ms, caps, corners, next(iter(patterns)), dtype)
     values = np.empty((len(Ms), len(corners)), dtype)
     for coupled, members in patterns.items():
-        values[members] = _cone_values(Ms[members], caps, corners, coupled)
+        values[members] = _cone_values(Ms[members], caps, corners, coupled, dtype)
     return values
 
 
@@ -359,7 +362,9 @@ def taylor_coefficient(M: np.ndarray, orders):
     """
     if np.ndim(M) != 2:
         raise ValueError(f"taylor_coefficient takes one (d, d) matrix, got shape {np.shape(M)}")
-    return taylor_coefficients(np.asarray(M)[np.newaxis], orders)[0]
+    value = taylor_coefficients(np.asarray(M)[np.newaxis], orders)[0]
+    # one corner of odd total order gives the Python float 0.0
+    return 0.0 if np.ndim(orders) == 1 and sum(orders) % 2 else value
 
 
 def taylor_coefficients(Ms: np.ndarray, orders):
@@ -387,7 +392,7 @@ def taylor_coefficients(Ms: np.ndarray, orders):
         # one corner skips the array work below, which costs more than a
         # small read: |1,0>'s took 57 us as a list of one, 31 us alone
         if sum(caps) % 2 == 1:
-            return np.zeros(len(Ms))
+            return np.zeros(len(Ms), complex if np.iscomplexobj(Ms) else float)
         # the corner is the last cell of its box
         return _stack_values(Ms, caps, (math.prod(t + 1 for t in caps) - 1,))[:, 0]
     even = corners.sum(axis=1) % 2 == 0

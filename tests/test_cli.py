@@ -539,26 +539,26 @@ class TestSweepDispatch:
             expected.append(f"{cli._fmt(v)},{cli._fmt(purity)}\n")
         assert "".join(table) == "".join(expected)
 
-    @pytest.mark.parametrize("threads, count, sizes", [
-        (2, 4, [4]), (2, 9, [9]), (2, 31, [31]), (2, 32, [16, 16]), (2, 99, [50, 49]),
-        (4, 99, [25, 25, 25, 24]), (1, 99, [50, 49]), (2, 130, [44, 44, 42]),
-        (4, 1000, [63] * 15 + [55]),
+    @pytest.mark.parametrize("count, sizes", [
+        (1, [1]), (4, [4]), (9, [9]), (64, [64]), (65, [33, 32]), (99, [50, 49]),
+        (130, [44, 44, 42]), (1000, [63] * 15 + [55]),
     ])
-    def test_chunks(self, threads, count, sizes):
-        # one chunk per thread where each keeps 16 points, none above 64
+    def test_chunks(self, count, sizes):
+        # the fewest chunks of at most 64 points, of nearly equal size
         values = list(range(count))
-        got = cli._sweep_chunks(values, threads)
+        got = cli._sweep_chunks(values)
         assert [len(c) for c in got] == sizes
         assert [v for c in got for v in c] == values
 
     @pytest.mark.parametrize("threads", [2, 4])
-    def test_a_long_sweep_is_one_chunk_per_thread(self, capsys, monkeypatch, chunks, threads):
+    def test_a_long_sweep_is_two_chunks(self, capsys, monkeypatch, chunks, threads):
         monkeypatch.setattr(cli, "_threads", lambda: threads)
         argv = ["sweep", "--param", "mu1", "--range", "0.01:0.99:99", "--g", "5",
                 "--state", "number:2,2"]
         assert cli.run(argv) == 0
         rows = capsys.readouterr().out.splitlines()[2:]
-        assert len(chunks) == threads
+        assert [len(vs) for (_, vs) in chunks] == [50, 49]
+        assert all(t is not threading.main_thread() for (t, _) in chunks)
         assert [v for (_, vs) in chunks for v in vs] == np.linspace(0.01, 0.99, 99).tolist()
         for row in rows[::7]:
             mu1, purity = row.split(",")
@@ -972,12 +972,6 @@ class TestParser:
 
 
 class TestImports:
-    def test_extent_default_is_the_grid_specs(self):
-        for command in ("purity", "sweep", "oracle-compare"):
-            args = cli._build_parser().commands[command].parse_args([])
-            assert args.extent == grid.GridSpec.extent_sigmas
-            assert type(args.extent) is float
-
     def test_an_exact_sweep_loads_no_other_route(self, tmp_path):
         # np.unique alone imports numpy.ma (15 ms on its first call)
         code = ("import sys\n"

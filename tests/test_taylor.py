@@ -403,10 +403,12 @@ def test_each_stack_member_reads_its_single_bits(seed):
     if seed % 3:
         orders = tuple(int(t) for t in rng.integers(0, top + 1, dim))
         got = taylor.taylor_coefficients(Ms, orders)
-        assert got.shape == (members,)
+        assert got.shape == (members,) and got.dtype == Ms.dtype
         for M, coeff in zip(Ms, got):
-            assert same_bits(coeff, taylor_coefficient(M, orders))
-            if sum(orders) % 2 == 0:
+            if sum(orders) % 2:  # a single read gives the Python float 0.0
+                assert coeff == 0 and same_bits(taylor_coefficient(M, orders), 0.0)
+            else:
+                assert same_bits(coeff, taylor_coefficient(M, orders))
                 assert same_bits(coeff, exp_taylor_box(M, orders)[orders])
     else:
         corners = [tuple(int(t) for t in rng.integers(0, top + 1, dim)) for _ in range(4)]
@@ -456,3 +458,39 @@ def test_stacked_read_checks_its_input(Ms, orders):
         taylor.taylor_coefficients(Ms, orders)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_other_generator_dtypes_read_as_the_box(dtype):
+    # a generator of ints or of float32 is read in the box's dtype, float64
+    M = np.array([[2, -1, 0], [-1, 3, 1], [0, 1, -2]], dtype)
+    for orders in [(2, 2, 2), (3, 1, 0), (1, 0, 0)]:
+        box = exp_taylor_box(M, orders)[orders]
+        assert same_bits(taylor_coefficient(M, orders), box if sum(orders) % 2 == 0 else 0.0)
+        stacked = taylor.taylor_coefficients(np.stack([M, 2 * M]), orders)
+        assert stacked.dtype == np.float64
+        for member, coeff in zip((M, 2 * M), stacked):
+            assert same_bits(coeff, exp_taylor_box(member, orders)[orders])
+    corners = [(2, 2, 2), (3, 1, 0), (0, 2, 0)]
+    box = exp_taylor_box(M, (3, 2, 2))
+    assert taylor_coefficient(M, corners).tobytes() == np.array([box[c] for c in corners]).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_complex_generators_with_zero_imaginary_parts(seed):
+    # real entries held as complex with imaginary parts of +0.0 or -0.0, as
+    # a packet's generator at tau = 0 has: every even cell of a stacked read
+    # keeps the box's signed zeros
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    caps = tuple(int(t) for t in rng.integers(1, 5, dim))
+    Ms = np.empty((3, dim, dim), complex)
+    for M in Ms:
+        re = rng.choice([-2.0, -1.0, 0.5, 1.0], size=(dim, dim))
+        im = rng.choice([0.0, -0.0], size=(dim, dim))
+        re[rng.random((dim, dim)) < 0.4] = 0.0
+        lower = np.tril_indices(dim, -1)
+        re[lower], im[lower] = re.T[lower], im.T[lower]
+        M.real, M.imag = re, im
+    corners = [c for c in itertools.product(*(range(t + 1) for t in caps)) if sum(c) % 2 == 0]
+    for M, coeffs in zip(Ms, taylor.taylor_coefficients(Ms, corners)):
+        box = exp_taylor_box(M, caps)
+        assert coeffs.tobytes() == np.array([box[c] for c in corners]).tobytes()
