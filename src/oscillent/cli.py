@@ -13,9 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical-consistency failure,
 3 resource cap exceeded.  Every command runs under one floating-point rule:
 an overflow, an invalid value or a division by zero, in numpy or in Python
 arithmetic, and a failed linear-algebra routine stop the command with exit 2
-and one ``error:`` line; underflow stays silent.  The rule is numpy's error
-state, which is per thread, so each pooled chunk of sweep points sets it
-again.
+and one ``error:`` line; underflow stays silent.
 
 This is the only module that reads flags or writes files, and every table
 goes through one writer.  Every emitted file is deterministic byte for byte
@@ -28,13 +26,12 @@ point is the purity command with the swept value set, and the sweep's
 fig3-fig6 is a mu1 sweep over 0.01:0.99:99, byte for byte.
 
 An exact sweep is cut into the fewest contiguous chunks of at most 64
-points, of nearly equal size, and each chunk is read in one block
-(:func:`exact.purities`) on a pool of up to four threads, up to four chunks
-at a time: a sweep of up to 64 points is one chunk on one thread, a
-99-point sweep two chunks of 50 and 49 on two threads.  Every other sweep
-evaluates its points in order in the calling thread.  Either way results
-are written in input order.  An exact command imports neither the oracle
-grid, the fock route nor the acceptance criteria.
+points, of nearly equal size, and reads its chunks in order, each in one
+block (:func:`exact.purities`): a sweep of up to 64 points is one chunk, a
+99-point sweep two chunks of 50 and 49.  Every other sweep evaluates its
+points one by one.  Every sweep runs in the calling thread and writes its
+results in input order.  An exact command imports neither the oracle grid,
+the fock route nor the acceptance criteria.
 A JSON file passed as --config supplies defaults for any flag, required
 ones included; a flag on the command line wins in any spelling.  Config
 values go through the flag's own type and choices, null stands for the
@@ -51,7 +48,6 @@ import json
 import math
 import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -215,7 +211,9 @@ def _system_params(sys: OscillatorSystem) -> dict:
 
 
 def _threads() -> int:
-    return min(4, os.cpu_count() or 1)
+    """The threads a sweep runs on: always 1, the calling thread.  The
+    benchmark's environment record and its sweep tracer still read it."""
+    return 1
 
 
 def compute_purity(sys: OscillatorSystem, state, method: str, args, entropy: bool = True) -> dict:
@@ -368,25 +366,20 @@ def _sweep_input(args, state, value: float) -> tuple:
 
 
 def _sweep_point(args, state, value: float) -> float:
-    """The purity of one sweep point, under the floating-point rule in
-    whichever thread it runs."""
-    with np.errstate(**_FP_RULE):  # a pool thread starts with numpy's default
-        return compute_purity(*_sweep_input(args, state, value), args.method, args,
-                              entropy=False)["purity"]
+    """The purity of one sweep point."""
+    return compute_purity(*_sweep_input(args, state, value), args.method, args,
+                          entropy=False)["purity"]
 
 
 def _sweep_chunk(args, state, values: list) -> list:
-    """The purities of a chunk of exact sweep points, read in one block under
-    the floating-point rule.  Where the block fails as a point can (the
-    failures :func:`run` reports), the chunk's points are read again one by
-    one, so its first failing point in input order fails the sweep with its
-    own error."""
-    with np.errstate(**_FP_RULE):  # a pool thread starts with numpy's default
-        try:
-            return exact.purities([_sweep_input(args, state, v) for v in values], args.method)
-        except (OscillentError, ArithmeticError, TypeError, ValueError):
-            pass
-    return [_sweep_point(args, state, v) for v in values]
+    """The purities of a chunk of exact sweep points, read in one block.
+    Where the block fails as a point can (the failures :func:`run` reports),
+    the chunk's points are read again one by one, so its first failing point
+    in input order fails the sweep with its own error."""
+    try:
+        return exact.purities([_sweep_input(args, state, v) for v in values], args.method)
+    except (OscillentError, ArithmeticError, TypeError, ValueError):
+        return [_sweep_point(args, state, v) for v in values]
 
 
 # the flags a sweep's header records when they are set, and those of each route
@@ -394,14 +387,10 @@ _SWEEP_FLAGS = ("g", "mu1", "c", "gamma", "Gamma", "hbar", "m1", "m2", "omega", 
 _METHOD_FLAGS = {"fock": ("jmax", "kmax", "gamma1", "gamma2"), "oracle": ("n_points", "extent")}
 
 
-# An exact sweep's chunks: at most _SWEEP_BLOCK points each, so the pool holds
-# at most _threads() * _SWEEP_BLOCK points in flight and a sweep whose points
-# fail stops in its first batch.  A sweep of up to _SWEEP_BLOCK points is one
-# chunk: mu1 sweeps of 8 to 64 points at g = 5, in-process, alternating, 21
-# runs each (2-vCPU x86-64), took as one chunk and as two on two threads
-#   |3,3>   8: 3.6 /  7.0 ms   32:  5.7 /  9.0 ms   64: 10.0 / 12.3 ms
-#   |4,4>   8: 5.8 / 11.2 ms   32: 10.3 / 13.7 ms   64: 21.6 / 18.6 ms
-# so two threads only start to pay near 64 |4,4> points.
+# An exact sweep's chunks: at most _SWEEP_BLOCK points each, which bounds what
+# one block read holds (64 |5,3> cones are about 4.8 MB; one block of the
+# 10^6-point cap would be about 75 GB) and how many points are read before a
+# failing point is found.
 _SWEEP_BLOCK = 64
 
 
@@ -419,25 +408,9 @@ def _cmd_sweep(args) -> int:
     state = None if args.param == "theta" else parse_state(args.state)
     if args.param == "tau" and not isinstance(state, UnboundGaussian):
         raise _UsageError("sweeping tau needs --state unbound:M,TAU")
-    # Only exact sweeps run on the pool, every chunk of them, a sweep's only
-    # chunk included.  It keeps them steady on a shared two-core machine: in
-    # the calling thread their points, cone reads of about 0.5 ms, ran 1.7 to
-    # 2.4 times as fast, but their times jumped by up to 1.7x with the load on
-    # the one core they held, within a run and between runs; on the pool they
-    # did not.  Fock points (measured up to |8,8> at jmax 170), analytic
-    # points and oracle points, whose BLAS already uses every core, run in the
-    # calling thread.
     if args.method == "exact":
-        workers = _threads()
-        chunks = _sweep_chunks(values.tolist())
-        purities = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # pool.map queues every chunk it is given before the first result
-            # is read, so it gets one batch of chunks at a time
-            for start in range(0, len(chunks), workers):
-                for part in pool.map(lambda chunk: _sweep_chunk(args, state, chunk),
-                                     chunks[start:start + workers]):
-                    purities += part
+        purities = [p for chunk in _sweep_chunks(values.tolist())
+                    for p in _sweep_chunk(args, state, chunk)]
     else:
         purities = [_sweep_point(args, state, v) for v in values.tolist()]
     params = {"param": args.param, "range": args.range, "scale": args.scale,

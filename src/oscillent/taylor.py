@@ -50,8 +50,8 @@ signed zeros included (an odd one reads 0.0, where the box may hold
 -0.0).  The schedule, each level's cells as sorted flat indices with the
 positions of their sources, depends only on the largest orders, the
 corners and the coupling pattern; it is built once, with searchsorted and
-no box-sized array, and cached under a lock, so concurrent readers build
-it once.
+no box-sized array, and cached under a lock, so readers in several
+threads build it once.
 
 A stack of generators is read over one schedule as a stack fills boxes
 (:func:`taylor_coefficients`): its members are grouped by coupling

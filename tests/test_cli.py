@@ -476,21 +476,9 @@ def _cells(lines):
 
 
 class TestSweepDispatch:
-    """Only an exact sweep runs on the pool, in chunks of contiguous points,
-    each read in one block; either way the table is the points computed one
-    by one."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        made = []
-
-        class Recording(cli.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
-        return made
+    """Only an exact sweep reads chunks of contiguous points, each in one
+    block, in order in the calling thread; either way the table is the
+    points computed one by one."""
 
     @pytest.fixture
     def chunks(self, monkeypatch):
@@ -503,7 +491,7 @@ class TestSweepDispatch:
         monkeypatch.setattr(cli, "_sweep_chunk", recorded)
         return seen
 
-    @pytest.mark.parametrize("method, param, rng, flags, point, pooled", [
+    @pytest.mark.parametrize("method, param, rng, flags, point, chunked", [
         ("fock", "mu1", "0.2:0.8:3", ["--g", "5", "--state", "number:2,2", "--jmax", "40"],
          lambda v: (OscillatorSystem.from_dimensionless(5.0, v), NumberState(2, 2)), False),
         ("oracle", "g", "1:4:3", ["--mu1", "0.3", "--state", "number:1,1"],
@@ -520,17 +508,17 @@ class TestSweepDispatch:
         ("analytic", "g", "1:4:3", ["--mu1", "0.3", "--state", "number:0,0"],
          lambda v: (OscillatorSystem.from_dimensionless(v, 0.3), NumberState(0, 0)), False),
     ], ids=["fock", "oracle", "exact-light", "theta", "tau", "exact-heavy", "analytic"])
-    def test_pool_only_for_exact_sweeps(self, capsys, pools, chunks, method, param, rng,
-                                        flags, point, pooled):
+    def test_pool_only_for_exact_sweeps(self, capsys, chunks, method, param, rng, flags,
+                                        point, chunked):
         assert cli.run(["sweep", "--method", method, "--param", param, "--range", rng,
                         *flags]) == 0
         table = capsys.readouterr().out.splitlines(keepends=True)[2:]
-        assert pools == ([{"max_workers": cli._threads()}] if pooled else [])
         start, stop, count = rng.split(":")
         values = np.linspace(float(start), float(stop), int(count)).tolist()
-        # a short exact sweep is one chunk of every point, read on a pool thread
-        assert [v for (_, vs) in chunks for v in vs] == (values if pooled else [])
-        assert all(t is not threading.main_thread() for (t, _) in chunks)
+        # a short exact sweep is one chunk of every point, read in the calling
+        # thread; other methods make no chunk
+        assert [vs for (_, vs) in chunks] == ([values] if chunked else [])
+        assert all(t is threading.main_thread() for (t, _) in chunks)
         args = argparse.Namespace(jmax=40, kmax=40, gamma1=None, gamma2=None, n_points=None,
                                   extent=grid.GridSpec.extent_sigmas)
         expected = []
@@ -550,15 +538,13 @@ class TestSweepDispatch:
         assert [len(c) for c in got] == sizes
         assert [v for c in got for v in c] == values
 
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_a_long_sweep_is_two_chunks(self, capsys, monkeypatch, chunks, threads):
-        monkeypatch.setattr(cli, "_threads", lambda: threads)
+    def test_a_long_sweep_is_two_chunks(self, capsys, chunks):
         argv = ["sweep", "--param", "mu1", "--range", "0.01:0.99:99", "--g", "5",
                 "--state", "number:2,2"]
         assert cli.run(argv) == 0
         rows = capsys.readouterr().out.splitlines()[2:]
         assert [len(vs) for (_, vs) in chunks] == [50, 49]
-        assert all(t is not threading.main_thread() for (t, _) in chunks)
+        assert all(t is threading.main_thread() for (t, _) in chunks)
         assert [v for (_, vs) in chunks for v in vs] == np.linspace(0.01, 0.99, 99).tolist()
         for row in rows[::7]:
             mu1, purity = row.split(",")
@@ -973,9 +959,12 @@ class TestParser:
 
 class TestImports:
     def test_an_exact_sweep_loads_no_other_route(self, tmp_path):
-        # np.unique alone imports numpy.ma (15 ms on its first call)
+        # np.unique alone imports numpy.ma (15 ms on its first call), and
+        # concurrent.futures imports logging
         code = ("import sys\n"
                 "from oscillent import cli\n"
+                "assert cli.run(['purity', '--g', '5', '--mu1', '0.3', '--state', 'number:2,1',\n"
+                "                '-o', 'out.json']) == 0\n"
                 "for argv in (['--param', 'mu1', '--range', '0.2:0.8:4', '--g', '5',\n"
                 "              '--state', 'number:4,2'],\n"
                 "             ['--param', 'theta', '--range', '0:3:9', '--g', '5', '--mu1', '0.3'],\n"
@@ -983,7 +972,8 @@ class TestImports:
                 "              '--state', 'unbound:2,0']):\n"
                 "    assert cli.run(['sweep', *argv, '-o', 'out.csv']) == 0\n"
                 "print(sorted(m for m in ('oscillent.grid', 'oscillent.fock',\n"
-                "                         'oscillent.acceptance', 'numpy.ma', 'scipy')\n"
+                "                         'oscillent.acceptance', 'numpy.ma', 'scipy',\n"
+                "                         'concurrent.futures', 'logging')\n"
                 "             if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -1175,7 +1165,7 @@ class TestOneRuleForANumericalFailure:
           "--gamma1", "1e300", "--gamma2", "1"], 2, "floating-point failure"),
         (["purity", "--g", "1e-300", "--mu1", "1e-300", "--state", "number:1,1"], 2,
          "leave the float range"),
-        # an exact sweep: its points fail in the pool's threads
+        # an exact sweep: its block read fails, then its first point
         (["sweep", "--param", "g", "--range", "1e-300:1e-299:2", "--mu1", "1e-300",
           "--state", "number:1,1"], 2, "leave the float range"),
         # caps whose byte count would overflow a float while the message is formatted
@@ -1190,7 +1180,7 @@ class TestOneRuleForANumericalFailure:
         (["purity", "--method", "oracle", "--c", "2", "--mu1", "0.5", "--state",
           "unbound:1,1e200"], 3, "unboundedly many points"),
     ], ids=["fock-sweep", "fock-g", "hbar", "gamma1", "exact-g",
-            "pooled-sweep", "cap-extent", "cap-points", "unbound-1e8", "unbound-1e200"])
+            "exact-sweep", "cap-extent", "cap-points", "unbound-1e8", "unbound-1e200"])
     def test_one_error_line(self, capsys, argv, code, text):
         assert cli.run(argv) == code
         out, err = capsys.readouterr()
@@ -1225,7 +1215,7 @@ class TestOneRuleForANumericalFailure:
         assert code == ref_code == 0
         assert 0.0 < rec["purity"] == pytest.approx(ref["purity"], rel=1e-14, abs=0)
 
-    def test_pool_threads_carry_the_rule(self, monkeypatch, tmp_path):
+    def test_block_reads_run_under_the_rule(self, monkeypatch, tmp_path):
         # each chunk's block read records the thread it runs in, that
         # thread's error state and its points
         seen = []
@@ -1236,13 +1226,12 @@ class TestOneRuleForANumericalFailure:
             return [0.5] * len(points)
 
         monkeypatch.setattr(exact, "purities", record)
-        monkeypatch.setattr(cli, "_threads", lambda: 2)
         for count, sizes in ((8, [8]), (99, [50, 49])):
             seen.clear()
             assert cli.run(["sweep", "--param", "g", "--range", f"1:2:{count}", "--mu1", "0.5",
                             "--state", "number:1,1", "-o", str(tmp_path / "s.csv")]) == 0
-            assert sorted(n for (_, _, n) in seen) == sorted(sizes)
-            assert all(thread is not threading.main_thread() for (thread, _, _) in seen)
+            assert [n for (_, _, n) in seen] == sizes
+            assert all(thread is threading.main_thread() for (thread, _, _) in seen)
             assert all(state == {"divide": "raise", "over": "raise", "under": "ignore",
                                  "invalid": "raise"} for (_, state, _) in seen)
 

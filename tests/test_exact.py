@@ -538,9 +538,9 @@ class TestCornerRead:
         monkeypatch.setattr(taylor, "exp_taylor_box", refuse)
         assert purities() == before
 
-    def test_pooled_sweep_has_the_bits_of_single_reads(self, tmp_path, capsys):
-        # the points run in the sweep pool's threads, which share the cached
-        # schedules; mu1 = 0.5 changes the coupling pattern mid-sweep
+    def test_exact_sweep_has_the_bits_of_single_reads(self, tmp_path, capsys):
+        # the sweep's points are read in one block; mu1 = 0.5 changes the
+        # coupling pattern mid-sweep
         out = tmp_path / "s.csv"
         assert cli.run(["sweep", "--param", "mu1", "--range", "0.1:0.9:9", "--g", "5",
                         "--state", "number:4,4", "-o", str(out)]) == 0

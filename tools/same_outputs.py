@@ -7,8 +7,8 @@ Each tree is a checkout of this repository; its package is imported from
 TREE/src.  Every command runs as ``python -m oscillent.cli ...`` in a fresh
 empty directory, so the files it writes are compared by their names
 relative to that directory.  The list covers purity on every route and
-state kind, sweeps in every gauge and on every route (exact sweeps on the
-thread pool, the others in the calling thread), covariance,
+state kind, sweeps in every gauge and on every route (exact sweeps in
+chunks of block reads, the others point by point), covariance,
 oracle-compare, fig1-fig7 and the commands that exit 1, 2 or 3, among them
 a 10^5-point sweep whose flags name two gauges, a sweep whose second point
 fails, a 3-point sweep whose last two points fail differently, a 99-point
@@ -20,9 +20,9 @@ closed forms whose direct root overflows or drops an underflowed term, exact
 purities whose generator entries are rescaled (g = 1e300, hbar = 1e300), an
 oracle Gram matrix that is rescaled, and the failures that exit 2 with one
 error line (an overflow or invalid value in numpy and in Python arithmetic,
-and a generator out of the float range, also in the exact sweep pool's
-threads), so a warning, a traceback or a NaN that comes back shows as a
-difference.  Spreading packets at extreme tau and c, whose kernel forms are
+and a generator out of the float range, also in an exact sweep), so a
+warning, a traceback or a NaN that comes back shows as a difference.
+Spreading packets at extreme tau and c, whose kernel forms are
 ill-conditioned, pin down the packet's closed-form block; oracle grids whose
 norm defect lies between 6e-7 and 1e-3 pin down the norm gate; and a trap
 whose g overflows and a c whose omega leaves the float range pin down the
@@ -35,9 +35,9 @@ parity, and two at 1024^2, a folded number state and a coherent state
 sampled as one block, pin down the factor route of an oversampled grid.
 Exact number states at the order cap and off the diagonal (|5,3>, |3,5>,
 |6,2>, |8,0>, |0,8>), |4,4> at mu1 = 0.5, where the generator's s entries
-vanish and so change its coupling pattern, a pooled mu1 sweep through 0.5
+vanish and so change its coupling pattern, an exact mu1 sweep through 0.5
 and ``unbound:8,2`` pin down the corner read of a single coefficient.  A
-complex three-term superposition at mu1 = 0.3 and at 0.5, and a pooled
+complex three-term superposition at mu1 = 0.3 and at 0.5, and an exact
 sweep of the one-excitation mix through mu1 = 0.5, pin down the one read
 of all a superposition's cross terms.  Exact sweeps read in chunks of
 stacked points pin down the block reads: 99 |4,4> points through
@@ -74,7 +74,7 @@ COMMANDS = [
     ["purity", "--g", "3", "--mu1", "0.4", "--state", "number:4,4"],
     ["purity", *G5, "--state", "number:8,0"],
     # the corner read's edges: orders off the diagonal and at the cap, and a
-    # coupling pattern with the s entries zero (mu1 = 0.5), also on the pool
+    # coupling pattern with the s entries zero (mu1 = 0.5), also in a sweep
     ["purity", *G5, "--state", "number:5,3"],
     ["purity", *G5, "--state", "number:3,5"],
     ["purity", *G5, "--state", "number:6,2"],
@@ -82,7 +82,7 @@ COMMANDS = [
     ["purity", "--g", "3", "--mu1", "0.5", "--state", "number:4,4"],
     ["sweep", "--param", "mu1", "--range", "0.1:0.9:9", "--g", "5", "--state", "number:4,4"],
     # a superposition's one read of all its cross terms: a complex three-term
-    # state at both coupling patterns, and a pooled mix sweep through 0.5
+    # state at both coupling patterns, and an exact mix sweep through 0.5
     ["purity", *G5, "--state", "superposition:2,2,0.6;0,4,0.64;1,0,0.48j"],
     ["purity", "--g", "5", "--mu1", "0.5", "--state", "superposition:2,2,0.6;0,4,0.64;1,0,0.48j"],
     ["sweep", "--param", "mu1", "--range", "0.1:0.9:9", "--g", "5", "--state", "sup:pi/3"],
@@ -119,7 +119,7 @@ COMMANDS = [
     # sweeps
     ["sweep", "--param", "mu1", "--range", "0.01:0.99:25", "--g", "5",
      "--state", "number:4,4", "-o", "s.csv"],
-    # a 2-point exact sweep of a heavy box and a 9-point theta sweep, both on the pool
+    # a 2-point exact sweep of a heavy box and a 9-point theta sweep, each one chunk
     ["sweep", "--param", "mu1", "--range", "0.2:0.8:2", "--g", "5", "--state", "number:4,4"],
     ["sweep", "--param", "theta", "--range", "0:3:9", *G5],
     # block reads: 99 points through mu1 = 0.5 in two chunks, a log g sweep, a
@@ -240,7 +240,7 @@ COMMANDS = [
     ["purity", *G5, "--state", "coherent:0.7+0.4j,-0.3+1.1j", "--method", "oracle",
      "--n-points", "1024"],
     # exact purities whose generator entries are taken from gamma / s and
-    # Gamma / s, s = max(gamma, Gamma), also in a pooled sweep's threads
+    # Gamma / s, s = max(gamma, Gamma), also in an exact sweep
     ["purity", "--m1", "1", "--m2", "1", "--omega", "1", "--Omega", "1", "--hbar", "1e300",
      "--state", "number:1,1"],
     ["purity", "--g", "1e300", "--mu1", "0.5", "--state", "number:1,1"],
@@ -270,8 +270,8 @@ COMMANDS = [
     ["purity", "--m1", "1", "--m2", "1", "--omega", "1e-300", "--Omega", "0", "--Gamma", "1e300",
      "--state", "unbound:0,1"],
     # exit 2 with one error line: floating-point failures, in numpy and in
-    # Python arithmetic, and a generator whose gamma underflowed, also in a
-    # pooled sweep's threads
+    # Python arithmetic, and a generator whose gamma underflowed, also in an
+    # exact sweep
     ["sweep", "--method", "fock", "--param", "g", "--range", "1e199:1e200:2", "--mu1", "0.5",
      "--state", "number:1,1"],
     ["purity", "--method", "fock", "--g", "1e200", "--mu1", "0.5", "--state", "number:1,1"],
