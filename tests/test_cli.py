@@ -538,7 +538,11 @@ class TestSweepDispatch:
         assert [len(c) for c in got] == sizes
         assert [v for c in got for v in c] == values
 
-    def test_a_long_sweep_is_two_chunks(self, capsys, chunks):
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_a_long_sweep_is_two_chunks(self, capsys, monkeypatch, chunks, threads):
+        # the chunks follow the sweep's size alone: a thread count read
+        # elsewhere changes neither them nor the thread that reads them
+        monkeypatch.setattr(cli, "_threads", lambda: threads)
         argv = ["sweep", "--param", "mu1", "--range", "0.01:0.99:99", "--g", "5",
                 "--state", "number:2,2"]
         assert cli.run(argv) == 0
