@@ -53,7 +53,11 @@ coherent states and spreading packets in complex128.  The sample matrix is
 filled in blocks of rows of at least 2^14 cells each (one block when the
 grid is smaller), so the Hermite rows and temporaries of one block stay in
 cache and no full-size temporary is made; every sample is computed by the
-same arithmetic as one call over the whole grid, bit for bit.  Sampling is
+same arithmetic as one call over the whole grid, bit for bit.  Each block
+is written straight into the sample matrix, and the recurrence runs in
+place in the Hermite rows with one scratch row: a block of 2^14 float64
+cells is below the 256 KiB from which numpy reuses temporaries, so each
+step written as one expression made four fresh block arrays.  Sampling is
 capped by a predicted peak memory (the whole-grid arrays of the sampling
 and the Gram product, plus one block's Hermite rows), checked on the number
 of points actually used, and raises ResourceCapError before allocating; a
@@ -107,15 +111,17 @@ matrices.  A grid of r times the sized points holds about r times the
 columns its factor needs, so k/n falls as r grows: the crossover, measured
 on random states, lies between r = 2.5 and 3 for a purity alone (see
 ``_FACTOR_RATIO``).  A 1024^2 oracle purity with its entropy on |2,2> at g
-= 1.7 (160 sized points) took 42 ms on the Gram route and 31 ms on the
-factor route (in process, median of 15, on a 2-vCPU x86_64 machine), and a
-1024^2 grid on |4,4> peaks at 10 MiB instead of 14 MiB (tracemalloc).
+= 1.7 (160 sized points) took 31 ms on the Gram route and 21 ms on the
+factor route (in process, the median over four processes of medians of
+31, on a 2-vCPU x86_64 machine), and a 1024^2 grid on |4,4> peaks at 10
+MiB instead of 14 MiB (tracemalloc).
 
 Every call is independent; nothing here mutates shared state.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -317,17 +323,33 @@ def hermite_functions(u: np.ndarray, nmax: int) -> np.ndarray:
     nmax = _quantum_number(nmax, "nmax")
     u = np.asarray(u, dtype=float)
     out = np.empty((nmax + 1,) + u.shape)
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * u * u)
+    # each step is written into its row in place, with the products of
+    # h_{n+1} = (a u) h_n - b h_{n-1} in that order (a u as u a, which
+    # rounds the same); rows are taken as out[k, ...], which is a view also
+    # where u is 0-d and out[k] would be a numpy scalar
+    h = out[0, ...]
+    np.multiply(u, -0.5, out=h)
+    h *= u
+    np.exp(h, out=h)
+    h *= math.pi ** -0.25
     if nmax >= 1:
-        out[1] = math.sqrt(2.0) * u * out[0]
+        np.multiply(u, math.sqrt(2.0), out=out[1, ...])
+        out[1, ...] *= h
+    scratch = np.empty(u.shape)
     for k in range(1, nmax):
-        out[k + 1] = math.sqrt(2.0 / (k + 1)) * u * out[k] - math.sqrt(k / (k + 1)) * out[k - 1]
+        h = out[k + 1, ...]
+        np.multiply(u, math.sqrt(2.0 / (k + 1)), out=h)
+        h *= out[k, ...]
+        np.multiply(out[k - 1, ...], math.sqrt(k / (k + 1)), out=scratch)
+        h -= scratch
     return out
 
 
 def _mode_function(n: int, x: np.ndarray, scale: float) -> np.ndarray:
     """nth oscillator eigenfunction with inverse length ``scale``."""
-    return math.sqrt(scale) * hermite_functions(scale * x, n)[n]
+    h = hermite_functions(scale * x, n)[n, ...]
+    h *= math.sqrt(scale)
+    return h
 
 
 def _spreading_packet(x: np.ndarray, tau: float, Gamma: float) -> np.ndarray:
@@ -350,39 +372,73 @@ def _coherent_mode(x: np.ndarray, disp: complex, scale: float, hbar: float) -> n
     return pref * phase * np.exp(-0.5 * scale ** 2 * (x - x0) ** 2)
 
 
-def eval_wavefunction(sys: OscillatorSystem, state, x1, x2) -> np.ndarray:
+@contextlib.contextmanager
+def _rows_in_place(cols: int):
+    """Let numpy's ufuncs read broadcast or strided operands whose rows
+    hold ``cols`` cells in place, row by row, inside the block.
+
+    numpy (2.4) copies such operands through its ufunc buffer of 8192 cells
+    whenever a row is shorter than the buffer: x1 - x2 on a 16 x 1024 block
+    took 18.5 us, and 4.8 us with a buffer of at most one row.  An
+    elementwise operation rounds the same on either path; a reduction need
+    not, so none runs inside.  The size must be a multiple of 16, and rows
+    shorter than 64 cells gained nothing.  numpy keeps the size per thread,
+    and the old one is restored on the way out.
+    """
+    old = np.setbufsize(cols - cols % 16) if 64 <= cols < 8192 else None
+    try:
+        yield
+    finally:
+        if old is not None:
+            np.setbufsize(old)
+
+
+def eval_wavefunction(sys: OscillatorSystem, state, x1, x2, *, out=None) -> np.ndarray:
     """Two-particle wavefunction psi(x1, x2) for any supported state.
 
     Broadcasts over array inputs.  Number states and superpositions whose
     coefficients are all real give a float64 array; coherent states,
     spreading packets and superpositions with a complex coefficient give a
-    complex128 array.
+    complex128 array.  As with numpy's ufuncs, ``out`` (an array of the
+    broadcast shape and that dtype) receives the samples and is returned;
+    they have the same bits as without it.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    r = x1 - x2
-    X = sys.mu1 * x1 + sys.mu2 * x2
+    shape = np.broadcast(x1, x2).shape
+    with _rows_in_place(shape[-1] if len(shape) > 1 else 0):
+        r = x1 - x2
+        X = sys.mu1 * x1 + sys.mu2 * x2
     if isinstance(state, NumberState):
         rel = _mode_function(state.m, r, sys.gamma)
         com = _mode_function(state.n, X, sys.Gamma)
-        return rel * com
+        return np.multiply(rel, com, out=out)
     if isinstance(state, Coherent):
         rel = _coherent_mode(r, state.alpha, sys.gamma, sys.hbar)
         com = _coherent_mode(X, state.beta, sys.Gamma, sys.hbar)
-        return rel * com
+        return np.multiply(rel, com, out=out)
     if isinstance(state, UnboundGaussian):
         sys.check_untrapped()
         rel = _mode_function(state.m, r, sys.gamma)
-        return rel * _spreading_packet(X, state.tau, sys.Gamma)
+        return np.multiply(rel, _spreading_packet(X, state.tau, sys.Gamma), out=out)
     if isinstance(state, Superposition):
         mmax, nmax = state.orders
         h_rel = hermite_functions(sys.gamma * r, mmax)
         h_com = hermite_functions(sys.Gamma * X, nmax)
         amp = math.sqrt(sys.gamma * sys.Gamma)
         real = state.is_real
-        out = np.zeros(np.broadcast(x1, x2).shape, dtype=float if real else complex)
+        dtype = float if real else complex
+        if out is None:
+            out = np.zeros(shape, dtype=dtype)
+        else:
+            out[...] = 0.0
+        # each term is ((c amp) h_m) h_n, the scalar first, as complex
+        # products keep their operand order
+        term = np.empty(shape, dtype=dtype)
         for (m, n, cf) in state.terms:
-            out += (cf.real if real else cf) * amp * h_rel[m] * h_com[n]
+            np.multiply((cf.real if real else cf) * amp, h_rel[m, ...], out=term)
+            term *= h_com[n, ...]
+            out += term
         return out
     raise UnsupportedStateError(f"cannot evaluate state kind {type(state).__name__}")
 
@@ -508,7 +564,7 @@ def _sample(sys: OscillatorSystem, state, grid: GridSpec, fold: bool = False):
     blocks = _blocks(rows, n)
     for b in range(blocks):
         i, j = b * rows // blocks, (b + 1) * rows // blocks
-        W[i:j] = eval_wavefunction(sys, state, x1[i:j, None], x2[None, :])
+        eval_wavefunction(sys, state, x1[i:j, None], x2[None, :], out=W[i:j])
     dx1 = x1[1] - x1[0]
     dx2 = x2[1] - x2[0]
     return x1, x2, W, dx1, dx2, sized
@@ -549,7 +605,8 @@ def _fold(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     h = W.shape[0]
     A, B = W[:, :h], W[:, ::-1][:, :h]
-    return A + B, A - B
+    with _rows_in_place(h):
+        return A + B, A - B
 
 
 def _grams(W: np.ndarray, fold: bool) -> tuple[tuple[np.ndarray, ...], float, float]:
@@ -631,9 +688,9 @@ def _cholesky(column, d: np.ndarray, total: float, dtype) -> tuple[np.ndarray, f
     ||L^H L||_F = ||L L^H||_F.
     """
     n = d.shape[0]
-    # row j holds column j of L; zero pages beyond the k rows written stay
-    # untouched
-    Lt = np.zeros((n, n), dtype=dtype)
+    # row j holds column j of L; only the k rows written are read, so the
+    # others are never filled or touched
+    Lt = np.empty((n, n), dtype=dtype)
     stop = _PIVOT_STOP * total
     k = 0
     while k < n:

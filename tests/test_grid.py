@@ -53,7 +53,38 @@ def sample_matrices(draw):
     return W * 10.0 ** draw(st.integers(-3, 3))
 
 
+def same_bits(a, b):
+    """Whether two arrays (or numpy scalars) hold the same dtype, shape and
+    bytes: signed zeros and NaN payloads count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def hermite_expressions(u, nmax):
+    """The recurrence of :func:`hermite_functions` written as whole-array
+    expressions, each step one fresh array: the reference for its bits."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty((nmax + 1,) + u.shape)
+    out[0] = math.pi ** -0.25 * np.exp(-0.5 * u * u)
+    if nmax >= 1:
+        out[1] = math.sqrt(2.0) * u * out[0]
+    for k in range(1, nmax):
+        out[k + 1] = math.sqrt(2.0 / (k + 1)) * u * out[k] - math.sqrt(k / (k + 1)) * out[k - 1]
+    return out
+
+
 class TestHermiteFunctions:
+    @pytest.mark.parametrize("u", [
+        np.array(0.37),
+        np.array(-45.0),
+        np.concatenate((np.linspace(-60.0, 60.0, 241), [0.0, -0.0, 1e-160, -3e-200])),
+        np.linspace(-44.0, 41.0, 16 * 12).reshape(16, 12),
+    ], ids=["0-d", "0-d-underflow", "1-d", "2-d"])
+    def test_rows_have_the_bits_of_the_expression_form(self, u):
+        # past |u| = 40 the Gaussian factor underflows and the rows with it
+        for nmax in range(81):
+            assert same_bits(hermite_functions(u, nmax), hermite_expressions(u, nmax))
+
     def test_orthonormal(self):
         x = np.linspace(-12, 12, 4001)
         dx = x[1] - x[0]
@@ -128,6 +159,24 @@ class TestEvalWavefunction:
         sys = OscillatorSystem.from_dimensionless(4.0, 0.3)
         x = np.linspace(-2, 2, 5)
         assert eval_wavefunction(sys, state, x[:, None], x[None, :]).dtype == dtype
+
+    @pytest.mark.parametrize("sys, state", [
+        (TRAPPED, NumberState(2, 3)),
+        (TRAPPED, Coherent(0.5 + 0.2j, -0.4 + 1.0j)),
+        (FREE, UnboundGaussian(2, 1.5)),
+        (TRAPPED, Superposition(((0, 1, 0.6), (1, 0, 0.48), (2, 1, 0.64)))),
+        (TRAPPED, Superposition(((0, 1, 0.6), (2, 0, 0.8j)))),
+    ], ids=["number", "coherent", "unbound", "real-mix", "complex-mix"])
+    @pytest.mark.parametrize("x1, x2", [
+        (np.linspace(-6.0, 5.0, 23)[:, None], np.linspace(-5.5, 6.5, 19)[None, :]),
+        (0.4, -1.3),
+    ], ids=["grid", "point"])
+    def test_out_holds_the_bits_of_a_fresh_result(self, sys, state, x1, x2):
+        ref = eval_wavefunction(sys, state, x1, x2)
+        # NaN to start with, so a cell read before it is written shows
+        out = np.full(np.shape(ref), np.nan, dtype=ref.dtype)
+        assert eval_wavefunction(sys, state, x1, x2, out=out) is out
+        assert same_bits(out, ref)
 
     def test_unbound_needs_untrapped_system(self):
         sys = OscillatorSystem.from_dimensionless(1.0, 0.5)
@@ -528,9 +577,9 @@ class TestBlockedSampling:
         whole = grid_mod.eval_wavefunction
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[2].shape[0])
-            return whole(*args)
+            return whole(*args, **kwargs)
 
         monkeypatch.setattr(grid_mod, "eval_wavefunction", counted)
         x1, x2, W, _, _, _ = grid_mod._sample(sys, state, GridSpec(n, 8.0))
@@ -827,6 +876,35 @@ class TestFactorRoute:
                                                res.n_points)
         assert (res.entropy, res.spectrum_defect, res.scale_exp) == (entropy, defect, e)
         assert np.array_equal(res.singular_values, np.ldexp(s, e))
+
+    @pytest.mark.parametrize("sys, state, n", [
+        (TRAPPED, NumberState(2, 2), 480),
+        (TRAPPED, Superposition(((0, 1, 0.6), (1, 0, 0.8j))), 384),
+        (TRAPPED, Coherent(0.3 + 0.2j, -0.1 + 0.4j), 240),
+    ], ids=["number", "complex-mix", "coherent"])
+    def test_no_unwritten_cell_is_read(self, monkeypatch, sys, state, n):
+        """Every array grid takes from np.empty (samples, Hermite rows,
+        scratch and the factor's rows) starts full of NaN: a cell read before
+        it is written would change the result's bits."""
+        ref = schmidt_analyze(sys, state, GridSpec(n, 8.0))
+        ref.entropy  # the spectrum is read off the factors before np.empty changes
+
+        class NanEmpty:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(*args, **kwargs):
+                a = np.empty(*args, **kwargs)
+                a.fill(np.nan)
+                return a
+
+        monkeypatch.setattr(grid_mod, "np", NanEmpty())
+        res = schmidt_analyze(sys, state, GridSpec(n, 8.0))
+        assert res.factors and ref.factors
+        for name in ("purity", "norm_defect", "grid_defect", "entropy", "spectrum_defect",
+                     "singular_values"):
+            assert same_bits(getattr(res, name), getattr(ref, name)), name
 
     def test_the_ratio_is_a_point_count(self):
         sized = schmidt_analyze(TRAPPED, NumberState(2, 2)).n_points

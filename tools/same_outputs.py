@@ -32,7 +32,9 @@ count as a difference.  Oracle purities on an odd number of points, on a
 superposition that mixes parities, on an even superposition and on a
 spreading packet with even m pin down which inputs the oracle folds by
 parity, and two at 1024^2, a folded number state and a coherent state
-sampled as one block, pin down the factor route of an oversampled grid.
+sampled as one block, pin down the factor route of an oversampled grid; a
+folded real superposition at 1024^2 and |12,3> at 512^2 pin down the
+samples written in place and the Hermite recurrence at depth.
 Exact number states at the order cap and off the diagonal (|5,3>, |3,5>,
 |6,2>, |8,0>, |0,8>), |4,4> at mu1 = 0.5, where the generator's s entries
 vanish and so change its coupling pattern, an exact mu1 sweep through 0.5
@@ -239,6 +241,11 @@ COMMANDS = [
     ["purity", *G5, "--state", "number:2,2", "--method", "oracle", "--n-points", "1024"],
     ["purity", *G5, "--state", "coherent:0.7+0.4j,-0.3+1.1j", "--method", "oracle",
      "--n-points", "1024"],
+    # samples written in place: a folded real superposition on the factor
+    # route, and a number state deep in the Hermite recurrence
+    ["purity", *G5, "--method", "oracle", "--state",
+     "superposition:0,1,0.6;1,0,0.48;2,1,0.64", "--n-points", "1024"],
+    ["purity", *G5, "--method", "oracle", "--state", "number:12,3", "--n-points", "512"],
     # exact purities whose generator entries are taken from gamma / s and
     # Gamma / s, s = max(gamma, Gamma), also in an exact sweep
     ["purity", "--m1", "1", "--m2", "1", "--omega", "1", "--Omega", "1", "--hbar", "1e300",
