@@ -347,9 +347,9 @@ def hermite_functions(u: np.ndarray, nmax: int) -> np.ndarray:
 
 def _mode_function(n: int, x: np.ndarray, scale: float) -> np.ndarray:
     """nth oscillator eigenfunction with inverse length ``scale``."""
-    h = hermite_functions(scale * x, n)[n, ...]
-    h *= math.sqrt(scale)
-    return h
+    # a fresh row, so the rows below it are freed before the caller samples
+    # the other coordinate
+    return math.sqrt(scale) * hermite_functions(scale * x, n)[n]
 
 
 def _spreading_packet(x: np.ndarray, tau: float, Gamma: float) -> np.ndarray:

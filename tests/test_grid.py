@@ -591,6 +591,16 @@ class TestBlockedSampling:
         assert min(calls) * n >= min(n * n, 2 ** 14)
         assert len(calls) == (1 if n * n <= 2 ** 14 else n // math.ceil(2 ** 14 / n))
 
+    def test_numpy_buffer_size_is_the_callers_again(self):
+        # the coordinates and the fold read rows in place by lowering numpy's
+        # ufunc buffer size for a moment
+        old = np.setbufsize(4096)
+        try:
+            schmidt_analyze(TRAPPED, NumberState(2, 2), GridSpec(480, 8.0)).entropy
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(old)
+
     @pytest.mark.parametrize("x", [
         np.array([[-1.5, 0.0], [-0.0, 3e-200]]),
         np.array([[1.0 - 2.0j, -0.5j], [3e-200 + 1j, 0.0]]),
