@@ -57,8 +57,8 @@ same arithmetic as one call over the whole grid, bit for bit.  Each block
 is written straight into the sample matrix, and the recurrence runs in
 place in the Hermite rows with one scratch row: a block of 2^14 float64
 cells is below the 256 KiB from which numpy reuses temporaries, so each
-step written as one expression made four fresh block arrays.  Sampling is
-capped by a predicted peak memory (the whole-grid arrays of the sampling
+step written as one expression would make four fresh block arrays.
+Sampling is capped by a predicted peak memory (the whole-grid arrays of the sampling
 and the Gram product, plus one block's Hermite rows), checked on the number
 of points actually used, and raises ResourceCapError before allocating; a
 folded grid peaks lower (14 MiB against 24 MiB at 1024^2 on |4,4>, and 10
@@ -375,7 +375,7 @@ def _coherent_mode(x: np.ndarray, disp: complex, scale: float, hbar: float) -> n
 @contextlib.contextmanager
 def _rows_in_place(cols: int):
     """Let numpy's ufuncs read broadcast or strided operands whose rows
-    hold ``cols`` cells in place, row by row, inside the block.
+    hold ``cols`` cells in place, row by row, inside the ``with`` block.
 
     numpy (2.4) copies such operands through its ufunc buffer of 8192 cells
     whenever a row is shorter than the buffer: x1 - x2 on a 16 x 1024 block
@@ -429,9 +429,8 @@ def eval_wavefunction(sys: OscillatorSystem, state, x1, x2, *, out=None) -> np.n
         real = state.is_real
         dtype = float if real else complex
         if out is None:
-            out = np.zeros(shape, dtype=dtype)
-        else:
-            out[...] = 0.0
+            out = np.empty(shape, dtype=dtype)
+        out[...] = 0.0
         # each term is ((c amp) h_m) h_n, the scalar first, as complex
         # products keep their operand order
         term = np.empty(shape, dtype=dtype)
